@@ -8,10 +8,13 @@ expanded into named sub-streams.  Replaying a manifest with
 same reason the ``wall_time_ms`` column stays at zero unless
 ``--timing`` is given.
 
+Each command declares its parameters once, as a table of :class:`Param`
+records; the table alone drives the flags, the config keys, the
+defaults, the typed conversion, the required-parameter check and the
+manifest.
+
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 design did not
 converge (artifacts are still written).
-
-``NO_PARALLEL=1`` is honored: execution is sequential either way.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,7 +41,7 @@ from .experiments import (
     write_records_csv,
 )
 from .matio import format_float, read_keyvalues, read_matrix_csv, write_keyvalues, write_matrix_csv
-from .solver import DEFAULT_OUTER_ITERS, SolverConfig, random_projection, write_trace_csv
+from .solver import DEFAULT_OUTER_ITERS, random_projection, write_trace_csv
 from .synth import gen_dictionary, gen_signals, gen_sparse_codes, lemma1_check
 
 __all__ = ["main"]
@@ -54,10 +58,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 def _read_matrix(path: str) -> np.ndarray:
@@ -124,77 +124,100 @@ def _parse_seeds(text: str) -> list[int]:
         raise CliError(EXIT_USAGE, f"malformed seed list {text!r}") from exc
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Resolve parameters: explicit flags, then config file, then defaults."""
-    resolved = {}
+@dataclass(frozen=True)
+class Param:
+    """One command parameter, declared once.
+
+    `name` is both the config-file key and the manifest key; the flag is
+    ``--name`` with underscores written as dashes.  `type` is ``str``,
+    ``int``, ``float``, or ``bool`` (a flag that takes no value; in a
+    config file ``1``, ``true`` or ``yes`` turn it on).
+    """
+
+    name: str
+    type: type = str
+    default: object = None
+    help: str | None = None
+    required: bool = False
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        if self.type is bool:
+            parser.add_argument(self.flag, dest=self.name, action="store_const", const=True,
+                                help=self.help)
+        else:
+            parser.add_argument(self.flag, dest=self.name, type=self.type, help=self.help)
+
+    def convert(self, value):
+        if self.type is bool:
+            return str(value).lower() in ("1", "true", "yes")
+        try:
+            return self.type(value)
+        except ValueError:
+            expects = "an integer" if self.type is int else "a number"
+            raise CliError(EXIT_USAGE, f"{self.name} expects {expects}, got {value!r}") from None
+
+
+def _resolve(args: argparse.Namespace, params: tuple[Param, ...]) -> dict:
+    """Resolve each parameter: explicit flag, then config file, then default."""
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             config = read_keyvalues(args.config)
         except OSError as exc:
             raise CliError(EXIT_IO, f"cannot read config {args.config}: {exc.strerror or exc}")
         except ValueError as exc:
             raise CliError(EXIT_IO, str(exc))
-        command = getattr(args, "command", None)
-        if "command" in config and command and config["command"] != command:
+        if config.get("command", args.command) != args.command:
             raise CliError(
                 EXIT_USAGE,
-                f"config was written by command {config['command']!r}, not {command!r}",
+                f"config was written by command {config['command']!r}, not {args.command!r}",
             )
-    for key, default in defaults.items():
-        file_key = key.rstrip("_")  # argparse dest "lambda_" is written as "lambda"
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif config.get(file_key, "") != "":  # empty manifest values mean "not set"
-            resolved[key] = config[file_key]
-        else:
-            resolved[key] = default
-    return resolved
+    values = {}
+    for param in params:
+        value = getattr(args, param.name)
+        if value is None and config.get(param.name, "") != "":  # empty values mean "not set"
+            value = config[param.name]
+        if value is None:
+            value = param.default
+        if value is None and param.required:
+            raise CliError(EXIT_USAGE, f"missing required parameter {param.flag}")
+        values[param.name] = None if value is None else param.convert(value)
+    return values
 
 
-def _as_float(value, key: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise CliError(EXIT_USAGE, f"{key} expects a number, got {value!r}") from None
-
-
-def _as_int(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise CliError(EXIT_USAGE, f"{key} expects an integer, got {value!r}") from None
-
-
-def _require(resolved: dict, key: str):
-    if resolved[key] is None:
-        raise CliError(EXIT_USAGE, f"missing required parameter --{key.replace('_', '-')}")
-    return resolved[key]
-
-
-def _load_design_dictionary(resolved: dict, seed: int) -> np.ndarray:
-    if resolved["dict"] is not None and resolved["synth"] is not None:
+def _load_design_dictionary(values: dict, seed: int) -> np.ndarray:
+    if values["dict"] is not None and values["synth"] is not None:
         raise CliError(EXIT_USAGE, "give either --dict or --synth, not both")
-    if resolved["dict"] is not None:
-        return _read_matrix(resolved["dict"])
-    if resolved["synth"] is not None:
-        n, l = _parse_int_pair(str(resolved["synth"]), "--synth")
+    if values["dict"] is not None:
+        return _read_matrix(values["dict"])
+    if values["synth"] is not None:
+        n, l = _parse_int_pair(values["synth"], "--synth")
         return gen_dictionary(n, l, seed)
     raise CliError(EXIT_USAGE, "a dictionary is required: --dict <path> or --synth N,L")
 
 
-def _resolve_xi(value, m: int, l: int) -> float:
-    if isinstance(value, str) and value.strip().lower() == "welch":
+def _resolve_xi(value: str, m: int, l: int) -> float:
+    if value.strip().lower() == "welch":
         return welch_bound(m, l)
-    return _as_float(value, "xi")
+    return Param("xi", float).convert(value)
 
 
-def _write_manifest(out_dir: Path, command: str, params: dict) -> None:
+def _manifest(command: str, values: dict, **extra) -> dict:
+    """The command, its parameters (unset ones empty), `extra`, version, timestamp."""
     manifest = {"command": command}
-    manifest.update(params)
+    manifest.update((key, "" if value is None else value) for key, value in values.items())
+    manifest.update(extra)
     manifest["version"] = __version__
-    manifest["timestamp"] = _utc_now()
+    manifest["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return manifest
+
+
+def _write_manifest(out_dir: Path, command: str, values: dict, **extra) -> None:
+    manifest = _manifest(command, {**values, "out": str(out_dir)}, **extra)
     write_keyvalues(manifest, out_dir / "manifest.txt")
 
 
@@ -207,71 +230,54 @@ def _ensure_out_dir(path_text: str) -> Path:
     return out_dir
 
 
-DESIGN_DEFAULTS = {
-    "dict": None,
-    "synth": None,
-    "m": None,
-    "method": "mt",
-    "lambda_": 0.5,
-    "xi": "welch",
-    "iter": DEFAULT_OUTER_ITERS,
-    "seed": 0,
-    "sre": None,
-    "out": None,
-}
+_SEED = Param("seed", int, 0, "root seed")
+_OUT = Param("out", help="output directory", required=True)
+
+DESIGN_PARAMS = (
+    Param("dict", help="dictionary matrix CSV"),
+    Param("synth", help="generate a random dictionary: N,L"),
+    Param("m", int, help="number of measurement rows", required=True),
+    Param("method", default="mt", help=f"design method: {'|'.join(METHODS)} (default mt)"),
+    Param("lambda", float, 0.5, "regularizer weight"),
+    Param("xi", default="welch", help="relaxed-ETF level: 'welch' or a float"),
+    Param("iter", int, DEFAULT_OUTER_ITERS, "alternating rounds for *-etf methods"),
+    _SEED,
+    Param("sre", help="SRE matrix CSV (required for lh methods)"),
+    _OUT,
+)
 
 
-def cmd_design(args: argparse.Namespace) -> int:
-    resolved = _merge_config(args, DESIGN_DEFAULTS)
-    method = str(resolved["method"])
+def cmd_design(values: dict) -> int:
+    method, m, seed = values["method"], values["m"], values["seed"]
     if method not in METHODS:
         raise CliError(EXIT_USAGE, f"unknown method {method!r}; expected one of {METHODS}")
-    seed = _as_int(resolved["seed"], "seed")
-    m = _as_int(_require(resolved, "m"), "m")
-    psi = _load_design_dictionary(resolved, seed)
+    psi = _load_design_dictionary(values, seed)
     n, l = psi.shape
     if m < 1:
         raise CliError(EXIT_USAGE, f"m must be positive, got {m}")
     if method != "randn" and m >= n:
         raise CliError(EXIT_USAGE, f"designed matrices need m < n, got m={m}, n={n}")
-    lam = _as_float(resolved["lambda_"], "lambda")
-    xi = _resolve_xi(resolved["xi"], m, l)
-    outer_iters = _as_int(resolved["iter"], "iter")
+    values["xi"] = _resolve_xi(values["xi"], m, l)
     sre = None
     if method in ("lh", "lh-etf"):
-        if resolved["sre"] is None:
+        if values["sre"] is None:
             raise CliError(EXIT_USAGE, f"method {method!r} requires --sre <path>")
-        sre = _read_matrix(str(resolved["sre"]))
-    out_dir = _ensure_out_dir(str(_require(resolved, "out")))
+        sre = _read_matrix(values["sre"])
+    out_dir = _ensure_out_dir(values["out"])
 
     phi0 = random_projection(m, n, seed)
-    params = ExperimentParams(m=m, n=n, l=l, lam=lam, xi=xi, outer_iters=outer_iters)
+    lam = values["lambda"]
+    params = ExperimentParams(m=m, n=n, l=l, lam=lam, xi=values["xi"], outer_iters=values["iter"])
     try:
-        result = design_for_method(method, params, psi, phi0, lam, sre=sre, cfg=SolverConfig(rng_seed=seed))
+        result = design_for_method(method, params, psi, phi0, lam, sre=sre)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from exc
 
     write_matrix_csv(result.phi, out_dir / "phi.csv")
     write_trace_csv(result.trace, out_dir / "trace.csv")
-    if resolved["synth"] is not None:  # make the generated dictionary reusable
+    if values["synth"] is not None:  # make the generated dictionary reusable
         write_matrix_csv(psi, out_dir / "psi.csv")
-    _write_manifest(
-        out_dir,
-        "design",
-        {
-            "dict": resolved["dict"] or "",
-            "synth": resolved["synth"] or "",
-            "m": m,
-            "method": method,
-            "lambda": lam,
-            "xi": xi,
-            "iter": outer_iters,
-            "seed": seed,
-            "sre": resolved["sre"] or "",
-            "out": str(out_dir),
-            "converged": result.converged,
-        },
-    )
+    _write_manifest(out_dir, "design", values, converged=result.converged)
     if not result.converged:
         print(f"design did not converge within the iteration budget; artifacts in {out_dir}",
               file=sys.stderr)
@@ -279,80 +285,62 @@ def cmd_design(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-EVAL_DEFAULTS = {
-    "phi": None,
-    "dict": None,
-    "snr": 15.0,
-    "p": 1000,
-    "k": 4,
-    "seed": 0,
-    "tag": "custom",
-    "out": None,
-}
+EVAL_PARAMS = (
+    Param("phi", help="projection matrix CSV", required=True),
+    Param("dict", help="dictionary matrix CSV", required=True),
+    Param("snr", float, 15.0, "dataset SNR in dB"),
+    Param("p", int, 1000, "signals per train/test half"),
+    Param("k", int, 4, "sparsity level"),
+    _SEED,
+    Param("tag", default="custom", help="method tag recorded in the CSV"),
+    _OUT,
+)
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    resolved = _merge_config(args, EVAL_DEFAULTS)
-    phi = _read_matrix(str(_require(resolved, "phi")))
-    psi = _read_matrix(str(_require(resolved, "dict")))
+def cmd_eval(values: dict) -> int:
+    phi = _read_matrix(values["phi"])
+    psi = _read_matrix(values["dict"])
     if phi.shape[1] != psi.shape[0]:
         raise CliError(
             EXIT_USAGE,
             f"phi columns ({phi.shape[1]}) do not match dictionary rows ({psi.shape[0]})",
         )
-    snr = _as_float(resolved["snr"], "snr")
-    p = _as_int(resolved["p"], "p")
-    k = _as_int(resolved["k"], "k")
-    seed = _as_int(resolved["seed"], "seed")
-    tag = str(resolved["tag"])
-    out_dir = _ensure_out_dir(str(_require(resolved, "out")))
+    snr, p, k, seed = values["snr"], values["p"], values["k"], values["seed"]
+    out_dir = _ensure_out_dir(values["out"])
 
     l = psi.shape[1]
     try:
         theta = gen_sparse_codes(l, k, 2 * p, seed)
         dataset = gen_signals(psi, theta, snr, seed)
         record = evaluate_system(
-            phi, dataset, k, method=tag, param_name="snr", param_value=snr, seed=seed
+            phi, dataset, k, method=values["tag"], param_name="snr", param_value=snr, seed=seed
         )
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from exc
 
     write_records_csv([record], out_dir / "records.csv")
-    _write_manifest(
-        out_dir,
-        "eval",
-        {
-            "phi": resolved["phi"],
-            "dict": resolved["dict"],
-            "snr": snr,
-            "p": p,
-            "k": k,
-            "seed": seed,
-            "tag": tag,
-            "out": str(out_dir),
-        },
-    )
+    _write_manifest(out_dir, "eval", values)
     return EXIT_OK
 
 
-SWEEP_DEFAULTS = {
-    "axis": None,
-    "grid": None,
-    "methods": None,
-    "seeds": "0",
-    "m": 20,
-    "n": 60,
-    "l": 80,
-    "k": 4,
-    "p": 1000,
-    "lambda_": 0.5,
-    "xi": "welch",
-    "iter": DEFAULT_OUTER_ITERS,
-    "snr": 15.0,
-    "lambda_grid": None,
-    "out": None,
-    "timing": False,
-}
+SWEEP_PARAMS = (
+    Param("axis", help="sweep axis: lambda|snr|m|k|l", required=True),
+    Param("grid", help="grid: a:step:b or comma list", required=True),
+    Param("methods", help="comma list of methods"),
+    Param("seeds", default="0", help="comma list of seeds"),
+    Param("m", int, 20),
+    Param("n", int, 60),
+    Param("l", int, 80),
+    Param("k", int, 4),
+    Param("p", int, 1000),
+    Param("lambda", float, 0.5),
+    Param("xi", default="welch", help="'welch' or a float"),
+    Param("iter", int, DEFAULT_OUTER_ITERS),
+    Param("snr", float, 15.0, "fixed SNR for non-snr sweeps"),
+    Param("lambda_grid", help="candidate lambdas searched per method in an snr sweep"),
+    _OUT,
+    Param("timing", bool, False, "record wall-clock design time (breaks byte reproducibility)"),
+)
 
 _SWEEP_DEFAULT_METHODS = {
     "lambda": ("mt", "mt-etf"),
@@ -363,43 +351,43 @@ _SWEEP_DEFAULT_METHODS = {
 }
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    resolved = _merge_config(args, SWEEP_DEFAULTS)
-    axis = str(_require(resolved, "axis")).lower()
+def cmd_sweep(values: dict) -> int:
+    axis = values["axis"] = values["axis"].lower()
     if axis not in ("lambda", "snr", "m", "k", "l"):
         raise CliError(EXIT_USAGE, f"unknown sweep axis {axis!r}")
-    grid = _parse_grid(str(_require(resolved, "grid")))
-    seeds = _parse_seeds(str(resolved["seeds"]))
-    if resolved["methods"] is None:
+    grid = _parse_grid(values["grid"])
+    seeds = _parse_seeds(values["seeds"])
+    if values["methods"] is None:
         methods = _SWEEP_DEFAULT_METHODS[axis]
     else:
-        methods = tuple(tok.strip() for tok in str(resolved["methods"]).split(","))
+        methods = tuple(tok.strip() for tok in values["methods"].split(","))
         for method in methods:
             if method not in METHODS:
                 raise CliError(EXIT_USAGE, f"unknown method {method!r}; expected one of {METHODS}")
-    m = _as_int(resolved["m"], "m")
-    l = _as_int(resolved["l"], "l")
-    timing = str(resolved["timing"]).lower() in ("1", "true", "yes")
+    values["methods"] = ",".join(methods)
+    values["seeds"] = ",".join(str(s) for s in seeds)
+    values["xi"] = _resolve_xi(values["xi"], values["m"], values["l"])
+    timing = values["timing"]
     params = ExperimentParams(
-        m=m,
-        n=_as_int(resolved["n"], "n"),
-        l=l,
-        k=_as_int(resolved["k"], "k"),
-        p=_as_int(resolved["p"], "p"),
-        lam=_as_float(resolved["lambda_"], "lambda"),
-        xi=_resolve_xi(resolved["xi"], m, l),
-        outer_iters=_as_int(resolved["iter"], "iter"),
-        snr_db=_as_float(resolved["snr"], "snr"),
+        m=values["m"],
+        n=values["n"],
+        l=values["l"],
+        k=values["k"],
+        p=values["p"],
+        lam=values["lambda"],
+        xi=values["xi"],
+        outer_iters=values["iter"],
+        snr_db=values["snr"],
     )
-    out_dir = _ensure_out_dir(str(_require(resolved, "out")))
+    out_dir = _ensure_out_dir(values["out"])
 
     try:
         if axis == "lambda":
             records = run_lambda_sweep(params, grid, seeds, methods=methods, timing=timing)
         elif axis == "snr":
             lambda_grid = None
-            if resolved["lambda_grid"] is not None:
-                lambda_grid = _parse_grid(str(resolved["lambda_grid"]))
+            if values["lambda_grid"] is not None:
+                lambda_grid = _parse_grid(values["lambda_grid"])
             records = run_snr_sweep(
                 params, grid, methods, seeds, lambda_grid=lambda_grid, timing=timing
             )
@@ -418,112 +406,65 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError(EXIT_USAGE, str(exc)) from exc
 
     write_records_csv(records, out_dir / "records.csv")
-    _write_manifest(
-        out_dir,
-        "sweep",
-        {
-            "axis": axis,
-            "grid": resolved["grid"],
-            "methods": ",".join(methods),
-            "seeds": ",".join(str(s) for s in seeds),
-            "m": params.m,
-            "n": params.n,
-            "l": params.l,
-            "k": params.k,
-            "p": params.p,
-            "lambda": params.lam,
-            "xi": params.xi,
-            "iter": params.outer_iters,
-            "snr": params.snr_db,
-            "lambda_grid": resolved["lambda_grid"] or "",
-            "out": str(out_dir),
-            "timing": timing,
-        },
-    )
+    _write_manifest(out_dir, "sweep", values)
     return EXIT_OK
 
 
-LEMMA1_DEFAULTS = {
-    "phi": None,
-    "random": None,
-    "sigma": 1.0,
-    "p": 100000,
-    "seed": 0,
-    "csv": None,
-    "out": None,
-}
-
-_LEMMA1_CSV_HEADER = (
-    "trials,mean_estimate,predicted_mean,variance_estimate,predicted_variance,z_score"
+LEMMA1_PARAMS = (
+    Param("phi", help="projection matrix CSV"),
+    Param("random", help="draw a random matrix: M,N"),
+    Param("sigma", float, 1.0, "noise standard deviation"),
+    Param("p", int, 100000, "number of Monte-Carlo samples"),
+    _SEED,
+    Param("csv", help="also write the report as a one-row CSV"),
+    Param("out", help="optional output directory for report + manifest"),
 )
 
-
-def cmd_lemma1(args: argparse.Namespace) -> int:
-    resolved = _merge_config(args, LEMMA1_DEFAULTS)
-    if resolved["phi"] is not None and resolved["random"] is not None:
+def cmd_lemma1(values: dict) -> int:
+    if values["phi"] is not None and values["random"] is not None:
         raise CliError(EXIT_USAGE, "give either --phi or --random, not both")
-    seed = _as_int(resolved["seed"], "seed")
-    if resolved["phi"] is not None:
-        phi = _read_matrix(str(resolved["phi"]))
-    elif resolved["random"] is not None:
-        m, n = _parse_int_pair(str(resolved["random"]), "--random")
+    seed = values["seed"]
+    if values["phi"] is not None:
+        phi = _read_matrix(values["phi"])
+    elif values["random"] is not None:
+        m, n = _parse_int_pair(values["random"], "--random")
         phi = random_projection(m, n, seed)
     else:
         raise CliError(EXIT_USAGE, "a matrix is required: --phi <path> or --random M,N")
-    sigma = _as_float(resolved["sigma"], "sigma")
-    p = _as_int(resolved["p"], "p")
     try:
-        report = lemma1_check(phi, sigma, p, seed)
+        report = lemma1_check(phi, values["sigma"], values["p"], seed)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from exc
 
-    lines = {
-        "command": "lemma1",
-        "phi": resolved["phi"] or "",
-        "random": resolved["random"] or "",
-        "sigma": sigma,
-        "p": p,
-        "seed": seed,
-        "version": __version__,
-        "timestamp": _utc_now(),
+    shown = {key: value for key, value in values.items() if key not in ("csv", "out")}
+    report_values = report.as_keyvalues()
+    lines = _manifest("lemma1", shown)
+    lines.update(report_values)
+    rendered = {
+        key: format_float(value) if isinstance(value, float) else str(value)
+        for key, value in lines.items()
     }
-    lines.update(report.as_keyvalues())
-    for key, value in lines.items():
-        rendered = format_float(value) if isinstance(value, float) else value
-        print(f"{key}={rendered}")
+    for key, text in rendered.items():
+        print(f"{key}={text}")
 
-    if resolved["csv"] is not None:
-        csv_path = Path(str(resolved["csv"]))
-        row = ",".join(
-            [
-                str(report.trials),
-                format_float(report.mean_estimate),
-                format_float(report.predicted_mean),
-                format_float(report.variance_estimate),
-                format_float(report.predicted_variance),
-                format_float(report.z_score),
-            ]
-        )
-        with open(csv_path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(_LEMMA1_CSV_HEADER + "\n")
-            fh.write(row + "\n")
-    if resolved["out"] is not None:
-        out_dir = _ensure_out_dir(str(resolved["out"]))
-        write_keyvalues(report.as_keyvalues(), out_dir / "report.txt")
-        _write_manifest(
-            out_dir,
-            "lemma1",
-            {
-                "phi": resolved["phi"] or "",
-                "random": resolved["random"] or "",
-                "sigma": sigma,
-                "p": p,
-                "seed": seed,
-                "csv": resolved["csv"] or "",
-                "out": str(out_dir),
-            },
-        )
+    if values["csv"] is not None:  # the report as a one-row CSV
+        with open(values["csv"], "w", encoding="ascii", newline="\n") as fh:
+            fh.write(",".join(report_values) + "\n")
+            fh.write(",".join(rendered[key] for key in report_values) + "\n")
+    if values["out"] is not None:
+        out_dir = _ensure_out_dir(values["out"])
+        write_keyvalues(report_values, out_dir / "report.txt")
+        _write_manifest(out_dir, "lemma1", values)
     return EXIT_OK
+
+
+#: subcommand -> (help, parameter table, handler)
+COMMANDS = {
+    "design": ("design a projection matrix", DESIGN_PARAMS, cmd_design),
+    "eval": ("evaluate a projection matrix on synthetic data", EVAL_PARAMS, cmd_eval),
+    "sweep": ("run a parameter sweep", SWEEP_PARAMS, cmd_sweep),
+    "lemma1": ("Monte-Carlo check of the projected-noise law", LEMMA1_PARAMS, cmd_lemma1),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -534,69 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_design = sub.add_parser("design", help="design a projection matrix")
-    p_design.add_argument("--config", help="key=value config file (flags override)")
-    p_design.add_argument("--dict", help="dictionary matrix CSV")
-    p_design.add_argument("--synth", help="generate a random dictionary: N,L")
-    p_design.add_argument("--m", type=int, help="number of measurement rows")
-    p_design.add_argument("--method", choices=METHODS, help="design method (default mt)")
-    p_design.add_argument("--lambda", dest="lambda_", type=float, help="regularizer weight")
-    p_design.add_argument("--xi", help="relaxed-ETF level: 'welch' or a float")
-    p_design.add_argument("--iter", type=int, help="alternating rounds for *-etf methods")
-    p_design.add_argument("--seed", type=int, help="root seed")
-    p_design.add_argument("--sre", help="SRE matrix CSV (required for lh methods)")
-    p_design.add_argument("--out", help="output directory")
-    p_design.set_defaults(func=cmd_design)
-
-    p_eval = sub.add_parser("eval", help="evaluate a projection matrix on synthetic data")
-    p_eval.add_argument("--config", help="key=value config file (flags override)")
-    p_eval.add_argument("--phi", help="projection matrix CSV")
-    p_eval.add_argument("--dict", help="dictionary matrix CSV")
-    p_eval.add_argument("--snr", type=float, help="dataset SNR in dB")
-    p_eval.add_argument("--p", type=int, help="signals per train/test half")
-    p_eval.add_argument("--k", type=int, help="sparsity level")
-    p_eval.add_argument("--seed", type=int, help="root seed")
-    p_eval.add_argument("--tag", help="method tag recorded in the CSV")
-    p_eval.add_argument("--out", help="output directory")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
-    p_sweep.add_argument("--config", help="key=value config file (flags override)")
-    p_sweep.add_argument("--axis", help="sweep axis: lambda|snr|m|k|l")
-    p_sweep.add_argument("--grid", help="grid: a:step:b or comma list")
-    p_sweep.add_argument("--methods", help="comma list of methods")
-    p_sweep.add_argument("--seeds", help="comma list of seeds")
-    p_sweep.add_argument("--m", type=int)
-    p_sweep.add_argument("--n", type=int)
-    p_sweep.add_argument("--l", type=int)
-    p_sweep.add_argument("--k", type=int)
-    p_sweep.add_argument("--p", type=int)
-    p_sweep.add_argument("--lambda", dest="lambda_", type=float)
-    p_sweep.add_argument("--xi", help="'welch' or a float")
-    p_sweep.add_argument("--iter", type=int)
-    p_sweep.add_argument("--snr", type=float, help="fixed SNR for non-snr sweeps")
-    p_sweep.add_argument(
-        "--lambda-grid",
-        dest="lambda_grid",
-        help="candidate lambdas searched per method in an snr sweep",
-    )
-    p_sweep.add_argument("--timing", action="store_const", const=True,
-                         help="record wall-clock design time (breaks byte reproducibility)")
-    p_sweep.add_argument("--out", help="output directory")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_lemma = sub.add_parser("lemma1", help="Monte-Carlo check of the projected-noise law")
-    p_lemma.add_argument("--config", help="key=value config file (flags override)")
-    p_lemma.add_argument("--phi", help="projection matrix CSV")
-    p_lemma.add_argument("--random", help="draw a random matrix: M,N")
-    p_lemma.add_argument("--sigma", type=float, help="noise standard deviation")
-    p_lemma.add_argument("--p", type=int, help="number of Monte-Carlo samples")
-    p_lemma.add_argument("--seed", type=int, help="root seed")
-    p_lemma.add_argument("--csv", help="also write the report as a one-row CSV")
-    p_lemma.add_argument("--out", help="optional output directory for report + manifest")
-    p_lemma.set_defaults(func=cmd_lemma1)
-
+    for command, (help_text, params, _) in COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        command_parser.add_argument("--config", help="key=value config file (flags override)")
+        for param in params:
+            param.add_to(command_parser)
     return parser
 
 
@@ -606,8 +489,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
+    _, params, handler = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return handler(_resolve(args, params))
     except CliError as exc:
         print(f"csdesign {args.command}: {exc}", file=sys.stderr)
         return exc.code

@@ -57,15 +57,11 @@ class GramMatrix:
     ----------
     data : ndarray
         The L x L Gram matrix.
-    normalized : bool
-        True when columns were rescaled to unit length first (always the
-        case for instances produced by :func:`gram`).
     degenerate : tuple[int, ...]
         Indices of columns that could not be normalized.
     """
 
     data: np.ndarray
-    normalized: bool
     degenerate: tuple[int, ...] = ()
 
 
@@ -116,7 +112,7 @@ def normalize_columns(d) -> tuple[np.ndarray, np.ndarray, list[int]]:
 def gram(d) -> GramMatrix:
     """Gram matrix of the column-normalized `d`."""
     dbar, _, degenerate = normalize_columns(d)
-    return GramMatrix(data=dbar.T @ dbar, normalized=True, degenerate=tuple(degenerate))
+    return GramMatrix(data=dbar.T @ dbar, degenerate=tuple(degenerate))
 
 
 def mutual_coherence(d) -> float:

@@ -10,9 +10,6 @@ Within one sweep point all methods share the same dataset and the same
 random starting matrix, which is also the matrix evaluated as the
 ``randn`` baseline.  SRE-regularized designs see only the training half
 of the noise; scoring uses only the test half.
-
-Set ``NO_PARALLEL=1`` to force sequential execution when debugging;
-the harnesses are sequential already, so the flag is honored trivially.
 """
 
 from __future__ import annotations
@@ -345,7 +342,11 @@ def run_snr_sweep(
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if lambda_grid is not None and len(lambda_grid) == 0:
+        raise ValueError("lambda_grid must not be empty; pass None to skip the search")
     seeds = _seed_list(seed)
+    if not seeds:
+        raise ValueError("seed must name at least one seed")
     systems = {
         s: (
             gen_dictionary(params.n, params.l, s),
@@ -398,6 +399,8 @@ def run_snr_sweep(
                 avg = float(np.mean([r.rho_mse for r in rows]))
                 if avg < best_avg:
                     best, best_avg = rows, avg
+            if best is None:
+                raise ValueError(f"no finite mean rho_mse for method {method!r} at snr {snr:g}")
             records.extend(best)
     return records
 

@@ -50,35 +50,30 @@ __all__ = [
 DEFAULT_OUTER_ITERS = 50
 
 
+#: backtracking line search: first trial step, shrink factor per
+#: rejection, Armijo sufficient-decrease constant, rejections allowed
+LS_INITIAL_STEP = 1.0
+LS_SHRINK = 0.5
+LS_SUFFICIENT_DECREASE = 1e-4
+LS_MAX_BACKTRACKS = 60
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Tuning knobs of the CG engine.
 
     ``grad_tol`` applies to the gradient norm relative to
-    ``max(1, ||phi||_F)``.  ``cg_restart_period=None`` restarts every
-    M*N iterations (the number of unknowns).
+    ``max(1, ||phi||_F)``.
     """
 
     max_cg_iterations: int = 500
     grad_tol: float = 1e-6
-    ls_initial_step: float = 1.0
-    ls_shrink: float = 0.5
-    ls_sufficient_decrease: float = 1e-4
-    ls_max_backtracks: int = 60
-    cg_restart_period: int | None = None
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.max_cg_iterations < 1:
             raise ValueError("max_cg_iterations must be >= 1")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
-        if self.ls_initial_step <= 0 or not 0 < self.ls_shrink < 1:
-            raise ValueError("invalid line-search step parameters")
-        if self.ls_sufficient_decrease <= 0 or self.ls_max_backtracks < 1:
-            raise ValueError("invalid line-search acceptance parameters")
-        if self.cg_restart_period is not None and self.cg_restart_period < 1:
-            raise ValueError("cg_restart_period must be >= 1 or None")
 
 
 @dataclass(frozen=True)
@@ -150,7 +145,7 @@ def _relative_grad_norm(grad_norm: float, phi: np.ndarray) -> float:
     return grad_norm / max(1.0, _frob(phi))
 
 
-def _armijo(spec, phi, f, d, gd, cfg) -> tuple[float, float] | None:
+def _armijo(spec, phi, f, d, gd) -> tuple[float, float] | None:
     """Backtracking line search; returns (step, trial value) or None.
 
     After the plain backtracking loop accepts a step, one quadratic
@@ -160,14 +155,14 @@ def _armijo(spec, phi, f, d, gd, cfg) -> tuple[float, float] | None:
     power-of-shrink accurate, which degrades conjugacy enough to stall
     the PR+ iteration against the cap on ill-conditioned instances.
     """
-    t = cfg.ls_initial_step
+    t = LS_INITIAL_STEP
     accepted = None
-    for _ in range(cfg.ls_max_backtracks + 1):
+    for _ in range(LS_MAX_BACKTRACKS + 1):
         f_trial = objective_value(phi + t * d, spec)
-        if np.isfinite(f_trial) and f_trial <= f + cfg.ls_sufficient_decrease * t * gd:
+        if np.isfinite(f_trial) and f_trial <= f + LS_SUFFICIENT_DECREASE * t * gd:
             accepted = (t, f_trial)
             break
-        t *= cfg.ls_shrink
+        t *= LS_SHRINK
     if accepted is None:
         return None
     t_acc, f_acc = accepted
@@ -178,7 +173,7 @@ def _armijo(spec, phi, f, d, gd, cfg) -> tuple[float, float] | None:
         f_ref = objective_value(phi + t_ref * d, spec)
         if (
             np.isfinite(f_ref)
-            and f_ref <= f + cfg.ls_sufficient_decrease * t_ref * gd
+            and f_ref <= f + LS_SUFFICIENT_DECREASE * t_ref * gd
             and f_ref < f_acc
         ):
             return t_ref, f_ref
@@ -193,7 +188,6 @@ def _cg_solve(
     trace: list[TracePoint],
 ) -> tuple[np.ndarray, bool]:
     """Run one CG solve, appending to `trace`; never raises on numerics."""
-    restart_period = cfg.cg_restart_period or phi.size
     f, g = value_and_gradient(phi, spec)
     g_dot = float(np.sum(g * g))
     trace.append(TracePoint(outer_iter, 0, f, math.sqrt(g_dot)))
@@ -206,11 +200,11 @@ def _cg_solve(
         if gd >= 0.0:
             d = -g
             gd = -g_dot
-        accepted = _armijo(spec, phi, f, d, gd, cfg)
+        accepted = _armijo(spec, phi, f, d, gd)
         if accepted is None and gd != -g_dot:
             d = -g
             gd = -g_dot
-            accepted = _armijo(spec, phi, f, d, gd, cfg)
+            accepted = _armijo(spec, phi, f, d, gd)
         if accepted is None:
             return phi, False  # stalled below line-search resolution
         step, _ = accepted
@@ -218,7 +212,7 @@ def _cg_solve(
         f, g_new = value_and_gradient(phi, spec)
         g_dot_new = float(np.sum(g_new * g_new))
         beta = max(0.0, float(np.sum(g_new * (g_new - g))) / g_dot)
-        if it % restart_period == 0:
+        if it % phi.size == 0:  # restart every M*N iterations (the number of unknowns)
             beta = 0.0
         d = -g_new + beta * d
         g, g_dot = g_new, g_dot_new

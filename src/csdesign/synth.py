@@ -133,8 +133,9 @@ def gen_signals(psi, theta, snr_db: float, seed: int) -> SyntheticDataset:
     The per-entry noise variance is chosen in closed form so that the
     dataset-level SNR ``10 log10(||x0||_F^2 / E||delta||_F^2)`` equals
     `snr_db` in expectation; the achieved value is recorded in the
-    result.  ``snr_db = inf`` yields noiseless signals.  The column
-    count must be even (the dataset is split into equal halves).
+    result.  ``snr_db = inf`` yields noiseless signals; ``-inf`` is
+    rejected, since no finite noise level reaches it.  The column count
+    must be even (the dataset is split into equal halves).
     """
     psi = np.asarray(psi, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -147,6 +148,8 @@ def gen_signals(psi, theta, snr_db: float, seed: int) -> SyntheticDataset:
         raise ValueError(f"column count must be even for the train/test split, got {count}")
     if math.isnan(snr_db):
         raise ValueError("snr_db must not be NaN")
+    if snr_db == -math.inf:
+        raise ValueError("snr_db must not be -inf (+inf means noiseless)")
     x0 = psi @ theta
     clean_energy = float(np.sum(x0 * x0))
     if clean_energy == 0.0:

@@ -167,6 +167,15 @@ class TestEvalCommand:
         mse_b = (ob / "records.csv").read_text().splitlines()[1].split(",")[4]
         assert mse_a == mse_b
 
+    def test_negative_infinite_snr_usage_error(self, tmp_path, capsys):
+        psi_path = tmp_path / "psi.csv"
+        write_matrix_csv(gen_dictionary(20, 30, 5), psi_path)
+        phi_path = tmp_path / "phi.csv"
+        write_matrix_csv(np.ones((4, 20)), phi_path)
+        assert run("eval", "--phi", str(phi_path), "--dict", str(psi_path), "--snr=-inf",
+                   "--p", "10", "--out", str(tmp_path / "x")) == 2
+        assert "-inf" in capsys.readouterr().err
+
     def test_dimension_mismatch(self, tmp_path, capsys):
         psi_path = tmp_path / "psi.csv"
         write_matrix_csv(gen_dictionary(20, 30, 5), psi_path)
@@ -210,6 +219,75 @@ class TestSweepCommand:
     def test_dimension_axis_requires_integers(self, tmp_path):
         assert run("sweep", "--axis", "m", "--grid", "4.5,6", "--p", "10",
                    "--out", str(tmp_path / "x")) == 2
+
+    def test_manifest_in_current_format_replays_bytes(self, tmp_path):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(SWEEP_MANIFEST)
+        replay, direct = tmp_path / "replay", tmp_path / "direct"
+        assert run("sweep", "--config", str(manifest), "--out", str(replay)) == 0
+        assert run("sweep", "--axis", "snr", "--grid", "10,20", "--methods", "randn,mt",
+                   "--seeds", "1", "--m", "8", "--n", "20", "--l", "30", "--k", "2",
+                   "--p", "40", "--lambda", "0.3", "--out", str(direct)) == 0
+        records = (replay / "records.csv").read_bytes()
+        assert records == (direct / "records.csv").read_bytes()
+        assert len(records.splitlines()) == 1 + 2 * 2
+
+        def fixed_lines(text):
+            return [line for line in text.splitlines()
+                    if not line.startswith(("out=", "version=", "timestamp="))]
+
+        assert fixed_lines((replay / "manifest.txt").read_text()) == fixed_lines(SWEEP_MANIFEST)
+
+
+# written by ``sweep --axis snr --grid 10,20 --methods randn,mt --seeds 1 --m 8
+# --n 20 --l 30 --k 2 --p 40 --lambda 0.3 --out orig``
+SWEEP_MANIFEST = """\
+command=sweep
+axis=snr
+grid=10,20
+methods=randn,mt
+seeds=1
+m=8
+n=20
+l=30
+k=2
+p=40
+lambda=0.29999999999999999
+xi=0.30794088102571987
+iter=50
+snr=15
+lambda_grid=
+out=orig
+timing=false
+version=0.1.0
+timestamp=2026-10-17T22:40:23+00:00
+"""
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "argv, key, bad",
+        [
+            (("design", "--synth", "20,30"), "m", "abc"),
+            (("design", "--synth", "20,30", "--m", "6"), "lambda", "x"),
+            (("eval",), "p", "x"),
+            (("eval",), "snr", "x"),
+            (("sweep", "--axis", "snr", "--grid", "10"), "k", "x"),
+            (("sweep", "--axis", "snr", "--grid", "10"), "snr", "x"),
+            (("lemma1", "--random", "4,6"), "p", "x"),
+            (("lemma1", "--random", "4,6"), "sigma", "x"),
+        ],
+    )
+    def test_wrong_type_usage_error_names_key(self, tmp_path, capsys, argv, key, bad):
+        if argv[0] == "eval":
+            psi_path, phi_path = tmp_path / "psi.csv", tmp_path / "phi.csv"
+            write_matrix_csv(gen_dictionary(20, 30, 5), psi_path)
+            write_matrix_csv(np.ones((4, 20)), phi_path)
+            argv += ("--phi", str(phi_path), "--dict", str(psi_path))
+        config = tmp_path / "config.txt"
+        config.write_text(f"{key}={bad}\n")
+        assert run(*argv, "--config", str(config), "--out", str(tmp_path / "x")) == 2
+        assert f"{key} expects" in capsys.readouterr().err
 
 
 class TestLemma1Command:

@@ -166,6 +166,24 @@ class TestRunSnrSweep:
         with pytest.raises(ValueError):
             run_snr_sweep(SMALL, [10.0], ("bogus",), [1])
 
+    def test_empty_lambda_grid_rejected(self):
+        with pytest.raises(ValueError, match="lambda_grid"):
+            run_snr_sweep(SMALL, [10.0], ("mt",), [1], lambda_grid=())
+
+    def test_empty_seed_list_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            run_snr_sweep(SMALL, [10.0], ("mt",), [])
+
+    def test_no_finite_candidate_names_method_and_snr(self, monkeypatch):
+        import csdesign.experiments as experiments
+        from dataclasses import replace
+
+        real = experiments.evaluate_system
+        monkeypatch.setattr(experiments, "evaluate_system",
+                            lambda *a, **kw: replace(real(*a, **kw), rho_mse=math.nan))
+        with pytest.raises(ValueError, match="'mt' at snr 10"):
+            run_snr_sweep(SMALL, [10.0], ("mt",), [1], lambda_grid=(0.1, 0.3))
+
     def test_noiseless_control_exact_recovery_regime(self):
         # with k inside the coherence bound and essentially no noise, the
         # designed system reconstructs to numerical precision

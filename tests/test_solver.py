@@ -119,10 +119,6 @@ class TestSolverConfigValidation:
             SolverConfig(max_cg_iterations=0)
         with pytest.raises(ValueError):
             SolverConfig(grad_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(ls_shrink=1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(cg_restart_period=0)
 
 
 class TestProjectToRelaxedEtf:

@@ -71,6 +71,12 @@ class TestGenSignals:
         assert ds.sigma == 0.0
         assert math.isinf(ds.snr_db)
 
+    def test_negative_infinite_snr_rejected(self):
+        psi = gen_dictionary(8, 12, 0)
+        theta = gen_sparse_codes(12, 2, 10, 0)
+        with pytest.raises(ValueError, match="-inf"):
+            gen_signals(psi, theta, -math.inf, 0)
+
     def test_zero_db_energy_balance(self):
         psi = gen_dictionary(50, 80, 1)
         theta = gen_sparse_codes(80, 4, 2000, 1)  # N * count = 1e5
