@@ -13,7 +13,6 @@ from csdesign import (
     gen_dictionary,
     gen_signals,
     gen_sparse_codes,
-    measure,
     mutual_coherence,
     omp,
     random_projection,
@@ -45,7 +44,7 @@ theta = gen_sparse_codes(l, k, 400, seed=2)
 dataset = gen_signals(psi, theta, snr_db=25.0, seed=2)
 
 x_test = dataset.test_signals()
-y = measure(phi, x_test)
+y = phi @ x_test
 codes = batch_recover(phi @ psi, y, k)
 x_hat = psi @ codes_to_matrix(codes)
 

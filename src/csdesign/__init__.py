@@ -16,7 +16,6 @@ from .coherence import (
     coherence_report,
     equivalent_dictionary,
     gram,
-    measure,
     mutual_coherence,
     normalize_columns,
     recoverable_sparsity,

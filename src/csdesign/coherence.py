@@ -32,7 +32,6 @@ __all__ = [
     "average_mutual_coherence",
     "welch_bound",
     "recoverable_sparsity",
-    "measure",
     "equivalent_dictionary",
     "coherence_report",
 ]
@@ -182,21 +181,6 @@ def recoverable_sparsity(mu: float) -> int:
     if abs(bound - nearest) <= 1e-9 * max(1.0, abs(bound)):
         return int(nearest) - 1
     return int(math.floor(bound))
-
-
-def measure(phi, x) -> np.ndarray:
-    """Apply the sensing map: ``y = phi @ x``.
-
-    `x` may be a single signal (length N) or a stack of signals (N x P).
-    """
-    phi = _as_matrix(phi, "phi")
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[0] != phi.shape[1]:
-        raise ValueError(
-            f"signal rows {x.shape[0] if x.ndim else '?'} do not match "
-            f"projection columns {phi.shape[1]}"
-        )
-    return phi @ x
 
 
 def equivalent_dictionary(phi, psi) -> np.ndarray:

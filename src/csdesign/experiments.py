@@ -175,20 +175,17 @@ def design_for_method(
     cfg: SolverConfig | None = None,
 ) -> DesignResult:
     """Produce the projection matrix of `method` from the shared start `phi0`."""
-    cfg = cfg or SolverConfig()
     if method == "randn":
-        return DesignResult(phi=phi0, trace=(), method="randn", config=cfg, converged=True)
+        return DesignResult(phi=phi0, trace=(), method="randn", converged=True)
+    if method in ("lh", "lh-etf") and sre is None:
+        raise ValueError(f"method {method!r} needs the training SRE matrix")
     if method == "mt":
         return design_mt(psi, lam, phi0, cfg)
     if method == "mt-etf":
         return alternating_design(psi, lam, params.resolved_xi(), params.outer_iters, phi0, cfg)
     if method == "lh":
-        if sre is None:
-            raise ValueError("method 'lh' needs the training SRE matrix")
         return design_lh(psi, lam, sre, phi0, cfg)
     if method == "lh-etf":
-        if sre is None:
-            raise ValueError("method 'lh-etf' needs the training SRE matrix")
         return design_lh_etf(psi, lam, sre, params.resolved_xi(), params.outer_iters, phi0, cfg)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
@@ -234,11 +231,16 @@ def _seed_list(seed) -> tuple[int, ...]:
     return tuple(int(s) for s in seed)
 
 
-def _timed_design(method, params, psi, phi0, lam, sre, cfg, timing):
+def _design_and_score(method, params, dataset, phi0, lam, param_name, param_value, seed, timing):
+    """Design `method` on the training half of `dataset`, score it on the test half."""
+    sre = dataset.train_sre()
     start = time.perf_counter() if timing else 0.0
-    result = design_for_method(method, params, psi, phi0, lam, sre=sre, cfg=cfg)
+    result = design_for_method(method, params, dataset.psi, phi0, lam, sre=sre)
     elapsed_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
-    return result, elapsed_ms
+    return evaluate_system(
+        result.phi, dataset, params.k, method, param_name, float(param_value), seed,
+        wall_time_ms=elapsed_ms, mu_bar=params.mu_bar,
+    )
 
 
 def run_convergence(
@@ -267,7 +269,6 @@ def run_lambda_sweep(
     lambda_grid: Sequence[float],
     seed,
     methods: Sequence[str] = ("mt", "mt-etf"),
-    cfg: SolverConfig | None = None,
     timing: bool = False,
 ) -> list[ExperimentRecord]:
     """Reconstruction error of the training-free designs across lambdas.
@@ -279,25 +280,11 @@ def run_lambda_sweep(
     for s in _seed_list(seed):
         dataset = make_dataset(params, s)
         phi0 = random_projection(params.m, params.n, derive_seed(s, "phi0"))
-        sre = dataset.train_sre()
-        for lam in lambda_grid:
-            for method in methods:
-                result, elapsed = _timed_design(
-                    method, params, dataset.psi, phi0, float(lam), sre, cfg, timing
-                )
-                records.append(
-                    evaluate_system(
-                        result.phi,
-                        dataset,
-                        params.k,
-                        method,
-                        "lambda",
-                        float(lam),
-                        s,
-                        wall_time_ms=elapsed,
-                        mu_bar=params.mu_bar,
-                    )
-                )
+        records.extend(
+            _design_and_score(method, params, dataset, phi0, float(lam), "lambda", lam, s, timing)
+            for lam in lambda_grid
+            for method in methods
+        )
     return records
 
 
@@ -311,7 +298,6 @@ def run_snr_sweep(
     methods: Sequence[str],
     seed,
     lambda_grid: Sequence[float] | None = LAMBDA_SEARCH_GRID,
-    cfg: SolverConfig | None = None,
     timing: bool = False,
     pair_lambdas: bool = False,
 ) -> list[ExperimentRecord]:
@@ -372,28 +358,16 @@ def run_snr_sweep(
             for lam in candidates:
                 rows = []
                 for s in seeds:
-                    psi, phi0 = systems[s]
+                    phi0 = systems[s][1]
                     dataset = datasets[s]
                     run_lam = float(lam)
                     if pair_lambdas and method != "randn":
                         scale = dataset.sigma**2 * dataset.p
                         effective = min(1.0, run_lam * scale) if scale > 0 else run_lam
                         run_lam = effective if method in ("mt", "mt-etf") else effective / scale
-                    result, elapsed = _timed_design(
-                        method, point_params, psi, phi0, run_lam,
-                        dataset.train_sre(), cfg, timing,
-                    )
                     rows.append(
-                        evaluate_system(
-                            result.phi,
-                            dataset,
-                            params.k,
-                            method,
-                            "snr",
-                            float(snr),
-                            s,
-                            wall_time_ms=elapsed,
-                            mu_bar=params.mu_bar,
+                        _design_and_score(
+                            method, point_params, dataset, phi0, run_lam, "snr", snr, s, timing
                         )
                     )
                 avg = float(np.mean([r.rho_mse for r in rows]))
@@ -411,7 +385,6 @@ def run_dimension_sweeps(
     grid: Sequence[int],
     seed,
     methods: Sequence[str] = ("randn", "mt"),
-    cfg: SolverConfig | None = None,
     timing: bool = False,
 ) -> list[ExperimentRecord]:
     """Sweep one of the size parameters M, K, or L, holding the rest fixed.
@@ -449,24 +422,12 @@ def run_dimension_sweeps(
             phi0 = random_projection(
                 point_params.m, point_params.n, derive_seed(point_seed, "phi0")
             )
-            sre = dataset.train_sre()
-            for method in methods:
-                result, elapsed = _timed_design(
-                    method, point_params, dataset.psi, phi0, point_params.lam, sre, cfg, timing
+            records.extend(
+                _design_and_score(
+                    method, point_params, dataset, phi0, point_params.lam, axis, value, s, timing
                 )
-                records.append(
-                    evaluate_system(
-                        result.phi,
-                        dataset,
-                        point_params.k,
-                        method,
-                        axis,
-                        float(value),
-                        s,
-                        wall_time_ms=elapsed,
-                        mu_bar=point_params.mu_bar,
-                    )
-                )
+                for method in methods
+            )
     return records
 
 

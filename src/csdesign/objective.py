@@ -43,7 +43,7 @@ class ObjectiveSpec:
         Symmetric L x L target for the Gram of the equivalent
         dictionary; None means the identity.
     lam : float
-        Nonnegative trade-off weight on the regularizer.
+        Finite nonnegative trade-off weight on the regularizer.
     sre : ndarray or None
         Optional N x P matrix of representation errors.  Present makes
         this an SRE-mode spec; absent, training-free mode.
@@ -61,8 +61,8 @@ class ObjectiveSpec:
             raise ValueError("psi must be a nonempty finite 2-D array")
         object.__setattr__(self, "psi", psi)
 
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
         object.__setattr__(self, "lam", float(self.lam))
 
         l = psi.shape[1]
@@ -135,7 +135,7 @@ def objective_value(phi, spec: ObjectiveSpec) -> float:
     _, r = _residual(phi, spec)
     value = float(np.sum(r * r))
     if spec.sre_mode:
-        value += spec.lam * float(np.sum((phi @ spec.sre) ** 2))
+        value += spec.lam * float(np.sum(phi * (phi @ spec.sre_outer)))
     else:
         value += spec.lam * float(np.sum(phi * phi))
     return value

@@ -1,14 +1,14 @@
 """Projection-matrix design by nonlinear conjugate gradient.
 
-One CG engine minimizes any :class:`~csdesign.objective.ObjectiveSpec`;
-on top of it sit the four designed methods plus the random baseline:
-
-* ``design_mt``: training-free design, Gram target fixed at the identity;
-* ``alternating_design``: training-free design alternating with a
-  relaxed-ETF Gram target (method tag ``mt-etf``);
-* ``design_lh``: SRE-regularized design, identity target;
-* ``design_lh_etf``: SRE-regularized design with the alternating target;
-* ``random_projection``: i.i.d. standard normal entries.
+Every design runs one loop, ``_design``: ``outer_iters`` CG solves of an
+:class:`~csdesign.objective.ObjectiveSpec`, each warm-started at the
+last.  Given a relaxed-ETF level ``xi``, each round first sets the Gram
+target to the relaxed-ETF projection of the current equivalent
+dictionary's Gram.  The public functions only pick the spec and rounds:
+``cg_minimize`` solves a given spec once; ``design_mt`` (training-free)
+and ``design_lh`` (SRE-regularized) fix the identity target;
+``alternating_design`` (tag ``mt-etf``) and ``design_lh_etf`` alternate.
+``random_projection`` draws the i.i.d. standard normal baseline.
 
 The CG flavor is Polak-Ribiere+ (beta clamped at zero) with a periodic
 restart and a backtracking Armijo line search.  A failed line search
@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,7 +114,6 @@ class DesignResult:
     phi: np.ndarray
     trace: tuple[TracePoint, ...]
     method: str
-    config: SolverConfig
     converged: bool
 
 
@@ -222,15 +221,31 @@ def _cg_solve(
     return phi, False
 
 
-def _check_phi0(phi0, spec: ObjectiveSpec) -> np.ndarray:
-    phi0 = np.asarray(phi0, dtype=float)
-    if phi0.ndim != 2 or phi0.shape[1] != spec.n:
+def _design(spec, phi0, cfg, method, xi=None, outer_iters=1) -> DesignResult:
+    """Run `outer_iters` CG solves of `spec`, each warm-started at the last.
+
+    With `xi` set, each round first replaces the Gram target by the
+    relaxed-ETF projection of the Gram at the current matrix.
+    """
+    cfg = cfg or SolverConfig()
+    phi = np.asarray(phi0, dtype=float)
+    if phi.ndim != 2 or phi.shape[1] != spec.n:
         raise ValueError(
-            f"phi0 must have {spec.n} columns to match psi rows, got shape {phi0.shape}"
+            f"phi0 must have {spec.n} columns to match psi rows, got shape {phi.shape}"
         )
-    if not np.all(np.isfinite(phi0)):
+    if not np.all(np.isfinite(phi)):
         raise ValueError("phi0 contains non-finite entries")
-    return phi0
+    if outer_iters < 1:
+        raise ValueError(f"outer_iters must be >= 1, got {outer_iters}")
+    trace: list[TracePoint] = []
+    converged = True
+    for k in range(1, outer_iters + 1):
+        if xi is not None:
+            d = phi @ spec.psi
+            spec = replace(spec, gram_target=project_to_relaxed_etf(d.T @ d, xi).data)
+        phi, ok = _cg_solve(spec, phi, cfg, outer_iter=k, trace=trace)
+        converged = converged and ok
+    return DesignResult(phi=phi, trace=tuple(trace), method=method, converged=converged)
 
 
 def cg_minimize(
@@ -240,44 +255,12 @@ def cg_minimize(
     method: str = "mt",
 ) -> DesignResult:
     """Minimize a design objective from `phi0` with one CG solve."""
-    cfg = cfg or SolverConfig()
-    phi0 = _check_phi0(phi0, spec)
-    trace: list[TracePoint] = []
-    phi, converged = _cg_solve(spec, phi0, cfg, outer_iter=1, trace=trace)
-    return DesignResult(
-        phi=phi, trace=tuple(trace), method=method, config=cfg, converged=converged
-    )
-
-
-def _alternate(
-    spec_for_target: Callable[[np.ndarray], ObjectiveSpec],
-    psi: np.ndarray,
-    xi: float,
-    outer_iters: int,
-    phi0: np.ndarray,
-    cfg: SolverConfig,
-    method: str,
-) -> DesignResult:
-    if outer_iters < 1:
-        raise ValueError(f"outer_iters must be >= 1, got {outer_iters}")
-    trace: list[TracePoint] = []
-    phi = phi0
-    converged = True
-    for k in range(1, outer_iters + 1):
-        d = phi @ psi
-        target = project_to_relaxed_etf(d.T @ d, xi)
-        spec = spec_for_target(target.data)
-        phi, ok = _cg_solve(spec, phi, cfg, outer_iter=k, trace=trace)
-        converged = converged and ok
-    return DesignResult(
-        phi=phi, trace=tuple(trace), method=method, config=cfg, converged=converged
-    )
+    return _design(spec, phi0, cfg, method)
 
 
 def design_mt(psi, lam: float, phi0, cfg: SolverConfig | None = None) -> DesignResult:
     """Training-free design with the Gram target fixed at the identity."""
-    spec = ObjectiveSpec(psi=psi, gram_target=None, lam=lam)
-    return cg_minimize(spec, phi0, cfg, method="mt")
+    return _design(ObjectiveSpec(psi=psi, lam=lam), phi0, cfg, "mt")
 
 
 def alternating_design(
@@ -294,24 +277,12 @@ def alternating_design(
     equivalent-dictionary Gram onto the relaxed-ETF set, then re-solves
     for the projection matrix by CG warm-started at the previous one.
     """
-    cfg = cfg or SolverConfig()
-    spec0 = ObjectiveSpec(psi=psi, lam=lam)
-    phi0 = _check_phi0(phi0, spec0)
-    return _alternate(
-        lambda g: ObjectiveSpec(psi=spec0.psi, gram_target=g, lam=lam),
-        spec0.psi,
-        xi,
-        outer_iters,
-        phi0,
-        cfg,
-        method="mt-etf",
-    )
+    return _design(ObjectiveSpec(psi=psi, lam=lam), phi0, cfg, "mt-etf", xi, outer_iters)
 
 
 def design_lh(psi, lam: float, sre, phi0, cfg: SolverConfig | None = None) -> DesignResult:
     """SRE-regularized design with the identity Gram target."""
-    spec = ObjectiveSpec(psi=psi, gram_target=None, lam=lam, sre=sre)
-    return cg_minimize(spec, phi0, cfg, method="lh")
+    return _design(ObjectiveSpec(psi=psi, lam=lam, sre=sre), phi0, cfg, "lh")
 
 
 def design_lh_etf(
@@ -324,18 +295,7 @@ def design_lh_etf(
     cfg: SolverConfig | None = None,
 ) -> DesignResult:
     """SRE-regularized design alternating with a relaxed-ETF Gram target."""
-    cfg = cfg or SolverConfig()
-    spec0 = ObjectiveSpec(psi=psi, lam=lam, sre=sre)
-    phi0 = _check_phi0(phi0, spec0)
-    return _alternate(
-        lambda g: ObjectiveSpec(psi=spec0.psi, gram_target=g, lam=lam, sre=spec0.sre),
-        spec0.psi,
-        xi,
-        outer_iters,
-        phi0,
-        cfg,
-        method="lh-etf",
-    )
+    return _design(ObjectiveSpec(psi=psi, lam=lam, sre=sre), phi0, cfg, "lh-etf", xi, outer_iters)
 
 
 def random_projection(m: int, n: int, rng_seed: int) -> np.ndarray:

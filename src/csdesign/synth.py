@@ -187,8 +187,8 @@ def lemma1_check(phi, sigma: float, p: int, seed: int) -> Lemma1Report:
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 2 or phi.size == 0:
         raise ValueError(f"phi must be a nonempty 2-D array, got shape {phi.shape}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if p < 2:
         raise ValueError(f"p must be >= 2 for a sample variance, got {p}")
     n = phi.shape[1]

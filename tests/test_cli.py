@@ -63,12 +63,11 @@ class TestDesignCommand:
 
     def test_non_convergence_exits_4_with_artifacts(self, tmp_path, capsys, monkeypatch):
         import csdesign.cli as cli_mod
-        from csdesign.solver import DesignResult, SolverConfig, TracePoint
+        from csdesign.solver import DesignResult, TracePoint
 
         def stalled_design(method, params, psi, phi0, lam, sre=None, cfg=None):
             trace = (TracePoint(1, 0, 5.0, 1.0), TracePoint(1, 1, 4.0, 0.5))
-            return DesignResult(phi=phi0, trace=trace, method=method,
-                                config=cfg or SolverConfig(), converged=False)
+            return DesignResult(phi=phi0, trace=trace, method=method, converged=False)
 
         monkeypatch.setattr(cli_mod, "design_for_method", stalled_design)
         out = tmp_path / "slow"
@@ -130,6 +129,14 @@ class TestDesignCommand:
     def test_unknown_method(self, tmp_path):
         assert run("design", "--synth", "20,30", "--m", "6", "--method", "qr",
                    "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_usage_error(self, tmp_path, capsys, lam):
+        out = tmp_path / "x"
+        assert run("design", "--synth", "20,30", "--m", "6", "--lambda", lam,
+                   "--out", str(out)) == 2
+        assert "lam must be finite" in capsys.readouterr().err
+        assert not (out / "phi.csv").exists()
 
 
 class TestEvalCommand:
@@ -212,6 +219,13 @@ class TestSweepCommand:
                    "--out", str(tmp_path / "x"))
         assert code == 2
         assert "ten" in capsys.readouterr().err
+
+    def test_non_finite_lambda_grid_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("sweep", "--axis", "lambda", "--grid", "nan", "--m", "8", "--n", "20",
+                   "--l", "30", "--k", "2", "--p", "30", "--out", str(out)) == 2
+        assert "lam must be finite" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
 
     def test_unknown_axis(self, tmp_path):
         assert run("sweep", "--axis", "q", "--grid", "1", "--out", str(tmp_path / "x")) == 2
@@ -307,6 +321,11 @@ class TestLemma1Command:
 
     def test_p_below_two_usage_error(self, capsys):
         assert run("lemma1", "--random", "4,6", "--p", "1") == 2
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_usage_error(self, capsys, sigma):
+        assert run("lemma1", "--random", "4,6", "--sigma", sigma, "--p", "10") == 2
+        assert "sigma must be positive and finite" in capsys.readouterr().err
 
     def test_predicted_mean_matches_phi_file(self, tmp_path, capsys):
         rng = np.random.default_rng(6)

@@ -8,7 +8,6 @@ from csdesign.coherence import (
     coherence_report,
     equivalent_dictionary,
     gram,
-    measure,
     mutual_coherence,
     normalize_columns,
     recoverable_sparsity,
@@ -194,34 +193,6 @@ class TestRecoverableSparsity:
             recoverable_sparsity(0.0)
         with pytest.raises(ValueError):
             recoverable_sparsity(-0.5)
-
-
-class TestMeasure:
-    def test_row_picker(self):
-        phi = np.eye(4)[1:3]
-        x = np.zeros(4)
-        x[2] = 7.0
-        np.testing.assert_array_equal(measure(phi, x), [0.0, 7.0])
-
-    def test_zero_matrix(self):
-        phi = np.zeros((3, 5))
-        rng = np.random.default_rng(19)
-        np.testing.assert_array_equal(measure(phi, rng.standard_normal((5, 4))), np.zeros((3, 4)))
-
-    def test_matches_triple_loop(self):
-        rng = np.random.default_rng(20)
-        phi = rng.standard_normal((3, 6))
-        x = rng.standard_normal((6, 4))
-        expected = np.zeros((3, 4))
-        for i in range(3):
-            for j in range(4):
-                for k in range(6):
-                    expected[i, j] += phi[i, k] * x[k, j]
-        np.testing.assert_allclose(measure(phi, x), expected, rtol=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            measure(np.eye(3), np.zeros((4, 2)))
 
 
 class TestWelchInvariant:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,11 @@ class TestObjectiveSpecValidation:
         with pytest.raises(ValueError):
             ObjectiveSpec(psi=np.eye(3), lam=-0.1)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            ObjectiveSpec(psi=np.eye(3), lam=lam)
+
     def test_sre_row_mismatch(self):
         with pytest.raises(ValueError):
             ObjectiveSpec(psi=np.eye(3), lam=0.1, sre=np.zeros((4, 7)))
@@ -155,6 +162,22 @@ class TestGradient:
         f, g = value_and_gradient(phi, spec)
         assert f == pytest.approx(objective_value(phi, spec), rel=1e-14)
         np.testing.assert_allclose(g, objective_gradient(phi, spec), rtol=1e-14)
+
+    def test_sre_value_equals_value_and_gradient_exactly(self):
+        # the line search compares objective_value against the value of
+        # value_and_gradient, so the SRE regularizer must be computed one
+        # way; the Gram target is the achieved Gram, leaving only that term
+        mismatched = []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            psi = rng.standard_normal((20, 30))
+            phi = rng.standard_normal((6, 20))
+            d = phi @ psi
+            sre = rng.standard_normal((20, 200))
+            spec = ObjectiveSpec(psi=psi, gram_target=d.T @ d, lam=0.3, sre=sre)
+            if objective_value(phi, spec) != value_and_gradient(phi, spec)[0]:
+                mismatched.append(seed)
+        assert mismatched == []
 
 
 class TestDirectionalDerivative:

@@ -207,6 +207,55 @@ class TestAlternatingDesign:
             alternating_design(psi, 0.1, xi=0.2, outer_iters=0, phi0=np.zeros((2, 4)))
 
 
+ROUND_SRE = 0.1 * np.random.default_rng(14).standard_normal((6, 20))
+
+# each alternating design as (rounds, phi0, cfg) -> result, plus its sre
+ALTERNATING = {
+    "mt-etf": (
+        lambda psi, rounds, phi0, cfg=None: alternating_design(psi, 0.2, 0.3, rounds, phi0, cfg),
+        None,
+    ),
+    "lh-etf": (
+        lambda psi, rounds, phi0, cfg=None: design_lh_etf(
+            psi, 0.2, ROUND_SRE, 0.3, rounds, phi0, cfg
+        ),
+        ROUND_SRE,
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(ALTERNATING))
+class TestAlternatingRounds:
+    """Round k is one CG solve on the relaxed-ETF target of round k-1's Gram."""
+
+    psi = gen_dictionary(6, 9, 14)
+    phi0 = random_projection(3, 6, 14)
+
+    def _third_round_alone(self, method):
+        design, sre = ALTERNATING[method]
+        two = design(self.psi, 2, self.phi0)
+        d = two.phi @ self.psi
+        target = project_to_relaxed_etf(d.T @ d, 0.3)
+        spec = ObjectiveSpec(psi=self.psi, gram_target=target.data, lam=0.2, sre=sre)
+        return two, cg_minimize(spec, two.phi)
+
+    def test_last_round_is_a_warm_started_solve(self, method):
+        three = ALTERNATING[method][0](self.psi, 3, self.phi0)
+        _, alone = self._third_round_alone(method)
+        np.testing.assert_array_equal(three.phi, alone.phi)
+
+    def test_trace_appends_the_round(self, method):
+        three = ALTERNATING[method][0](self.psi, 3, self.phi0)
+        two, alone = self._third_round_alone(method)
+        assert three.trace == two.trace + tuple(p._replace(outer_iter=3) for p in alone.trace)
+
+    def test_iteration_cap_applies_per_round(self, method):
+        capped = ALTERNATING[method][0](self.psi, 3, self.phi0, SolverConfig(max_cg_iterations=2))
+        assert sorted({p.outer_iter for p in capped.trace}) == [1, 2, 3]
+        assert max(p.cg_iter for p in capped.trace) <= 2
+        assert not capped.converged
+
+
 class TestDesignLh:
     def test_zero_sre_equals_unregularized(self):
         psi = gen_dictionary(8, 12, 16)

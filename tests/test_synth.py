@@ -170,6 +170,11 @@ class TestLemma1Check:
         with pytest.raises(ValueError):
             lemma1_check(np.eye(3), 1.0, 1, 0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            lemma1_check(np.eye(3), sigma, 10, 0)
+
 
 class TestDatasetRoundTrip:
     def test_save_load(self, tmp_path):
