@@ -13,8 +13,9 @@ records; the table alone drives the flags, the config keys, the
 defaults, the typed conversion, the required-parameter check and the
 manifest.
 
-Exit codes: 0 success, 2 usage error, 3 I/O error, 4 design did not
-converge (artifacts are still written).
+Exit codes: 0 success, 2 usage error (including any value the library
+rejects with ``ValueError``), 3 I/O error, 4 design did not converge
+(artifacts are still written).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .experiments import (
     run_snr_sweep,
     write_records_csv,
 )
-from .matio import format_float, read_keyvalues, read_matrix_csv, write_keyvalues, write_matrix_csv
+from .matio import read_keyvalues, read_matrix_csv, render_value, write_keyvalues, write_matrix_csv
 from .solver import DEFAULT_OUTER_ITERS, random_projection, write_trace_csv
 from .synth import gen_dictionary, gen_signals, gen_sparse_codes, lemma1_check
 
@@ -80,6 +81,8 @@ def _parse_grid(text: str) -> list[float]:
         except ValueError as exc:
             bad = next(p for p in parts if not _is_float(p))
             raise CliError(EXIT_USAGE, f"malformed grid token {bad!r} in {text!r}") from exc
+        if not all(math.isfinite(v) for v in (a, step, b)):
+            raise CliError(EXIT_USAGE, f"grid start, step and end must be finite in {text!r}")
         if step <= 0:
             raise CliError(EXIT_USAGE, f"grid step must be positive in {text!r}")
         if b < a:
@@ -268,10 +271,7 @@ def cmd_design(values: dict) -> int:
     phi0 = random_projection(m, n, seed)
     lam = values["lambda"]
     params = ExperimentParams(m=m, n=n, l=l, lam=lam, xi=values["xi"], outer_iters=values["iter"])
-    try:
-        result = design_for_method(method, params, psi, phi0, lam, sre=sre)
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from exc
+    result = design_for_method(method, params, psi, phi0, lam, sre=sre)
 
     write_matrix_csv(result.phi, out_dir / "phi.csv")
     write_trace_csv(result.trace, out_dir / "trace.csv")
@@ -309,14 +309,11 @@ def cmd_eval(values: dict) -> int:
     out_dir = _ensure_out_dir(values["out"])
 
     l = psi.shape[1]
-    try:
-        theta = gen_sparse_codes(l, k, 2 * p, seed)
-        dataset = gen_signals(psi, theta, snr, seed)
-        record = evaluate_system(
-            phi, dataset, k, method=values["tag"], param_name="snr", param_value=snr, seed=seed
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from exc
+    theta = gen_sparse_codes(l, k, 2 * p, seed)
+    dataset = gen_signals(psi, theta, snr, seed)
+    record = evaluate_system(
+        phi, dataset, k, method=values["tag"], param_name="snr", param_value=snr, seed=seed
+    )
 
     write_records_csv([record], out_dir / "records.csv")
     _write_manifest(out_dir, "eval", values)
@@ -381,29 +378,26 @@ def cmd_sweep(values: dict) -> int:
     )
     out_dir = _ensure_out_dir(values["out"])
 
-    try:
-        if axis == "lambda":
-            records = run_lambda_sweep(params, grid, seeds, methods=methods, timing=timing)
-        elif axis == "snr":
-            lambda_grid = None
-            if values["lambda_grid"] is not None:
-                lambda_grid = _parse_grid(values["lambda_grid"])
-            records = run_snr_sweep(
-                params, grid, methods, seeds, lambda_grid=lambda_grid, timing=timing
-            )
-        else:
-            int_grid = []
-            for value in grid:
-                if abs(value - round(value)) > 1e-9:
-                    raise CliError(
-                        EXIT_USAGE, f"axis {axis!r} requires integer grid values, got {value!r}"
-                    )
-                int_grid.append(int(round(value)))
-            records = run_dimension_sweeps(
-                params, axis, int_grid, seeds, methods=methods, timing=timing
-            )
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from exc
+    if axis == "lambda":
+        records = run_lambda_sweep(params, grid, seeds, methods=methods, timing=timing)
+    elif axis == "snr":
+        lambda_grid = None
+        if values["lambda_grid"] is not None:
+            lambda_grid = _parse_grid(values["lambda_grid"])
+        records = run_snr_sweep(
+            params, grid, methods, seeds, lambda_grid=lambda_grid, timing=timing
+        )
+    else:
+        int_grid = []
+        for value in grid:
+            if abs(value - round(value)) > 1e-9:
+                raise CliError(
+                    EXIT_USAGE, f"axis {axis!r} requires integer grid values, got {value!r}"
+                )
+            int_grid.append(int(round(value)))
+        records = run_dimension_sweeps(
+            params, axis, int_grid, seeds, methods=methods, timing=timing
+        )
 
     write_records_csv(records, out_dir / "records.csv")
     _write_manifest(out_dir, "sweep", values)
@@ -431,19 +425,13 @@ def cmd_lemma1(values: dict) -> int:
         phi = random_projection(m, n, seed)
     else:
         raise CliError(EXIT_USAGE, "a matrix is required: --phi <path> or --random M,N")
-    try:
-        report = lemma1_check(phi, values["sigma"], values["p"], seed)
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from exc
+    report = lemma1_check(phi, values["sigma"], values["p"], seed)
 
     shown = {key: value for key, value in values.items() if key not in ("csv", "out")}
     report_values = report.as_keyvalues()
     lines = _manifest("lemma1", shown)
     lines.update(report_values)
-    rendered = {
-        key: format_float(value) if isinstance(value, float) else str(value)
-        for key, value in lines.items()
-    }
+    rendered = {key: render_value(value) for key, value in lines.items()}
     for key, text in rendered.items():
         print(f"{key}={text}")
 
@@ -492,9 +480,9 @@ def main(argv=None) -> int:
     _, params, handler = COMMANDS[args.command]
     try:
         return handler(_resolve(args, params))
-    except CliError as exc:
+    except (CliError, ValueError) as exc:  # a ValueError is a value the library rejects
         print(f"csdesign {args.command}: {exc}", file=sys.stderr)
-        return exc.code
+        return getattr(exc, "code", EXIT_USAGE)
     except OSError as exc:
         print(f"csdesign {args.command}: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "DEGENERATE_COL_TOL",
-    "SYMMETRY_TOL",
     "DEFAULT_MU_BAR",
     "GramMatrix",
     "CoherenceReport",
@@ -38,9 +37,6 @@ __all__ = [
 
 #: columns with Euclidean norm below this are treated as degenerate
 DEGENERATE_COL_TOL = 1e-12
-
-#: relative tolerance for symmetry / unit-diagonal checks on Gram matrices
-SYMMETRY_TOL = 1e-12
 
 #: default threshold for the averaged coherence statistic (reports state
 #: the threshold they used; the value is a convention, not a constant of

@@ -18,7 +18,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ from .coherence import (
     mutual_coherence,
     welch_bound,
 )
-from .matio import FLOAT_FMT
+from .matio import FLOAT_FMT, render_value
 from .recovery import batch_recover, codes_to_matrix
 from .solver import (
     DEFAULT_OUTER_ITERS,
@@ -69,11 +69,6 @@ logger = logging.getLogger(__name__)
 #: method tags understood by the harnesses
 METHODS = ("randn", "mt", "mt-etf", "lh", "lh-etf")
 
-RECORDS_HEADER = (
-    "method,param_name,param_value,seed,rho_mse,rho_psnr,mu,mu_av,"
-    "phi_energy,proj_noise_energy,wall_time_ms"
-)
-
 
 @dataclass(frozen=True)
 class ExperimentParams:
@@ -111,21 +106,11 @@ class ExperimentRecord:
     wall_time_ms: float = 0.0
 
     def as_csv_row(self) -> str:
-        return ",".join(
-            [
-                self.method,
-                self.param_name,
-                FLOAT_FMT % self.param_value,
-                str(self.seed),
-                FLOAT_FMT % self.rho_mse,
-                FLOAT_FMT % self.rho_psnr,
-                FLOAT_FMT % self.mu,
-                FLOAT_FMT % self.mu_av,
-                FLOAT_FMT % self.phi_energy,
-                FLOAT_FMT % self.proj_noise_energy,
-                FLOAT_FMT % self.wall_time_ms,
-            ]
-        )
+        return ",".join(render_value(getattr(self, f.name)) for f in fields(self))
+
+
+#: the records CSV header: the record's field names, in declaration order
+RECORDS_HEADER = ",".join(f.name for f in fields(ExperimentRecord))
 
 
 def rho_mse(x, x_hat) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "format_float",
+    "render_value",
     "write_matrix_csv",
     "read_matrix_csv",
     "write_keyvalues",
@@ -85,7 +86,7 @@ def write_keyvalues(pairs: Mapping[str, object], path: str | os.PathLike) -> Non
     """Write a mapping as flat ``key=value`` lines (floats at 17 digits)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in pairs.items():
-            fh.write(f"{key}={_render(value)}\n")
+            fh.write(f"{key}={render_value(value)}\n")
 
 
 def read_keyvalues(path: str | os.PathLike) -> dict[str, str]:
@@ -107,7 +108,8 @@ def read_keyvalues(path: str | os.PathLike) -> dict[str, str]:
     return out
 
 
-def _render(value: object) -> str:
+def render_value(value: object) -> str:
+    """Render one value as text: floats at 17 digits, booleans as true/false."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

@@ -8,15 +8,19 @@ Two families share one quadratic Gram-matching term
 * SRE mode: regularized by ``lam * ||Phi @ E||_F^2`` for an explicit
   residual matrix ``E`` of training-signal representation errors.
 
-``E @ E.T`` is formed once when the spec is built, so an SRE-mode
-evaluation costs the same as a training-free one regardless of how many
-training samples fed ``E``.  No matrix is ever inverted here; learned
-dictionaries can be ill-conditioned enough to make inversion of
-``Psi @ Psi.T`` unsafe, and plain products are all the gradient needs.
+``E @ E.T`` is formed, and an unset Gram target resolved to the
+identity, once when the spec is built, so an SRE-mode evaluation costs
+the same as a training-free one regardless of how many training samples
+fed ``E``.  The value and the gradient come from one evaluation,
+``_evaluate``, so the value is computed one way.  No matrix is ever
+inverted here; learned dictionaries can be ill-conditioned enough to
+make inversion of ``Psi @ Psi.T`` unsafe, and plain products are all
+the gradient needs.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +45,7 @@ class ObjectiveSpec:
         Dictionary, N x L.
     gram_target : ndarray or None
         Symmetric L x L target for the Gram of the equivalent
-        dictionary; None means the identity.
+        dictionary; None is stored as the identity.
     lam : float
         Finite nonnegative trade-off weight on the regularizer.
     sre : ndarray or None
@@ -66,13 +70,15 @@ class ObjectiveSpec:
         object.__setattr__(self, "lam", float(self.lam))
 
         l = psi.shape[1]
-        if self.gram_target is not None:
+        if self.gram_target is None:
+            g = np.eye(l)
+        else:
             g = np.asarray(self.gram_target, dtype=float)
             if g.shape != (l, l):
                 raise ValueError(f"gram target must be {l} x {l}, got {g.shape}")
             if not np.all(np.isfinite(g)):
                 raise ValueError("gram target contains non-finite entries")
-            object.__setattr__(self, "gram_target", g)
+        object.__setattr__(self, "gram_target", g)
 
         if self.sre is not None:
             e = np.asarray(self.sre, dtype=float)
@@ -86,11 +92,6 @@ class ObjectiveSpec:
             object.__setattr__(self, "sre_outer", e @ e.T)
 
     @property
-    def sre_mode(self) -> bool:
-        """True when the regularizer is data-dependent (uses an SRE matrix)."""
-        return self.sre is not None
-
-    @property
     def n(self) -> int:
         return self.psi.shape[0]
 
@@ -98,11 +99,16 @@ class ObjectiveSpec:
     def l(self) -> int:
         return self.psi.shape[1]
 
-    def target(self) -> np.ndarray:
-        """The Gram target as a concrete matrix (identity if unset)."""
-        if self.gram_target is None:
-            return np.eye(self.l)
-        return self.gram_target
+
+def _with_target(spec: ObjectiveSpec, gram_target: np.ndarray) -> ObjectiveSpec:
+    """`spec` with its Gram target swapped for the L x L `gram_target`.
+
+    The copy skips ``__post_init__``, so ``E @ E.T`` is not rebuilt; the
+    caller owns the target's shape and finiteness.
+    """
+    swapped = copy.copy(spec)
+    object.__setattr__(swapped, "gram_target", gram_target)
+    return swapped
 
 
 @dataclass(frozen=True)
@@ -124,21 +130,27 @@ def _check_phi(phi, spec: ObjectiveSpec) -> np.ndarray:
     return phi
 
 
-def _residual(phi: np.ndarray, spec: ObjectiveSpec) -> tuple[np.ndarray, np.ndarray]:
+def _evaluate(
+    phi, spec: ObjectiveSpec
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The objective at `phi` and the products its gradient reuses.
+
+    Returns ``(value, d, r, reg)``: ``d = phi @ psi``, the residual
+    ``r = G - d.T @ d``, and the regularizer's factor ``reg``, which is
+    ``phi`` or ``phi @ E @ E.T``, so the regularizer is
+    ``lam * sum(phi * reg)``.
+    """
+    phi = _check_phi(phi, spec)
     d = phi @ spec.psi
-    return d, spec.target() - d.T @ d
+    r = spec.gram_target - d.T @ d
+    reg = phi if spec.sre_outer is None else phi @ spec.sre_outer
+    value = float(np.sum(r * r)) + spec.lam * float(np.sum(phi * reg))
+    return value, d, r, reg
 
 
 def objective_value(phi, spec: ObjectiveSpec) -> float:
     """Evaluate the design objective at `phi`."""
-    phi = _check_phi(phi, spec)
-    _, r = _residual(phi, spec)
-    value = float(np.sum(r * r))
-    if spec.sre_mode:
-        value += spec.lam * float(np.sum(phi * (phi @ spec.sre_outer)))
-    else:
-        value += spec.lam * float(np.sum(phi * phi))
-    return value
+    return _evaluate(phi, spec)[0]
 
 
 def objective_gradient(phi, spec: ObjectiveSpec) -> np.ndarray:
@@ -148,18 +160,8 @@ def objective_gradient(phi, spec: ObjectiveSpec) -> np.ndarray:
 
 def value_and_gradient(phi, spec: ObjectiveSpec) -> tuple[float, np.ndarray]:
     """Objective value and gradient sharing the intermediate products."""
-    phi = _check_phi(phi, spec)
-    d, r = _residual(phi, spec)
-    grad = -4.0 * (d @ r) @ spec.psi.T
-    value = float(np.sum(r * r))
-    if spec.sre_mode:
-        projected = phi @ spec.sre_outer
-        value += spec.lam * float(np.sum(phi * projected))
-        grad += 2.0 * spec.lam * projected
-    else:
-        value += spec.lam * float(np.sum(phi * phi))
-        grad += 2.0 * spec.lam * phi
-    return value, grad
+    value, d, r, reg = _evaluate(phi, spec)
+    return value, -4.0 * (d @ r) @ spec.psi.T + 2.0 * spec.lam * reg
 
 
 def gradient_check(

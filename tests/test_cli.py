@@ -43,6 +43,11 @@ class TestGridParsing:
             _parse_grid("1:0:2")
         with pytest.raises(CliError):
             _parse_grid("2:0.1:1")
+        for text in ("0:nan:1", "0:0.1:inf"):
+            with pytest.raises(CliError) as err:
+                _parse_grid(text)
+            assert err.value.code == 2
+            assert text in str(err.value)
 
 
 class TestDesignCommand:
@@ -347,6 +352,28 @@ class TestLemma1Command:
         lines = csv_path.read_text().splitlines()
         assert lines[0].startswith("trials,mean_estimate")
         assert len(lines) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("design", "--synth", "0,5", "--m", "2"),
+        ("lemma1", "--random", "0,5"),
+        ("design", "--synth", "10,5", "--m", "8", "--method", "randn"),
+        ("sweep", "--axis", "lambda", "--grid", "0.5", "--m", "90", "--l", "80"),
+    ],
+    ids=["design-empty-dictionary", "lemma1-empty-matrix", "design-m-above-l",
+         "sweep-m-above-l"],
+)
+def test_library_value_error_is_usage_error(tmp_path, capsys, argv):
+    # the library rejects these values with ValueError; the CLI reports
+    # them as one usage-error line, without a traceback
+    if argv[0] != "lemma1":
+        argv += ("--out", str(tmp_path / "x"))
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"csdesign {argv[0]}: ")
+    assert len(err.splitlines()) == 1
 
 
 class TestTopLevel:

@@ -110,6 +110,10 @@ class TestObjectiveSpecValidation:
         with pytest.raises(ValueError):
             ObjectiveSpec(psi=np.eye(3), gram_target=np.eye(4), lam=0.0)
 
+    def test_unset_target_is_identity(self):
+        spec = ObjectiveSpec(psi=np.ones((3, 4)), lam=0.1)
+        np.testing.assert_array_equal(spec.gram_target, np.eye(4))
+
     def test_sre_outer_cached(self):
         rng = np.random.default_rng(5)
         e = rng.standard_normal((3, 9))
@@ -163,18 +167,26 @@ class TestGradient:
         assert f == pytest.approx(objective_value(phi, spec), rel=1e-14)
         np.testing.assert_allclose(g, objective_gradient(phi, spec), rtol=1e-14)
 
-    def test_sre_value_equals_value_and_gradient_exactly(self):
+    @pytest.mark.parametrize("kind", ["identity", "explicit", "sre"])
+    def test_value_equals_value_and_gradient_exactly(self, kind):
         # the line search compares objective_value against the value of
-        # value_and_gradient, so the SRE regularizer must be computed one
-        # way; the Gram target is the achieved Gram, leaving only that term
+        # value_and_gradient, so both must compute it one way; the SRE
+        # spec takes the achieved Gram as target, leaving only its
+        # regularizer, the term the two once computed differently
         mismatched = []
         for seed in range(20):
             rng = np.random.default_rng(seed)
             psi = rng.standard_normal((20, 30))
             phi = rng.standard_normal((6, 20))
             d = phi @ psi
-            sre = rng.standard_normal((20, 200))
-            spec = ObjectiveSpec(psi=psi, gram_target=d.T @ d, lam=0.3, sre=sre)
+            if kind == "identity":
+                spec = ObjectiveSpec(psi=psi, lam=0.3)
+            elif kind == "explicit":
+                g = rng.standard_normal((30, 30))
+                spec = ObjectiveSpec(psi=psi, gram_target=(g + g.T) / 2.0, lam=0.3)
+            else:
+                sre = rng.standard_normal((20, 200))
+                spec = ObjectiveSpec(psi=psi, gram_target=d.T @ d, lam=0.3, sre=sre)
             if objective_value(phi, spec) != value_and_gradient(phi, spec)[0]:
                 mismatched.append(seed)
         assert mismatched == []
