@@ -64,8 +64,6 @@ from .synth import (
     gen_signals,
     gen_sparse_codes,
     lemma1_check,
-    load_dataset,
-    save_dataset,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -33,6 +33,7 @@ from . import __version__
 from .coherence import welch_bound
 from .experiments import (
     METHODS,
+    SRE_METHODS,
     ExperimentParams,
     design_for_method,
     evaluate_system,
@@ -41,8 +42,9 @@ from .experiments import (
     run_snr_sweep,
     write_records_csv,
 )
-from .matio import read_keyvalues, read_matrix_csv, render_value, write_keyvalues, write_matrix_csv
-from .solver import DEFAULT_OUTER_ITERS, random_projection, write_trace_csv
+from .matio import (read_keyvalues, read_matrix_csv, render_value, write_csv, write_keyvalues,
+                    write_matrix_csv)
+from .solver import random_projection, write_trace_csv
 from .synth import gen_dictionary, gen_signals, gen_sparse_codes, lemma1_check
 
 __all__ = ["main"]
@@ -233,6 +235,8 @@ def _ensure_out_dir(path_text: str) -> Path:
     return out_dir
 
 
+#: the library's experiment defaults, shared by every command
+_DEFAULTS = ExperimentParams()
 _SEED = Param("seed", int, 0, "root seed")
 _OUT = Param("out", help="output directory", required=True)
 
@@ -241,9 +245,9 @@ DESIGN_PARAMS = (
     Param("synth", help="generate a random dictionary: N,L"),
     Param("m", int, help="number of measurement rows", required=True),
     Param("method", default="mt", help=f"design method: {'|'.join(METHODS)} (default mt)"),
-    Param("lambda", float, 0.5, "regularizer weight"),
+    Param("lambda", float, _DEFAULTS.lam, "regularizer weight"),
     Param("xi", default="welch", help="relaxed-ETF level: 'welch' or a float"),
-    Param("iter", int, DEFAULT_OUTER_ITERS, "alternating rounds for *-etf methods"),
+    Param("iter", int, _DEFAULTS.outer_iters, "alternating rounds for *-etf methods"),
     _SEED,
     Param("sre", help="SRE matrix CSV (required for lh methods)"),
     _OUT,
@@ -262,7 +266,7 @@ def cmd_design(values: dict) -> int:
         raise CliError(EXIT_USAGE, f"designed matrices need m < n, got m={m}, n={n}")
     values["xi"] = _resolve_xi(values["xi"], m, l)
     sre = None
-    if method in ("lh", "lh-etf"):
+    if method in SRE_METHODS:
         if values["sre"] is None:
             raise CliError(EXIT_USAGE, f"method {method!r} requires --sre <path>")
         sre = _read_matrix(values["sre"])
@@ -288,9 +292,9 @@ def cmd_design(values: dict) -> int:
 EVAL_PARAMS = (
     Param("phi", help="projection matrix CSV", required=True),
     Param("dict", help="dictionary matrix CSV", required=True),
-    Param("snr", float, 15.0, "dataset SNR in dB"),
-    Param("p", int, 1000, "signals per train/test half"),
-    Param("k", int, 4, "sparsity level"),
+    Param("snr", float, _DEFAULTS.snr_db, "dataset SNR in dB"),
+    Param("p", int, _DEFAULTS.p, "signals per train/test half"),
+    Param("k", int, _DEFAULTS.k, "sparsity level"),
     _SEED,
     Param("tag", default="custom", help="method tag recorded in the CSV"),
     _OUT,
@@ -325,15 +329,15 @@ SWEEP_PARAMS = (
     Param("grid", help="grid: a:step:b or comma list", required=True),
     Param("methods", help="comma list of methods"),
     Param("seeds", default="0", help="comma list of seeds"),
-    Param("m", int, 20),
-    Param("n", int, 60),
-    Param("l", int, 80),
-    Param("k", int, 4),
-    Param("p", int, 1000),
-    Param("lambda", float, 0.5),
+    Param("m", int, _DEFAULTS.m),
+    Param("n", int, _DEFAULTS.n),
+    Param("l", int, _DEFAULTS.l),
+    Param("k", int, _DEFAULTS.k),
+    Param("p", int, _DEFAULTS.p),
+    Param("lambda", float, _DEFAULTS.lam),
     Param("xi", default="welch", help="'welch' or a float"),
-    Param("iter", int, DEFAULT_OUTER_ITERS),
-    Param("snr", float, 15.0, "fixed SNR for non-snr sweeps"),
+    Param("iter", int, _DEFAULTS.outer_iters),
+    Param("snr", float, _DEFAULTS.snr_db, "fixed SNR for non-snr sweeps"),
     Param("lambda_grid", help="candidate lambdas searched per method in an snr sweep"),
     _OUT,
     Param("timing", bool, False, "record wall-clock design time (breaks byte reproducibility)"),
@@ -366,15 +370,8 @@ def cmd_sweep(values: dict) -> int:
     values["xi"] = _resolve_xi(values["xi"], values["m"], values["l"])
     timing = values["timing"]
     params = ExperimentParams(
-        m=values["m"],
-        n=values["n"],
-        l=values["l"],
-        k=values["k"],
-        p=values["p"],
-        lam=values["lambda"],
-        xi=values["xi"],
-        outer_iters=values["iter"],
-        snr_db=values["snr"],
+        m=values["m"], n=values["n"], l=values["l"], k=values["k"], p=values["p"],
+        lam=values["lambda"], xi=values["xi"], outer_iters=values["iter"], snr_db=values["snr"],
     )
     out_dir = _ensure_out_dir(values["out"])
 
@@ -431,14 +428,11 @@ def cmd_lemma1(values: dict) -> int:
     report_values = report.as_keyvalues()
     lines = _manifest("lemma1", shown)
     lines.update(report_values)
-    rendered = {key: render_value(value) for key, value in lines.items()}
-    for key, text in rendered.items():
-        print(f"{key}={text}")
+    for key, value in lines.items():
+        print(f"{key}={render_value(value)}")
 
     if values["csv"] is not None:  # the report as a one-row CSV
-        with open(values["csv"], "w", encoding="ascii", newline="\n") as fh:
-            fh.write(",".join(report_values) + "\n")
-            fh.write(",".join(rendered[key] for key in report_values) + "\n")
+        write_csv(values["csv"], report_values, [report_values.values()])
     if values["out"] is not None:
         out_dir = _ensure_out_dir(values["out"])
         write_keyvalues(report_values, out_dir / "report.txt")

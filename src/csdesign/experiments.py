@@ -19,7 +19,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .coherence import (
     mutual_coherence,
     welch_bound,
 )
-from .matio import FLOAT_FMT, render_value
+from .matio import render_value, write_csv
 from .recovery import batch_recover, codes_to_matrix
 from .solver import (
     DEFAULT_OUTER_ITERS,
@@ -47,6 +47,8 @@ from .synth import SyntheticDataset, gen_dictionary, gen_signals, gen_sparse_cod
 
 __all__ = [
     "METHODS",
+    "SRE_METHODS",
+    "PSNR_PEAK",
     "RECORDS_HEADER",
     "LAMBDA_SEARCH_GRID",
     "ExperimentParams",
@@ -69,6 +71,12 @@ logger = logging.getLogger(__name__)
 #: method tags understood by the harnesses
 METHODS = ("randn", "mt", "mt-etf", "lh", "lh-etf")
 
+#: the methods whose design needs the training SRE matrix
+SRE_METHODS = ("lh", "lh-etf")
+
+#: peak value of the 8-bit pixels that rho_psnr assumes
+PSNR_PEAK = 2.0**8 - 1.0
+
 
 @dataclass(frozen=True)
 class ExperimentParams:
@@ -83,7 +91,7 @@ class ExperimentParams:
     xi: float | None = None  # None resolves to the Welch bound of (m, l)
     outer_iters: int = DEFAULT_OUTER_ITERS
     snr_db: float = 15.0
-    mu_bar: float = DEFAULT_MU_BAR
+    mu_bar: ClassVar[float] = DEFAULT_MU_BAR
 
     def resolved_xi(self) -> float:
         return welch_bound(self.m, self.l) if self.xi is None else float(self.xi)
@@ -105,9 +113,6 @@ class ExperimentRecord:
     proj_noise_energy: float
     wall_time_ms: float = 0.0
 
-    def as_csv_row(self) -> str:
-        return ",".join(render_value(getattr(self, f.name)) for f in fields(self))
-
 
 #: the records CSV header: the record's field names, in declaration order
 RECORDS_HEADER = ",".join(f.name for f in fields(ExperimentRecord))
@@ -123,16 +128,15 @@ def rho_mse(x, x_hat) -> float:
     return float(np.sum(diff * diff) / x.size)
 
 
-def rho_psnr(mse: float, r: int = 8) -> float:
-    """Peak signal-to-noise ratio in dB at `r` bits per pixel.
+def rho_psnr(mse: float) -> float:
+    """Peak signal-to-noise ratio in dB at 8 bits per pixel (peak :data:`PSNR_PEAK`).
 
     Nonpositive `mse` reports +inf (perfect reconstruction) rather than
     raising.
     """
     if mse <= 0.0:
         return math.inf
-    peak = (2.0**r - 1.0) ** 2
-    return 10.0 * math.log10(peak / mse)
+    return 10.0 * math.log10(PSNR_PEAK**2 / mse)
 
 
 def make_dataset(
@@ -162,7 +166,7 @@ def design_for_method(
     """Produce the projection matrix of `method` from the shared start `phi0`."""
     if method == "randn":
         return DesignResult(phi=phi0, trace=(), method="randn", converged=True)
-    if method in ("lh", "lh-etf") and sre is None:
+    if method in SRE_METHODS and sre is None:
         raise ValueError(f"method {method!r} needs the training SRE matrix")
     if method == "mt":
         return design_mt(psi, lam, phi0, cfg)
@@ -217,11 +221,17 @@ def _seed_list(seed) -> tuple[int, ...]:
 
 
 def _design_and_score(method, params, dataset, phi0, lam, param_name, param_value, seed, timing):
-    """Design `method` on the training half of `dataset`, score it on the test half."""
+    """Design `method` on the training half of `dataset`, score it on the test half.
+
+    A design that stopped unconverged is still scored, with a logged warning.
+    """
     sre = dataset.train_sre()
     start = time.perf_counter() if timing else 0.0
     result = design_for_method(method, params, dataset.psi, phi0, lam, sre=sre)
     elapsed_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
+    if not result.converged:
+        logger.warning("design %s at %s=%s seed %d did not converge; scoring it anyway",
+                       method, param_name, param_value, seed)
     return evaluate_system(
         result.phi, dataset, params.k, method, param_name, float(param_value), seed,
         wall_time_ms=elapsed_ms, mu_bar=params.mu_bar,
@@ -331,7 +341,7 @@ def run_snr_sweep(
         datasets = {}
         for s in seeds:
             psi, _ = systems[s]
-            point_seed = derive_seed(s, f"snr={FLOAT_FMT % float(snr)}")
+            point_seed = derive_seed(s, f"snr={render_value(float(snr))}")
             datasets[s] = make_dataset(point_params, point_seed, psi=psi)
         for method in methods:
             if method == "randn" or pair_lambdas or lambda_grid is None:
@@ -349,7 +359,7 @@ def run_snr_sweep(
                     if pair_lambdas and method != "randn":
                         scale = dataset.sigma**2 * dataset.p
                         effective = min(1.0, run_lam * scale) if scale > 0 else run_lam
-                        run_lam = effective if method in ("mt", "mt-etf") else effective / scale
+                        run_lam = effective / scale if method in SRE_METHODS else effective
                     rows.append(
                         _design_and_score(
                             method, point_params, dataset, phi0, run_lam, "snr", snr, s, timing
@@ -384,29 +394,14 @@ def run_dimension_sweeps(
     for s in _seed_list(seed):
         for value in grid:
             point_params = replace(base_params, **{axis: int(value)})
-            if not (
-                1
-                <= point_params.k
-                <= point_params.m
-                <= point_params.n
-                <= point_params.l
-            ):
-                logger.warning(
-                    "skipping infeasible point %s=%d (need K <= M <= N <= L, have "
-                    "K=%d M=%d N=%d L=%d)",
-                    axis,
-                    value,
-                    point_params.k,
-                    point_params.m,
-                    point_params.n,
-                    point_params.l,
-                )
+            k, m, n, l = point_params.k, point_params.m, point_params.n, point_params.l
+            if not 1 <= k <= m <= n <= l:
+                logger.warning("skipping infeasible point %s=%d (need K <= M <= N <= L, have "
+                               "K=%d M=%d N=%d L=%d)", axis, value, k, m, n, l)
                 continue
             point_seed = derive_seed(s, f"{axis}={int(value)}")
             dataset = make_dataset(point_params, point_seed)
-            phi0 = random_projection(
-                point_params.m, point_params.n, derive_seed(point_seed, "phi0")
-            )
+            phi0 = random_projection(m, n, derive_seed(point_seed, "phi0"))
             records.extend(
                 _design_and_score(
                     method, point_params, dataset, phi0, point_params.lam, axis, value, s, timing
@@ -418,15 +413,10 @@ def run_dimension_sweeps(
 
 def write_records_csv(records: Iterable[ExperimentRecord], path: str | os.PathLike) -> None:
     """Write experiment records under the fixed schema header."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(RECORDS_HEADER + "\n")
-        for record in records:
-            fh.write(record.as_csv_row() + "\n")
+    header = RECORDS_HEADER.split(",")
+    write_csv(path, header, ([getattr(record, name) for name in header] for record in records))
 
 
 def write_convergence_csv(rows: Iterable[tuple[float, int, float]], path) -> None:
     """Write convergence-trace rows as CSV (lambda,iteration,f)."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("lambda,iteration,f\n")
-        for lam, iteration, f in rows:
-            fh.write(f"{FLOAT_FMT % lam},{iteration},{FLOAT_FMT % f}\n")
+    write_csv(path, ("lambda", "iteration", "f"), rows)

@@ -1,24 +1,26 @@
-"""Plain-text serialization shared by every module.
+"""Plain-text serialization shared by every module; the only module that opens files.
 
-Two formats:
+Two formats, both rendering values with :func:`render_value` (floats at
+17 significant digits, enough for a lossless float64 round-trip):
 
-* Matrix CSV: first line ``rows,cols``, then one line per row of
-  comma-separated values printed with 17 significant digits, which is
-  enough for a lossless float64 round-trip.
+* CSV tables (:func:`write_csv`): a header line, then one
+  comma-separated line per row.  Records, traces and reports name their
+  columns in the header; a matrix CSV's header is its shape
+  ``rows,cols``.
 * Key=value text: flat ``key=value`` lines used for run manifests,
-  dataset manifests, and config files.
+  reports, and config files.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 __all__ = [
-    "format_float",
     "render_value",
+    "write_csv",
     "write_matrix_csv",
     "read_matrix_csv",
     "write_keyvalues",
@@ -29,9 +31,20 @@ __all__ = [
 FLOAT_FMT = "%.17g"
 
 
-def format_float(x: float) -> str:
-    """Render a float with 17 significant digits (lossless round-trip)."""
-    return FLOAT_FMT % float(x)
+def render_value(value: object) -> str:
+    """Render one value as text: floats at 17 digits, booleans as true/false."""
+    if isinstance(value, float):
+        return FLOAT_FMT % value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def write_csv(path: str | os.PathLike, header: Iterable, rows: Iterable[Iterable]) -> None:
+    """Write `header`, then each of `rows`, as comma-separated lines of rendered values."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        for row in (header, *rows):
+            fh.write(",".join(map(render_value, row)) + "\n")
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str | os.PathLike) -> None:
@@ -39,12 +52,7 @@ def write_matrix_csv(matrix: np.ndarray, path: str | os.PathLike) -> None:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {a.shape}")
-    rows, cols = a.shape
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"{rows},{cols}\n")
-        for i in range(rows):
-            fh.write(",".join(FLOAT_FMT % v for v in a[i]))
-            fh.write("\n")
+    write_csv(path, a.shape, a.tolist())
 
 
 def read_matrix_csv(path: str | os.PathLike) -> np.ndarray:
@@ -106,12 +114,3 @@ def read_keyvalues(path: str | os.PathLike) -> dict[str, str]:
             key, _, value = line.partition("=")
             out[key.strip()] = value.strip()
     return out
-
-
-def render_value(value: object) -> str:
-    """Render one value as text: floats at 17 digits, booleans as true/false."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_float(value)
-    return str(value)

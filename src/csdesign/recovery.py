@@ -11,16 +11,14 @@ used here (K <= 16) an incremental factorization would buy nothing.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coherence import DEGENERATE_COL_TOL
-from .matio import FLOAT_FMT
 
 __all__ = ["EARLY_STOP_RESIDUAL", "SparseCode", "omp", "reconstruct", "batch_recover",
-           "codes_to_matrix", "write_codes_csv"]
+           "codes_to_matrix"]
 
 #: residual two-norm below which the greedy loop stops early
 EARLY_STOP_RESIDUAL = 1e-12
@@ -132,12 +130,3 @@ def codes_to_matrix(codes: list[SparseCode]) -> np.ndarray:
     if not codes:
         raise ValueError("empty code list")
     return np.stack([c.values for c in codes], axis=1)
-
-
-def write_codes_csv(codes: list[SparseCode], path: str | os.PathLike) -> None:
-    """Write nonzero coefficients as CSV rows ``signal_index,atom_index,value``."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("signal_index,atom_index,value\n")
-        for sig, code in enumerate(codes):
-            for atom in code.support:
-                fh.write(f"{sig},{atom},{FLOAT_FMT % code.values[atom]}\n")

@@ -26,7 +26,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .matio import FLOAT_FMT
+from .matio import write_csv
 from .objective import ObjectiveSpec, _with_target, objective_value, value_and_gradient
 from .streams import stream
 
@@ -301,10 +301,4 @@ def random_projection(m: int, n: int, rng_seed: int) -> np.ndarray:
 
 def write_trace_csv(trace, path: str | os.PathLike) -> None:
     """Write an optimization trace as CSV (outer_iter,cg_iter,f,grad_norm)."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("outer_iter,cg_iter,f,grad_norm\n")
-        for point in trace:
-            fh.write(
-                f"{point.outer_iter},{point.cg_iter},"
-                f"{FLOAT_FMT % point.f},{FLOAT_FMT % point.grad_norm}\n"
-            )
+    write_csv(path, TracePoint._fields, trace)

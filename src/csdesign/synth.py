@@ -20,13 +20,10 @@ lemma1), so results are pure functions of their parameters and seed.
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .matio import read_keyvalues, read_matrix_csv, write_keyvalues, write_matrix_csv
 from .streams import stream
 
 __all__ = [
@@ -36,8 +33,6 @@ __all__ = [
     "gen_sparse_codes",
     "gen_signals",
     "lemma1_check",
-    "save_dataset",
-    "load_dataset",
 ]
 
 
@@ -56,8 +51,6 @@ class SyntheticDataset:
     x: np.ndarray
     sigma: float
     snr_db: float
-    target_snr_db: float
-    seed: int
 
     @property
     def p(self) -> int:
@@ -91,14 +84,7 @@ class Lemma1Report:
     z_score: float
 
     def as_keyvalues(self) -> dict[str, float | int]:
-        return {
-            "trials": self.trials,
-            "mean_estimate": self.mean_estimate,
-            "predicted_mean": self.predicted_mean,
-            "variance_estimate": self.variance_estimate,
-            "predicted_variance": self.predicted_variance,
-            "z_score": self.z_score,
-        }
+        return asdict(self)
 
 
 def gen_dictionary(n: int, l: int, seed: int) -> np.ndarray:
@@ -171,8 +157,6 @@ def gen_signals(psi, theta, snr_db: float, seed: int) -> SyntheticDataset:
         x=x0 + delta,
         sigma=sigma,
         snr_db=achieved,
-        target_snr_db=float(snr_db),
-        seed=int(seed),
     )
 
 
@@ -209,47 +193,4 @@ def lemma1_check(phi, sigma: float, p: int, seed: int) -> Lemma1Report:
         variance_estimate=variance_estimate,
         predicted_variance=predicted_variance,
         z_score=z_score,
-    )
-
-
-def save_dataset(dataset: SyntheticDataset, directory: str | os.PathLike) -> None:
-    """Write a dataset as matrix CSVs plus a key=value manifest."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_matrix_csv(dataset.psi, directory / "psi.csv")
-    write_matrix_csv(dataset.theta, directory / "theta.csv")
-    write_matrix_csv(dataset.x0, directory / "x0.csv")
-    write_matrix_csv(dataset.delta, directory / "delta.csv")
-    write_keyvalues(
-        {
-            "n": dataset.psi.shape[0],
-            "l": dataset.psi.shape[1],
-            "count": dataset.theta.shape[1],
-            "sigma": dataset.sigma,
-            "target_snr_db": dataset.target_snr_db,
-            "achieved_snr_db": dataset.snr_db,
-            "seed": dataset.seed,
-        },
-        directory / "manifest.txt",
-    )
-
-
-def load_dataset(directory: str | os.PathLike) -> SyntheticDataset:
-    """Read back a dataset written by :func:`save_dataset`."""
-    directory = Path(directory)
-    manifest = read_keyvalues(directory / "manifest.txt")
-    psi = read_matrix_csv(directory / "psi.csv")
-    theta = read_matrix_csv(directory / "theta.csv")
-    x0 = read_matrix_csv(directory / "x0.csv")
-    delta = read_matrix_csv(directory / "delta.csv")
-    return SyntheticDataset(
-        psi=psi,
-        theta=theta,
-        x0=x0,
-        delta=delta,
-        x=x0 + delta,
-        sigma=float(manifest["sigma"]),
-        snr_db=float(manifest["achieved_snr_db"]),
-        target_snr_db=float(manifest["target_snr_db"]),
-        seed=int(manifest["seed"]),
     )

@@ -126,6 +126,33 @@ class TestRunLambdaSweep:
         assert {r.method for r in recs} == {"mt", "mt-etf"}
 
 
+class TestUnconvergedDesignWarning:
+    @staticmethod
+    def _sweep(monkeypatch, caplog, converged):
+        import csdesign.experiments as experiments
+        from csdesign.solver import DesignResult
+
+        def stub(method, params, psi, phi0, lam, sre=None, cfg=None):
+            return DesignResult(phi=phi0, trace=(), method=method, converged=converged)
+
+        monkeypatch.setattr(experiments, "design_for_method", stub)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="csdesign.experiments"):
+            return run_lambda_sweep(SMALL, [0.3], 6, methods=("mt",))
+
+    def test_one_warning_per_unconverged_design(self, monkeypatch, caplog):
+        recs = self._sweep(monkeypatch, caplog, converged=False)
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert "mt" in message and "lambda=0.3" in message and "seed 6" in message
+        # the record is scored as before; only the log says it is unconverged
+        assert recs == self._sweep(monkeypatch, caplog, converged=True)
+
+    def test_converged_design_logs_nothing(self, monkeypatch, caplog):
+        self._sweep(monkeypatch, caplog, converged=True)
+        assert caplog.records == []
+
+
 class TestRunSnrSweep:
     def test_record_count_and_ordering(self):
         recs = run_snr_sweep(SMALL, [10.0, 30.0], ("randn", "mt"), [1, 2])

@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
+from csdesign.experiments import ExperimentRecord, write_convergence_csv, write_records_csv
 from csdesign.matio import (
-    format_float,
     read_keyvalues,
     read_matrix_csv,
+    render_value,
+    write_csv,
     write_keyvalues,
     write_matrix_csv,
 )
+from csdesign.solver import TracePoint, write_trace_csv
 
 
 class TestMatrixCsv:
@@ -59,7 +64,65 @@ class TestFloatFormat:
     def test_lossless(self):
         rng = np.random.default_rng(1)
         for x in rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200):
-            assert float(format_float(float(x))) == float(x)
+            assert float(render_value(float(x))) == float(x)
+
+
+# Every table goes through write_csv.  The expected texts are the bytes the
+# writers produced before they shared it; the inputs mix numpy and Python
+# scalars, a signed zero, a subnormal-range float, NaN and an integral float.
+_NAN = math.nan
+GOLDEN_TABLES = [
+    (
+        lambda path: write_csv(
+            path, ("x", "n", "y"),
+            [(np.float64(0.1), np.int64(7), -0.0), (1e-300, _NAN, 5.0)],
+        ),
+        "x,n,y\n0.10000000000000001,7,-0\n1e-300,nan,5\n",
+    ),
+    (
+        lambda path: write_matrix_csv(
+            np.array([[np.float64(0.1), -0.0, 1e-300], [_NAN, 5.0, np.int64(3)]]), path
+        ),
+        "2,3\n0.10000000000000001,-0,1e-300\nnan,5,3\n",
+    ),
+    (
+        lambda path: write_trace_csv(
+            [TracePoint(np.int64(1), 0, np.float64(0.1), 5.0),
+             TracePoint(2, np.int64(7), -0.0, 1e-300),
+             TracePoint(2, 8, _NAN, 0.0)],
+            path,
+        ),
+        "outer_iter,cg_iter,f,grad_norm\n1,0,0.10000000000000001,5\n2,7,-0,1e-300\n"
+        "2,8,nan,0\n",
+    ),
+    (
+        lambda path: write_records_csv(
+            [ExperimentRecord("mt", "snr", np.float64(5.0), np.int64(3), 0.1, _NAN, -0.0,
+                              1e-300, 5.0, np.float64(2.5), 0.0)],
+            path,
+        ),
+        "method,param_name,param_value,seed,rho_mse,rho_psnr,mu,mu_av,phi_energy,"
+        "proj_noise_energy,wall_time_ms\nmt,snr,5,3,0.10000000000000001,nan,-0,1e-300,5,2.5,0\n",
+    ),
+    (
+        lambda path: write_convergence_csv(
+            [(np.float64(0.5), np.int64(0), 5.0), (-0.0, 1, _NAN),
+             (1e-300, 2, np.float64(0.1))],
+            path,
+        ),
+        "lambda,iteration,f\n0.5,0,5\n-0,1,nan\n1e-300,2,0.10000000000000001\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "write, expected", GOLDEN_TABLES,
+    ids=["write_csv", "matrix", "trace", "records", "convergence"],
+)
+def test_table_golden_bytes(tmp_path, write, expected):
+    path = tmp_path / "t.csv"
+    write(path)
+    assert path.read_bytes() == expected.encode("ascii")
 
 
 class TestKeyValues:

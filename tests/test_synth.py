@@ -8,8 +8,6 @@ from csdesign.synth import (
     gen_signals,
     gen_sparse_codes,
     lemma1_check,
-    load_dataset,
-    save_dataset,
 )
 
 
@@ -175,19 +173,3 @@ class TestLemma1Check:
         with pytest.raises(ValueError, match="sigma"):
             lemma1_check(np.eye(3), sigma, 10, 0)
 
-
-class TestDatasetRoundTrip:
-    def test_save_load(self, tmp_path):
-        psi = gen_dictionary(6, 10, 7)
-        theta = gen_sparse_codes(10, 2, 8, 7)
-        ds = gen_signals(psi, theta, 12.0, 7)
-        save_dataset(ds, tmp_path / "ds")
-        back = load_dataset(tmp_path / "ds")
-        np.testing.assert_array_equal(back.psi, ds.psi)
-        np.testing.assert_array_equal(back.theta, ds.theta)
-        np.testing.assert_array_equal(back.x0, ds.x0)
-        np.testing.assert_array_equal(back.delta, ds.delta)
-        np.testing.assert_array_equal(back.x, ds.x)
-        assert back.sigma == ds.sigma
-        assert back.snr_db == ds.snr_db
-        assert back.seed == ds.seed
