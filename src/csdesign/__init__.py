@@ -42,7 +42,7 @@ from .objective import (
     objective_value,
     value_and_gradient,
 )
-from .recovery import SparseCode, batch_recover, codes_to_matrix, omp, reconstruct
+from .recovery import SparseCode, batch_recover, omp, reconstruct
 from .solver import (
     DesignResult,
     RelaxedETFTarget,

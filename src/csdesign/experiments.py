@@ -31,7 +31,7 @@ from .coherence import (
     welch_bound,
 )
 from .matio import render_value, write_csv
-from .recovery import batch_recover, codes_to_matrix
+from .recovery import batch_recover
 from .solver import (
     DEFAULT_OUTER_ITERS,
     DesignResult,
@@ -190,13 +190,22 @@ def evaluate_system(
     wall_time_ms: float = 0.0,
     mu_bar: float = DEFAULT_MU_BAR,
 ) -> ExperimentRecord:
-    """Score one CS system on the test half of `dataset`."""
+    """Score one CS system on the test half of `dataset`.
+
+    When some OMP refit met a rank-deficient subdictionary, one warning
+    gives the count of such signals and of signals recovered with fewer
+    than `k` atoms (early stops); the record does not change.
+    """
     d = equivalent_dictionary(phi, dataset.psi)
     x_test = dataset.test_signals()
     y = phi @ x_test
-    codes = batch_recover(d, y, k)
-    x_hat = dataset.psi @ codes_to_matrix(codes)
-    mse = rho_mse(x_test, x_hat)
+    codes, rank_deficient = batch_recover(d, y, k)
+    if rank_deficient.any():
+        early_stops = np.count_nonzero(np.count_nonzero(codes, axis=0) < k)
+        logger.warning("%s at %s=%s seed %d: %d of %d OMP fits rank-deficient, %d stopped "
+                       "with fewer than %d atoms", method, param_name, param_value, seed,
+                       np.count_nonzero(rank_deficient), codes.shape[1], early_stops, k)
+    mse = rho_mse(x_test, dataset.psi @ codes)
     mu_av, _ = average_mutual_coherence(d, mu_bar)
     test_noise = phi @ dataset.test_sre()
     return ExperimentRecord(

@@ -40,11 +40,28 @@ def render_value(value: object) -> str:
     return str(value)
 
 
+def _csv_line(row: Iterable) -> str:
+    """One CSV line of rendered values; rejects a value the format cannot hold."""
+    texts = [render_value(value) for value in row]
+    for text in texts:
+        if "," in text or "\n" in text or "\r" in text or not text.isascii():
+            raise ValueError(
+                f"cannot write {text!r} to a CSV table: a value may hold no comma, "
+                "no line break and no non-ASCII character"
+            )
+    return ",".join(texts) + "\n"
+
+
 def write_csv(path: str | os.PathLike, header: Iterable, rows: Iterable[Iterable]) -> None:
-    """Write `header`, then each of `rows`, as comma-separated lines of rendered values."""
+    """Write `header`, then each of `rows`, as comma-separated lines of rendered values.
+
+    Every value is rendered and checked before the file is opened, so a
+    value holding a comma, a line break or a non-ASCII character raises
+    ``ValueError`` and leaves any existing file at `path` as it was.
+    """
+    lines = [_csv_line(row) for row in (header, *rows)]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for row in (header, *rows):
-            fh.write(",".join(map(render_value, row)) + "\n")
+        fh.writelines(lines)
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str | os.PathLike) -> None:

@@ -196,6 +196,33 @@ class TestEvalCommand:
         assert run("eval", "--phi", str(phi_path), "--dict", str(psi_path),
                    "--out", str(tmp_path / "x")) == 2
 
+    @staticmethod
+    def _eval_with_tag(tmp_path, tag, out):
+        psi_path = tmp_path / "psi.csv"
+        write_matrix_csv(gen_dictionary(20, 30, 6), psi_path)
+        phi_path = tmp_path / "phi.csv"
+        write_matrix_csv(np.random.default_rng(6).standard_normal((8, 20)), phi_path)
+        return run("eval", "--phi", str(phi_path), "--dict", str(psi_path), "--p", "20",
+                   "--k", "2", "--tag", tag, "--out", str(out))
+
+    def test_comma_in_tag_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "eval"
+        assert self._eval_with_tag(tmp_path, "a,b", out) == 2
+        assert "'a,b'" in capsys.readouterr().err
+        records = out / "records.csv"
+        assert not records.exists() or all(
+            line.count(",") == 10 for line in records.read_text().splitlines())
+        assert not (out / "manifest.txt").exists()
+
+    def test_non_ascii_tag_leaves_records_untouched(self, tmp_path):
+        out = tmp_path / "eval"
+        assert self._eval_with_tag(tmp_path, "mt", out) == 0
+        before = (out / "records.csv").read_bytes()
+        (out / "manifest.txt").unlink()
+        assert self._eval_with_tag(tmp_path, "\u00e9", out) == 2
+        assert (out / "records.csv").read_bytes() == before
+        assert not (out / "manifest.txt").exists()
+
 
 class TestSweepCommand:
     def test_small_snr_sweep(self, tmp_path):

@@ -76,6 +76,42 @@ class TestEvaluateSystem:
         assert rec.wall_time_ms == 0.0
 
 
+class TestRankDeficientWarning:
+    @staticmethod
+    def _evaluate(monkeypatch, caplog, flagged=(), emptied=()):
+        import csdesign.experiments as experiments
+        from csdesign.recovery import batch_recover
+        from csdesign.solver import random_projection
+
+        def stub(d, y, k):
+            codes, flags = batch_recover(d, y, k)
+            codes[:, list(emptied)] = 0.0
+            flags[list(flagged)] = True
+            return codes, flags
+
+        monkeypatch.setattr(experiments, "batch_recover", stub)
+        ds = make_dataset(SMALL, 1)
+        phi = random_projection(SMALL.m, SMALL.n, 1)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="csdesign.experiments"):
+            return evaluate_system(phi, ds, SMALL.k, "randn", "snr", 20.0, 1)
+
+    def test_one_warning_with_counts(self, monkeypatch, caplog):
+        rec = self._evaluate(monkeypatch, caplog, flagged=(0, 5), emptied=(5,))
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert "randn at snr=20.0 seed 1" in message
+        assert "2 of 60 OMP fits rank-deficient" in message
+        assert "1 stopped with fewer than 2 atoms" in message
+        assert rec.rho_mse > self._evaluate(monkeypatch, caplog).rho_mse
+
+    def test_flags_leave_the_record_unchanged(self, monkeypatch, caplog):
+        flagged = self._evaluate(monkeypatch, caplog, flagged=(3,))
+        assert "1 of 60 OMP fits rank-deficient, 0 stopped" in caplog.records[0].getMessage()
+        assert flagged == self._evaluate(monkeypatch, caplog)
+        assert caplog.records == []
+
+
 class TestRunConvergence:
     def test_traces_monotone_and_share_start(self):
         params = ExperimentParams(m=8, n=20, l=30, k=2, p=10)

@@ -125,6 +125,16 @@ def test_table_golden_bytes(tmp_path, write, expected):
     assert path.read_bytes() == expected.encode("ascii")
 
 
+@pytest.mark.parametrize("value", ["a,b", "a\nb", "a\rb", "\u00e9"],
+                         ids=["comma", "newline", "return", "non_ascii"])
+def test_write_csv_rejects_value_before_opening(tmp_path, value):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old\n")
+    with pytest.raises(ValueError, match="cannot write"):
+        write_csv(path, ("method", "x"), [("mt", 1.0), (value, 2.0)])
+    assert path.read_bytes() == b"old\n"
+
+
 class TestKeyValues:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "m.txt"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from csdesign.coherence import mutual_coherence, recoverable_sparsity
-from csdesign.recovery import batch_recover, codes_to_matrix, omp, reconstruct
+from csdesign.recovery import batch_recover, omp, reconstruct
 
 
 class TestOmpBasics:
@@ -95,12 +95,15 @@ class TestOmpProperties:
         assert code.support == (0,)
 
     def test_rank_deficient_flagged(self):
-        d = np.array([[1.0, 1.0, 0.3], [0.0, 0.0, 0.9]])
-        # after picking both duplicate atoms the subdictionary is rank 1
-        y = np.array([1.0, 0.2])
+        # atoms 0 and 1 are equal; every correlation ties at both steps, so
+        # the lowest index wins each time and the refit meets a rank-1 pair
+        d = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        y = np.array([1.0, 0.0, 1.0])
         code = omp(d, y, 2)
-        if len(code.support) == 2 and 0 in code.support and 1 in code.support:
-            assert code.rank_deficient
+        assert code.support == (0, 1)
+        assert code.rank_deficient
+        _, flags = batch_recover(d, np.stack([y, [0.0, 1.0, 0.0]], axis=1), 2)
+        np.testing.assert_array_equal(flags, [True, False])
 
 
 class TestReconstruct:
@@ -135,43 +138,92 @@ class TestReconstruct:
             reconstruct(np.eye(3), np.zeros(4))
 
 
+def _reference_omp(d, y, k):
+    """The per-signal OMP loop with an ``lstsq`` refit, kept as the reference."""
+    norms = np.linalg.norm(d, axis=0)
+    d_unit = d / norms
+    residual, selected, coef = y.copy(), [], np.zeros(0)
+    while len(selected) < k and np.linalg.norm(residual) > 1e-12:
+        corr = np.abs(d_unit.T @ residual)
+        corr[selected] = -1.0
+        selected.append(int(np.argmax(corr)))
+        coef, *_ = np.linalg.lstsq(d[:, selected], y, rcond=None)
+        residual = y - d[:, selected] @ coef
+    values = np.zeros(d.shape[1])
+    values[selected] = coef
+    return values
+
+
 class TestBatchRecover:
+    def test_matches_lstsq_reference_loop(self):
+        # the SVD refit reorders the arithmetic of lstsq: equal supports,
+        # coefficients within a few hundred ulps of their unit scale
+        rng = np.random.default_rng(11)
+        d = rng.standard_normal((20, 80))
+        y = rng.standard_normal((20, 200))
+        codes, _ = batch_recover(d, y, 4)
+        for j in range(200):
+            expected = _reference_omp(d, y[:, j], 4)
+            np.testing.assert_array_equal(codes[:, j] != 0, expected != 0)
+            np.testing.assert_allclose(codes[:, j], expected, rtol=0, atol=1e-13)
+
     def test_single_column_equals_single_call(self):
         rng = np.random.default_rng(6)
         d = rng.standard_normal((8, 16))
         y = rng.standard_normal((8, 1))
-        batch = batch_recover(d, y, 3)
+        codes, flags = batch_recover(d, y, 3)
         single = omp(d, y[:, 0], 3)
-        assert batch[0].support == single.support
-        np.testing.assert_array_equal(batch[0].values, single.values)
+        assert np.flatnonzero(codes[:, 0]).tolist() == sorted(single.support)
+        np.testing.assert_array_equal(codes[:, 0], single.values)
+        assert flags[0] == single.rank_deficient
 
     def test_matches_loop_bitwise(self):
         rng = np.random.default_rng(7)
         d = rng.standard_normal((10, 20))
         y = rng.standard_normal((10, 100))
-        batch = batch_recover(d, y, 4)
+        codes, flags = batch_recover(d, y, 4)
         for j in range(100):
             single = omp(d, y[:, j], 4)
-            assert batch[j].support == single.support
-            np.testing.assert_array_equal(batch[j].values, single.values)
-            assert batch[j].residual_norm == single.residual_norm
+            np.testing.assert_array_equal(codes[:, j], single.values)
+            assert flags[j] == single.rank_deficient
 
     def test_column_permutation_permutes_results(self):
         rng = np.random.default_rng(8)
         d = rng.standard_normal((6, 12))
         y = rng.standard_normal((6, 9))
         perm = rng.permutation(9)
-        base = batch_recover(d, y, 2)
-        permuted = batch_recover(d, y[:, perm], 2)
-        for out_pos, in_pos in enumerate(perm):
-            np.testing.assert_array_equal(permuted[out_pos].values, base[in_pos].values)
+        base, base_flags = batch_recover(d, y, 2)
+        permuted, permuted_flags = batch_recover(d, y[:, perm], 2)
+        np.testing.assert_array_equal(permuted, base[:, perm])
+        np.testing.assert_array_equal(permuted_flags, base_flags[perm])
 
     def test_codes_matrix(self):
         rng = np.random.default_rng(9)
         d = rng.standard_normal((6, 10))
         y = rng.standard_normal((6, 3))
-        codes = batch_recover(d, y, 2)
-        mat = codes_to_matrix(codes)
-        assert mat.shape == (10, 3)
-        for j, code in enumerate(codes):
-            np.testing.assert_array_equal(mat[:, j], code.values)
+        codes, flags = batch_recover(d, y, 2)
+        assert codes.shape == (10, 3)
+        assert flags.shape == (3,) and flags.dtype == bool
+        for j in range(3):
+            np.testing.assert_array_equal(codes[:, j], omp(d, y[:, j], 2).values)
+
+    def test_early_stops_mixed_with_full_runs(self):
+        rng = np.random.default_rng(10)
+        d = rng.standard_normal((8, 16))
+        y = rng.standard_normal((8, 5))
+        y[:, 1] = 0.0  # stops before the first step
+        y[:, 3] = 2.5 * d[:, 6]  # one atom explains it: stops after one step
+        codes, flags = batch_recover(d, y, 4)
+        np.testing.assert_array_equal(codes[:, 1], np.zeros(16))
+        assert np.flatnonzero(codes[:, 3]).tolist() == [6]
+        assert codes[6, 3] == pytest.approx(2.5, rel=1e-12)
+        assert omp(d, y[:, 3], 4).support == (6,)
+        for j in (0, 2, 4):
+            assert np.count_nonzero(codes[:, j]) == 4
+        for j in range(5):
+            np.testing.assert_array_equal(codes[:, j], omp(d, y[:, j], 4).values)
+        assert not flags.any()
+
+    def test_rejects_vector(self):
+        with pytest.raises(ValueError):
+            batch_recover(np.eye(3), np.ones(3), 1)
