@@ -42,8 +42,8 @@ from .experiments import (
     run_snr_sweep,
     write_records_csv,
 )
-from .matio import (read_keyvalues, read_matrix_csv, render_value, write_csv, write_keyvalues,
-                    write_matrix_csv)
+from .matio import (check_csv_value, read_keyvalues, read_matrix_csv, render_value, write_csv,
+                    write_keyvalues, write_matrix_csv)
 from .solver import random_projection, write_trace_csv
 from .synth import gen_dictionary, gen_signals, gen_sparse_codes, lemma1_check
 
@@ -302,6 +302,7 @@ EVAL_PARAMS = (
 
 
 def cmd_eval(values: dict) -> int:
+    check_csv_value(values["tag"])  # the tag becomes a records.csv value
     phi = _read_matrix(values["phi"])
     psi = _read_matrix(values["dict"])
     if phi.shape[1] != psi.shape[0]:

@@ -165,7 +165,8 @@ def design_for_method(
 ) -> DesignResult:
     """Produce the projection matrix of `method` from the shared start `phi0`."""
     if method == "randn":
-        return DesignResult(phi=phi0, trace=(), method="randn", converged=True)
+        return DesignResult(phi=phi0, trace=(), method="randn", converged=True,
+                            stop_reason="converged")
     if method in SRE_METHODS and sre is None:
         raise ValueError(f"method {method!r} needs the training SRE matrix")
     if method == "mt":
@@ -239,8 +240,8 @@ def _design_and_score(method, params, dataset, phi0, lam, param_name, param_valu
     result = design_for_method(method, params, dataset.psi, phi0, lam, sre=sre)
     elapsed_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
     if not result.converged:
-        logger.warning("design %s at %s=%s seed %d did not converge; scoring it anyway",
-                       method, param_name, param_value, seed)
+        logger.warning("design %s at %s=%s seed %d did not converge (%s); scoring it anyway",
+                       method, param_name, param_value, seed, result.stop_reason)
     return evaluate_system(
         result.phi, dataset, params.k, method, param_name, float(param_value), seed,
         wall_time_ms=elapsed_ms, mu_bar=params.mu_bar,

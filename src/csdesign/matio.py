@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "render_value",
+    "check_csv_value",
     "write_csv",
     "write_matrix_csv",
     "read_matrix_csv",
@@ -40,16 +41,25 @@ def render_value(value: object) -> str:
     return str(value)
 
 
+def check_csv_value(value: object) -> str:
+    """`value` rendered for a CSV table; ``ValueError`` if the format cannot hold it.
+
+    A rendered value may hold no comma, no line break and no non-ASCII
+    character.  Every CSV line is checked with this rule, and callers
+    may apply it to a value early, before any work that would be lost.
+    """
+    text = render_value(value)
+    if "," in text or "\n" in text or "\r" in text or not text.isascii():
+        raise ValueError(
+            f"cannot write {text!r} to a CSV table: a value may hold no comma, "
+            "no line break and no non-ASCII character"
+        )
+    return text
+
+
 def _csv_line(row: Iterable) -> str:
     """One CSV line of rendered values; rejects a value the format cannot hold."""
-    texts = [render_value(value) for value in row]
-    for text in texts:
-        if "," in text or "\n" in text or "\r" in text or not text.isascii():
-            raise ValueError(
-                f"cannot write {text!r} to a CSV table: a value may hold no comma, "
-                "no line break and no non-ASCII character"
-            )
-    return ",".join(texts) + "\n"
+    return ",".join(check_csv_value(value) for value in row) + "\n"
 
 
 def write_csv(path: str | os.PathLike, header: Iterable, rows: Iterable[Iterable]) -> None:

@@ -12,7 +12,10 @@ Two families share one quadratic Gram-matching term
 identity, once when the spec is built, so an SRE-mode evaluation costs
 the same as a training-free one regardless of how many training samples
 fed ``E``.  The value and the gradient come from one evaluation,
-``_evaluate``, so the value is computed one way.  No matrix is ever
+``_evaluate``, so the value is computed one way.  The objective is a
+quartic in the step along any direction, and ``_step_polynomial`` gives
+its coefficients from ``_evaluate``'s products, so a line search tries
+steps without evaluating the objective again.  No matrix is ever
 inverted here; learned dictionaries can be ill-conditioned enough to
 make inversion of ``Psi @ Psi.T`` unsafe, and plain products are all
 the gradient needs.
@@ -45,7 +48,8 @@ class ObjectiveSpec:
         Dictionary, N x L.
     gram_target : ndarray or None
         Symmetric L x L target for the Gram of the equivalent
-        dictionary; None is stored as the identity.
+        dictionary (checked to 1e-12 relative); None is stored as the
+        identity.
     lam : float
         Finite nonnegative trade-off weight on the regularizer.
     sre : ndarray or None
@@ -78,6 +82,9 @@ class ObjectiveSpec:
                 raise ValueError(f"gram target must be {l} x {l}, got {g.shape}")
             if not np.all(np.isfinite(g)):
                 raise ValueError("gram target contains non-finite entries")
+            # the gradient and the line-search quartic hold for a symmetric target only
+            if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
+                raise ValueError("gram target is not symmetric")
         object.__setattr__(self, "gram_target", g)
 
         if self.sre is not None:
@@ -148,6 +155,52 @@ def _evaluate(
     return value, d, r, reg
 
 
+def _gradient(spec: ObjectiveSpec, d, r, reg) -> np.ndarray:
+    """The gradient from the products ``(d, r, reg)`` of :func:`_evaluate`."""
+    return -4.0 * (d @ r) @ spec.psi.T + 2.0 * spec.lam * reg
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> float:
+    """Frobenius inner product, without an elementwise temporary."""
+    return float(np.vdot(x, y))
+
+
+def _step_polynomial(
+    spec: ObjectiveSpec, d, r, reg, direction: np.ndarray
+) -> tuple[float, float, float, float]:
+    """Coefficients of the objective's change along `direction`.
+
+    At the point whose :func:`_evaluate` products are ``(d, r, reg)``,
+    ``f(phi + t * direction) - f(phi)`` is exactly
+    ``a1*t + a2*t**2 + a3*t**3 + a4*t**4``.  With ``b = direction @ psi``,
+    ``s1 = d.T @ b + b.T @ d``, ``s2 = b.T @ b`` and ``S`` the identity
+    or ``E @ E.T``, the residual at step t is ``r - t*s1 - t**2*s2``, so
+
+    * ``a1 = -2<r, s1> + 2 lam <direction, reg>``
+    * ``a2 = |s1|^2 - 2<r, s2> + lam <direction, direction @ S>``
+    * ``a3 = 2<s1, s2>``
+    * ``a4 = |s2|^2``
+
+    for any symmetric Gram target (the gradient assumes one too).  No
+    L x L matrix is formed: the inner products are taken through
+    ``b @ r`` (M x L) and the M x M matrices ``p = d @ b.T``,
+    ``d @ d.T`` and ``q = b @ b.T``, as ``<r, s1> = 2<b @ r, d>``,
+    ``<r, s2> = <b @ r, b>``, ``|s1|^2 = 2<d @ d.T, q> + 2<p, p.T>``,
+    ``<s1, s2> = 2<p, q>`` and ``|s2|^2 = |q|^2``.  ``a1`` is the
+    directional derivative.
+    """
+    b = direction @ spec.psi
+    br = b @ r
+    p = d @ b.T
+    q = b @ b.T
+    dir_reg = direction if spec.sre_outer is None else direction @ spec.sre_outer
+    lam = spec.lam
+    a1 = -4.0 * _inner(br, d) + 2.0 * lam * _inner(direction, reg)
+    a2 = (2.0 * _inner(d @ d.T, q) + 2.0 * _inner(p, p.T) - 2.0 * _inner(br, b)
+          + lam * _inner(direction, dir_reg))
+    return a1, a2, 4.0 * _inner(p, q), _inner(q, q)
+
+
 def objective_value(phi, spec: ObjectiveSpec) -> float:
     """Evaluate the design objective at `phi`."""
     return _evaluate(phi, spec)[0]
@@ -160,8 +213,8 @@ def objective_gradient(phi, spec: ObjectiveSpec) -> np.ndarray:
 
 def value_and_gradient(phi, spec: ObjectiveSpec) -> tuple[float, np.ndarray]:
     """Objective value and gradient sharing the intermediate products."""
-    value, d, r, reg = _evaluate(phi, spec)
-    return value, -4.0 * (d @ r) @ spec.psi.T + 2.0 * spec.lam * reg
+    value, *products = _evaluate(phi, spec)
+    return value, _gradient(spec, *products)
 
 
 def gradient_check(

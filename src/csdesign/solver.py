@@ -11,9 +11,16 @@ and ``design_lh`` (SRE-regularized) fix the identity target;
 ``random_projection`` draws the i.i.d. standard normal baseline.
 
 The CG flavor is Polak-Ribiere+ (beta clamped at zero) with a periodic
-restart and a backtracking Armijo line search.  A failed line search
-ends the solve: it returns its current iterate with ``converged=False``
-rather than raising.
+restart and a backtracking Armijo line search.  Along a search direction
+the objective is a quartic in the step (Nocedal & Wright, *Numerical
+Optimization*, ch. 3): each iteration forms its four coefficients once,
+from the products of the one objective evaluation at the current
+iterate, and the line search tests its trial steps on the quartic.  The
+quartic only evaluates trial steps; it does not choose them.  Each
+accepted iterate is evaluated directly, so trace values and gradients
+carry no rounding from earlier steps.  A failed line search ends the
+solve: it returns its current iterate with ``converged=False`` rather
+than raising.  ``DesignResult.stop_reason`` says why a design stopped.
 Identical inputs, config, and seed reproduce a bitwise-identical result.
 """
 
@@ -27,7 +34,17 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .matio import write_csv
-from .objective import ObjectiveSpec, _with_target, objective_value, value_and_gradient
+# objective_value and value_and_gradient are not called here; they stay
+# bound in this namespace because perfbench's traced run wraps them by name
+from .objective import (
+    ObjectiveSpec,
+    _evaluate,
+    _gradient,
+    _step_polynomial,
+    _with_target,
+    objective_value,
+    value_and_gradient,
+)
 from .streams import stream
 
 __all__ = [
@@ -107,12 +124,19 @@ class TracePoint(NamedTuple):
 
 @dataclass(frozen=True)
 class DesignResult:
-    """Designed projection matrix plus the full optimization trace."""
+    """Designed projection matrix plus the full optimization trace.
+
+    ``stop_reason`` is ``converged`` exactly when ``converged`` is true.
+    Otherwise it says why the last unconverged CG solve of the design
+    stopped: ``line-search stall`` (no step passed the line search) or
+    ``iteration cap`` (``max_cg_iterations`` ran out).
+    """
 
     phi: np.ndarray
     trace: tuple[TracePoint, ...]
     method: str
     converged: bool
+    stop_reason: str
 
 
 def project_to_relaxed_etf(gram, xi: float) -> RelaxedETFTarget:
@@ -142,8 +166,15 @@ def _relative_grad_norm(grad_norm: float, phi: np.ndarray) -> float:
     return grad_norm / max(1.0, _frob(phi))
 
 
-def _armijo(spec, phi, f, d, gd) -> tuple[float, float] | None:
-    """Backtracking line search; returns (step, trial value) or None.
+def _armijo(poly, gd) -> tuple[float, float] | None:
+    """Backtracking line search on the step's quartic; returns (step, change) or None.
+
+    `poly` holds the coefficients ``(a1, a2, a3, a4)`` of
+    ``delta(t) = f(phi + t*d) - f(phi) = a1*t + a2*t**2 + a3*t**3 + a4*t**4``
+    from :func:`~csdesign.objective._step_polynomial`, so a trial step
+    costs a few flops and no objective evaluation.  A step passes the
+    Armijo test when ``delta(t)`` is finite and at most
+    ``LS_SUFFICIENT_DECREASE * t * gd``.
 
     After the plain backtracking loop accepts a step, one quadratic
     interpolation through (f(0), f'(0), f(t)) proposes a refined step;
@@ -152,28 +183,33 @@ def _armijo(spec, phi, f, d, gd) -> tuple[float, float] | None:
     power-of-shrink accurate, which degrades conjugacy enough to stall
     the PR+ iteration against the cap on ill-conditioned instances.
     """
+    a1, a2, a3, a4 = poly
+
+    def delta(t: float) -> float:
+        return t * (a1 + t * (a2 + t * (a3 + t * a4)))
+
     t = LS_INITIAL_STEP
     accepted = None
     for _ in range(LS_MAX_BACKTRACKS + 1):
-        f_trial = objective_value(phi + t * d, spec)
-        if np.isfinite(f_trial) and f_trial <= f + LS_SUFFICIENT_DECREASE * t * gd:
-            accepted = (t, f_trial)
+        change = delta(t)
+        if math.isfinite(change) and change <= LS_SUFFICIENT_DECREASE * t * gd:
+            accepted = (t, change)
             break
         t *= LS_SHRINK
     if accepted is None:
         return None
-    t_acc, f_acc = accepted
-    denom = 2.0 * (f_acc - f - gd * t_acc)
+    t_acc, change_acc = accepted
+    denom = 2.0 * (change_acc - gd * t_acc)
     if denom > 0.0:
         t_ref = -gd * t_acc * t_acc / denom
         t_ref = min(max(t_ref, 0.1 * t_acc), 10.0 * t_acc)
-        f_ref = objective_value(phi + t_ref * d, spec)
+        change_ref = delta(t_ref)
         if (
-            np.isfinite(f_ref)
-            and f_ref <= f + LS_SUFFICIENT_DECREASE * t_ref * gd
-            and f_ref < f_acc
+            math.isfinite(change_ref)
+            and change_ref <= LS_SUFFICIENT_DECREASE * t_ref * gd
+            and change_ref < change_acc
         ):
-            return t_ref, f_ref
+            return t_ref, change_ref
     return accepted
 
 
@@ -183,13 +219,17 @@ def _cg_solve(
     cfg: SolverConfig,
     outer_iter: int,
     trace: list[TracePoint],
-) -> tuple[np.ndarray, bool]:
-    """Run one CG solve, appending to `trace`; never raises on numerics."""
-    f, g = value_and_gradient(phi, spec)
+) -> tuple[np.ndarray, str]:
+    """Run one CG solve, appending to `trace`; returns the iterate and its stop reason.
+
+    Evaluates the objective once per iterate, and never raises on numerics.
+    """
+    f, *products = _evaluate(phi, spec)
+    g = _gradient(spec, *products)
     g_dot = float(np.sum(g * g))
     trace.append(TracePoint(outer_iter, 0, f, math.sqrt(g_dot)))
     if _relative_grad_norm(math.sqrt(g_dot), phi) <= cfg.grad_tol:
-        return phi, True
+        return phi, "converged"
 
     d = -g
     for it in range(1, cfg.max_cg_iterations + 1):
@@ -197,12 +237,13 @@ def _cg_solve(
         if gd >= 0.0:
             d = -g
             gd = -g_dot
-        accepted = _armijo(spec, phi, f, d, gd)
+        accepted = _armijo(_step_polynomial(spec, *products, d), gd)
         if accepted is None:
-            return phi, False  # stalled below line-search resolution
+            return phi, "line-search stall"  # below line-search resolution
         step, _ = accepted
         phi = phi + step * d
-        f, g_new = value_and_gradient(phi, spec)
+        f, *products = _evaluate(phi, spec)
+        g_new = _gradient(spec, *products)
         g_dot_new = float(np.sum(g_new * g_new))
         beta = max(0.0, float(np.sum(g_new * (g_new - g))) / g_dot)
         if it % phi.size == 0:  # restart every M*N iterations (the number of unknowns)
@@ -211,8 +252,8 @@ def _cg_solve(
         g, g_dot = g_new, g_dot_new
         trace.append(TracePoint(outer_iter, it, f, math.sqrt(g_dot)))
         if _relative_grad_norm(math.sqrt(g_dot), phi) <= cfg.grad_tol:
-            return phi, True
-    return phi, False
+            return phi, "converged"
+    return phi, "iteration cap"
 
 
 def _design(spec, phi0, cfg, method, xi=None, outer_iters=1) -> DesignResult:
@@ -232,14 +273,16 @@ def _design(spec, phi0, cfg, method, xi=None, outer_iters=1) -> DesignResult:
     if outer_iters < 1:
         raise ValueError(f"outer_iters must be >= 1, got {outer_iters}")
     trace: list[TracePoint] = []
-    converged = True
+    stop_reason = "converged"
     for k in range(1, outer_iters + 1):
         if xi is not None:
             d = phi @ spec.psi
             spec = _with_target(spec, project_to_relaxed_etf(d.T @ d, xi).data)
-        phi, ok = _cg_solve(spec, phi, cfg, outer_iter=k, trace=trace)
-        converged = converged and ok
-    return DesignResult(phi=phi, trace=tuple(trace), method=method, converged=converged)
+        phi, reason = _cg_solve(spec, phi, cfg, outer_iter=k, trace=trace)
+        if reason != "converged":
+            stop_reason = reason
+    return DesignResult(phi=phi, trace=tuple(trace), method=method,
+                        converged=stop_reason == "converged", stop_reason=stop_reason)
 
 
 def cg_minimize(

@@ -72,7 +72,8 @@ class TestDesignCommand:
 
         def stalled_design(method, params, psi, phi0, lam, sre=None, cfg=None):
             trace = (TracePoint(1, 0, 5.0, 1.0), TracePoint(1, 1, 4.0, 0.5))
-            return DesignResult(phi=phi0, trace=trace, method=method, converged=False)
+            return DesignResult(phi=phi0, trace=trace, method=method, converged=False,
+                                stop_reason="line-search stall")
 
         monkeypatch.setattr(cli_mod, "design_for_method", stalled_design)
         out = tmp_path / "slow"
@@ -213,6 +214,20 @@ class TestEvalCommand:
         assert not records.exists() or all(
             line.count(",") == 10 for line in records.read_text().splitlines())
         assert not (out / "manifest.txt").exists()
+
+    def test_bad_tag_rejected_before_evaluation(self, tmp_path, capsys, monkeypatch):
+        import csdesign.cli as cli_mod
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("evaluated before the tag was checked")
+
+        monkeypatch.setattr(cli_mod, "evaluate_system", must_not_run)
+        monkeypatch.setattr(cli_mod, "_read_matrix", must_not_run)
+        out = tmp_path / "eval"
+        assert run("eval", "--phi", "missing.csv", "--dict", "missing.csv",
+                   "--tag", "a,b", "--out", str(out)) == 2
+        assert "'a,b'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_ascii_tag_leaves_records_untouched(self, tmp_path):
         out = tmp_path / "eval"

@@ -169,7 +169,8 @@ class TestUnconvergedDesignWarning:
         from csdesign.solver import DesignResult
 
         def stub(method, params, psi, phi0, lam, sre=None, cfg=None):
-            return DesignResult(phi=phi0, trace=(), method=method, converged=converged)
+            return DesignResult(phi=phi0, trace=(), method=method, converged=converged,
+                                stop_reason="converged" if converged else "iteration cap")
 
         monkeypatch.setattr(experiments, "design_for_method", stub)
         caplog.clear()
@@ -181,6 +182,7 @@ class TestUnconvergedDesignWarning:
         assert len(caplog.records) == 1
         message = caplog.records[0].getMessage()
         assert "mt" in message and "lambda=0.3" in message and "seed 6" in message
+        assert "(iteration cap)" in message
         # the record is scored as before; only the log says it is unconverged
         assert recs == self._sweep(monkeypatch, caplog, converged=True)
 

@@ -5,6 +5,7 @@ import pytest
 
 from csdesign.experiments import ExperimentRecord, write_convergence_csv, write_records_csv
 from csdesign.matio import (
+    check_csv_value,
     read_keyvalues,
     read_matrix_csv,
     render_value,
@@ -133,6 +134,19 @@ def test_write_csv_rejects_value_before_opening(tmp_path, value):
     with pytest.raises(ValueError, match="cannot write"):
         write_csv(path, ("method", "x"), [("mt", 1.0), (value, 2.0)])
     assert path.read_bytes() == b"old\n"
+
+
+@pytest.mark.parametrize("value", ["a,b", "a\nb", "a\rb", "\u00e9"],
+                         ids=["comma", "newline", "return", "non_ascii"])
+def test_check_csv_value_rejects(value):
+    with pytest.raises(ValueError, match="cannot write"):
+        check_csv_value(value)
+
+
+def test_check_csv_value_returns_rendered_text():
+    assert check_csv_value(0.1) == render_value(0.1)
+    assert check_csv_value(True) == "true"
+    assert check_csv_value("mt-etf") == "mt-etf"
 
 
 class TestKeyValues:

@@ -5,11 +5,14 @@ import pytest
 
 from csdesign.objective import (
     ObjectiveSpec,
+    _evaluate,
+    _step_polynomial,
     gradient_check,
     objective_gradient,
     objective_value,
     value_and_gradient,
 )
+from csdesign.solver import project_to_relaxed_etf
 
 
 def elementwise_objective(phi, psi, g, lam, sre=None):
@@ -109,6 +112,12 @@ class TestObjectiveSpecValidation:
     def test_gram_target_shape(self):
         with pytest.raises(ValueError):
             ObjectiveSpec(psi=np.eye(3), gram_target=np.eye(4), lam=0.0)
+
+    def test_gram_target_must_be_symmetric(self):
+        g = np.eye(3)
+        g[0, 1] = 0.5
+        with pytest.raises(ValueError, match="symmetric"):
+            ObjectiveSpec(psi=np.eye(3), gram_target=g, lam=0.0)
 
     def test_unset_target_is_identity(self):
         spec = ObjectiveSpec(psi=np.ones((3, 4)), lam=0.1)
@@ -231,3 +240,41 @@ class TestRegularizerIdentities:
         assert float(np.sum((phi @ q) ** 2)) == pytest.approx(
             float(np.sum(phi**2)), rel=1e-12
         )
+
+
+def _step_specs():
+    """Identity-target, relaxed-ETF-target and SRE specs on one random instance."""
+    rng = np.random.default_rng(15)
+    psi = rng.standard_normal((6, 9))
+    phi = rng.standard_normal((4, 6))
+    d = phi @ psi
+    etf = project_to_relaxed_etf(d.T @ d / np.max(np.diag(d.T @ d)), 0.3).data
+    sre = rng.standard_normal((6, 20))
+    specs = {
+        "identity": ObjectiveSpec(psi=psi, lam=0.4),
+        "relaxed-etf": ObjectiveSpec(psi=psi, gram_target=etf, lam=0.4),
+        "sre": ObjectiveSpec(psi=psi, lam=0.02, sre=sre),
+    }
+    return phi, rng.standard_normal(phi.shape), specs
+
+
+class TestStepPolynomial:
+    @pytest.mark.parametrize("target", ["identity", "relaxed-etf", "sre"])
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 1.0, 4.0])
+    def test_matches_direct_difference(self, target, t):
+        phi, direction, specs = _step_specs()
+        spec = specs[target]
+        _, *products = _evaluate(phi, spec)
+        a1, a2, a3, a4 = _step_polynomial(spec, *products, direction)
+        delta = a1 * t + a2 * t**2 + a3 * t**3 + a4 * t**4
+        direct = objective_value(phi + t * direction, spec) - objective_value(phi, spec)
+        assert delta == pytest.approx(direct, rel=1e-9)
+
+    @pytest.mark.parametrize("target", ["identity", "relaxed-etf", "sre"])
+    def test_linear_coefficient_is_directional_derivative(self, target):
+        phi, direction, specs = _step_specs()
+        spec = specs[target]
+        _, *products = _evaluate(phi, spec)
+        _, g = value_and_gradient(phi, spec)
+        a1 = _step_polynomial(spec, *products, direction)[0]
+        assert a1 == pytest.approx(float(np.sum(g * direction)), rel=1e-12)

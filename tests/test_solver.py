@@ -38,7 +38,7 @@ class TestCgMinimize:
         spec = ObjectiveSpec(psi=np.eye(5), lam=0.0)
         phi0 = random_projection(5, 5, 3)
         result = cg_minimize(spec, phi0)
-        assert result.converged
+        assert result.converged and result.stop_reason == "converged"
         assert result.trace[-1].f <= 1e-8
         np.testing.assert_allclose(result.phi.T @ result.phi, np.eye(5), atol=1e-4)
 
@@ -266,7 +266,7 @@ class TestAlternatingRounds:
         capped = ALTERNATING[method][0](self.psi, 3, self.phi0, SolverConfig(max_cg_iterations=2))
         assert sorted({p.outer_iter for p in capped.trace}) == [1, 2, 3]
         assert max(p.cg_iter for p in capped.trace) <= 2
-        assert not capped.converged
+        assert not capped.converged and capped.stop_reason == "iteration cap"
 
 
 class TestDesignLh:
@@ -360,3 +360,68 @@ class TestDesignResultShape:
         assert alternating_design(psi, 0.1, 0.3, 2, phi0).method == "mt-etf"
         assert design_lh_etf(psi, 0.1, np.zeros((5, 4)), 0.3, 2, phi0).method == "lh-etf"
         assert isinstance(design_mt(psi, 0.1, phi0), DesignResult)
+
+
+class TestQuarticLineSearch:
+    @pytest.mark.parametrize("sre", [False, True], ids=["identity", "sre"])
+    def test_one_evaluation_per_cg_iteration(self, monkeypatch, sre):
+        import csdesign.solver as solver
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the CG solve evaluated the objective outside _evaluate")
+
+        evaluate = solver._evaluate
+        calls = []
+
+        def counting(phi, spec):
+            calls.append(1)
+            return evaluate(phi, spec)
+
+        monkeypatch.setattr(solver, "objective_value", forbidden)
+        monkeypatch.setattr(solver, "value_and_gradient", forbidden)
+        monkeypatch.setattr(solver, "_evaluate", counting)
+        psi = gen_dictionary(12, 20, 31)
+        e = np.random.default_rng(31).standard_normal((12, 40)) if sre else None
+        spec = ObjectiveSpec(psi=psi, lam=0.05 if sre else 0.3, sre=e)
+        result = cg_minimize(spec, random_projection(5, 12, 31), SolverConfig(max_cg_iterations=15))
+        assert result.stop_reason == "iteration cap"
+        assert len(calls) == result.trace[-1].cg_iter + 1 == 16
+
+    def test_overflow_at_first_trial_backtracks_to_finite_step(self):
+        from csdesign.solver import _armijo
+
+        # delta(1) overflows to inf; small enough steps are finite and pass
+        step, change = _armijo((-1e300, 0.0, 1.7e308, 1.7e308), -1e300)
+        assert 0.0 < step < 1e-3
+        assert np.isfinite(change) and change < 0.0
+
+    def test_overflowing_direction_never_gives_nan_phi(self, monkeypatch):
+        import csdesign.solver as solver
+
+        inf = float("inf")
+        assert solver._armijo((-1.0, 0.0, inf, inf), -1.0) is None
+        monkeypatch.setattr(solver, "_step_polynomial", lambda *args: (-1.0, 0.0, inf, inf))
+        phi0 = random_projection(3, 8, 32)
+        result = design_mt(gen_dictionary(8, 12, 32), 0.1, phi0)
+        assert not result.converged
+        assert result.stop_reason == "line-search stall"
+        np.testing.assert_array_equal(result.phi, phi0)
+
+    def test_overflowing_start_stalls_with_finite_phi(self):
+        phi0 = 1e70 * random_projection(3, 8, 33)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = design_mt(gen_dictionary(8, 12, 33), 0.1, phi0)
+        assert not result.converged
+        assert np.all(np.isfinite(result.phi))
+
+
+class TestStopReason:
+    # "converged" and "iteration cap" are asserted beside the tests of
+    # convergence and of the iteration cap above
+    def test_line_search_stall(self, monkeypatch):
+        import csdesign.solver as solver
+
+        monkeypatch.setattr(solver, "_armijo", lambda poly, gd: None)
+        result = design_mt(gen_dictionary(12, 20, 35), 0.3, random_projection(5, 12, 35))
+        assert not result.converged and result.stop_reason == "line-search stall"
+        assert len(result.trace) == 1
