@@ -10,6 +10,8 @@ Sizes here are trimmed for a quick run; the acceptance suite
 """
 
 import collections
+import os
+import tempfile
 
 import numpy as np
 
@@ -61,6 +63,7 @@ for snr in sorted(table):
     row = {m: np.mean(v) for m, v in table[snr].items()}
     print(f"  {snr:5.0f} {row['randn']:10.5f} {row['mt']:10.5f} {row['lh']:10.5f}")
 
-write_records_csv(records, "snr_sweep_records.csv")
+path = os.path.join(tempfile.mkdtemp(prefix="csdesign-demo-"), "snr_sweep_records.csv")
+write_records_csv(records, path)
 print()
-print("full records written to snr_sweep_records.csv")
+print(f"full records written to {path}")

@@ -48,6 +48,7 @@ from .synth import SyntheticDataset, gen_dictionary, gen_signals, gen_sparse_cod
 __all__ = [
     "METHODS",
     "SRE_METHODS",
+    "SWEEP_METHODS",
     "PSNR_PEAK",
     "RECORDS_HEADER",
     "LAMBDA_SEARCH_GRID",
@@ -73,6 +74,15 @@ METHODS = ("randn", "mt", "mt-etf", "lh", "lh-etf")
 
 #: the methods whose design needs the training SRE matrix
 SRE_METHODS = ("lh", "lh-etf")
+
+#: each sweep axis and the methods its harness runs by default
+SWEEP_METHODS = {
+    "lambda": ("mt", "mt-etf"),
+    "snr": ("randn", "mt", "lh"),
+    "m": ("randn", "mt"),
+    "k": ("randn", "mt"),
+    "l": ("randn", "mt"),
+}
 
 #: peak value of the 8-bit pixels that rho_psnr assumes
 PSNR_PEAK = 2.0**8 - 1.0
@@ -165,8 +175,7 @@ def design_for_method(
 ) -> DesignResult:
     """Produce the projection matrix of `method` from the shared start `phi0`."""
     if method == "randn":
-        return DesignResult(phi=phi0, trace=(), method="randn", converged=True,
-                            stop_reason="converged")
+        return DesignResult(phi=phi0, trace=(), method="randn", stop_reason="converged")
     if method in SRE_METHODS and sre is None:
         raise ValueError(f"method {method!r} needs the training SRE matrix")
     if method == "mt":
@@ -273,7 +282,7 @@ def run_lambda_sweep(
     params: ExperimentParams,
     lambda_grid: Sequence[float],
     seed,
-    methods: Sequence[str] = ("mt", "mt-etf"),
+    methods: Sequence[str] = SWEEP_METHODS["lambda"],
     timing: bool = False,
 ) -> list[ExperimentRecord]:
     """Reconstruction error of the training-free designs across lambdas.
@@ -366,10 +375,12 @@ def run_snr_sweep(
                     phi0 = systems[s][1]
                     dataset = datasets[s]
                     run_lam = float(lam)
-                    if pair_lambdas and method != "randn":
-                        scale = dataset.sigma**2 * dataset.p
-                        effective = min(1.0, run_lam * scale) if scale > 0 else run_lam
-                        run_lam = effective / scale if method in SRE_METHODS else effective
+                    scale = dataset.sigma**2 * dataset.p
+                    if pair_lambdas and method != "randn" and scale > 0:
+                        # at scale 0 (noiseless) the SRE is zero, so its weight changes nothing
+                        run_lam = min(1.0, run_lam * scale)
+                        if method in SRE_METHODS:
+                            run_lam /= scale
                     rows.append(
                         _design_and_score(
                             method, point_params, dataset, phi0, run_lam, "snr", snr, s, timing
@@ -387,29 +398,37 @@ def run_snr_sweep(
 def run_dimension_sweeps(
     base_params: ExperimentParams,
     axis: str,
-    grid: Sequence[int],
+    grid: Sequence[float],
     seed,
-    methods: Sequence[str] = ("randn", "mt"),
+    methods: Sequence[str] | None = None,
     timing: bool = False,
 ) -> list[ExperimentRecord]:
     """Sweep one of the size parameters M, K, or L, holding the rest fixed.
 
-    Grid points that break the feasibility chain ``K <= M <= N <= L``
-    are skipped with a logged reason.
+    Every grid value must lie within 1e-9 of an integer.  `methods`
+    defaults to ``SWEEP_METHODS[axis]``.  Grid points that break the
+    feasibility chain ``K <= M <= N <= L`` are skipped with a logged
+    reason.
     """
     axis = axis.lower()
     if axis not in ("m", "k", "l"):
         raise ValueError(f"axis must be one of m, k, l; got {axis!r}")
+    bad = [v for v in grid if not (math.isfinite(v) and abs(v - round(v)) <= 1e-9)]
+    if bad:
+        raise ValueError(f"axis {axis!r} requires integer grid values, got {float(bad[0])!r}")
+    grid = [int(round(v)) for v in grid]
+    if methods is None:
+        methods = SWEEP_METHODS[axis]
     records: list[ExperimentRecord] = []
     for s in _seed_list(seed):
         for value in grid:
-            point_params = replace(base_params, **{axis: int(value)})
+            point_params = replace(base_params, **{axis: value})
             k, m, n, l = point_params.k, point_params.m, point_params.n, point_params.l
             if not 1 <= k <= m <= n <= l:
                 logger.warning("skipping infeasible point %s=%d (need K <= M <= N <= L, have "
                                "K=%d M=%d N=%d L=%d)", axis, value, k, m, n, l)
                 continue
-            point_seed = derive_seed(s, f"{axis}={int(value)}")
+            point_seed = derive_seed(s, f"{axis}={value}")
             dataset = make_dataset(point_params, point_seed)
             phi0 = random_projection(m, n, derive_seed(point_seed, "phi0"))
             records.extend(

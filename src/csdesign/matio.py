@@ -88,8 +88,8 @@ def read_matrix_csv(path: str | os.PathLike) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the header or any row is malformed or the shape disagrees
-        with the header.
+        If the header or any row is malformed, the shape disagrees with
+        the header, or a non-blank line follows the declared rows.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
@@ -114,6 +114,8 @@ def read_matrix_csv(path: str | os.PathLike) -> np.ndarray:
                 out[i] = [float(p) for p in parts]
             except ValueError:
                 raise ValueError(f"{path}: row {i} contains a non-numeric value") from None
+        if any(line.strip() for line in fh):
+            raise ValueError(f"{path}: more rows than the {rows} the header declares")
     return out
 
 

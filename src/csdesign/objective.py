@@ -102,10 +102,6 @@ class ObjectiveSpec:
     def n(self) -> int:
         return self.psi.shape[0]
 
-    @property
-    def l(self) -> int:
-        return self.psi.shape[1]
-
 
 def _with_target(spec: ObjectiveSpec, gram_target: np.ndarray) -> ObjectiveSpec:
     """`spec` with its Gram target swapped for the L x L `gram_target`.

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import DEGENERATE_COL_TOL
+from .coherence import normalize_columns
 
 __all__ = ["EARLY_STOP_RESIDUAL", "SparseCode", "omp", "reconstruct", "batch_recover"]
 
@@ -78,13 +78,12 @@ def _omp_batch(d, y, k: int):
     if not 1 <= k <= min(m, l):
         raise ValueError(f"k must satisfy 1 <= k <= min(M, L) = {min(m, l)}, got {k}")
 
-    norms = np.linalg.norm(d, axis=0)
-    usable = norms >= DEGENERATE_COL_TOL
-    if not usable.any():
-        raise ValueError("all dictionary columns are (near) zero")
     # selection correlates against unit-norm atoms; coefficients use the originals
-    d_unit = d / np.where(usable, norms, 1.0)
-    d_unit[:, ~usable] = 0.0
+    d_unit, _, degenerate = normalize_columns(d)  # rejects non-finite entries
+    if len(degenerate) == l:
+        raise ValueError("all dictionary columns are (near) zero")
+    usable = np.ones(l, dtype=bool)
+    usable[degenerate] = False
     atoms = np.ascontiguousarray(d.T)  # L x M, row i is atom i
 
     # one row per signal: norms, gathers and refits then see each signal alone

@@ -126,8 +126,8 @@ class TracePoint(NamedTuple):
 class DesignResult:
     """Designed projection matrix plus the full optimization trace.
 
-    ``stop_reason`` is ``converged`` exactly when ``converged`` is true.
-    Otherwise it says why the last unconverged CG solve of the design
+    ``stop_reason`` is ``converged`` when every CG solve of the design
+    converged.  Otherwise it says why the last unconverged solve
     stopped: ``line-search stall`` (no step passed the line search) or
     ``iteration cap`` (``max_cg_iterations`` ran out).
     """
@@ -135,8 +135,11 @@ class DesignResult:
     phi: np.ndarray
     trace: tuple[TracePoint, ...]
     method: str
-    converged: bool
     stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def project_to_relaxed_etf(gram, xi: float) -> RelaxedETFTarget:
@@ -281,8 +284,7 @@ def _design(spec, phi0, cfg, method, xi=None, outer_iters=1) -> DesignResult:
         phi, reason = _cg_solve(spec, phi, cfg, outer_iter=k, trace=trace)
         if reason != "converged":
             stop_reason = reason
-    return DesignResult(phi=phi, trace=tuple(trace), method=method,
-                        converged=stop_reason == "converged", stop_reason=stop_reason)
+    return DesignResult(phi=phi, trace=tuple(trace), method=method, stop_reason=stop_reason)
 
 
 def cg_minimize(

@@ -20,7 +20,7 @@ lemma1), so results are pure functions of their parameters and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,13 +40,12 @@ __all__ = [
 class SyntheticDataset:
     """Paired train/test signals with known codes and known noise.
 
-    ``x = x0 + delta`` exactly, with ``x0 = psi @ theta``.  Columns
-    ``[0, P)`` are the training half, ``[P, 2P)`` the test half.
+    ``x = psi @ theta + delta`` exactly.  Columns ``[0, P)`` are the
+    training half, ``[P, 2P)`` the test half.
     """
 
     psi: np.ndarray
     theta: np.ndarray
-    x0: np.ndarray
     delta: np.ndarray
     x: np.ndarray
     sigma: float
@@ -60,9 +59,6 @@ class SyntheticDataset:
     def train_sre(self) -> np.ndarray:
         """Noise of the training half (the representation-error matrix)."""
         return self.delta[:, : self.p]
-
-    def train_signals(self) -> np.ndarray:
-        return self.x[:, : self.p]
 
     def test_signals(self) -> np.ndarray:
         return self.x[:, self.p :]
@@ -82,9 +78,6 @@ class Lemma1Report:
     variance_estimate: float
     predicted_variance: float
     z_score: float
-
-    def as_keyvalues(self) -> dict[str, float | int]:
-        return asdict(self)
 
 
 def gen_dictionary(n: int, l: int, seed: int) -> np.ndarray:
@@ -117,7 +110,7 @@ def gen_signals(psi, theta, snr_db: float, seed: int) -> SyntheticDataset:
     """Build noisy signals around ``psi @ theta`` at a target SNR.
 
     The per-entry noise variance is chosen in closed form so that the
-    dataset-level SNR ``10 log10(||x0||_F^2 / E||delta||_F^2)`` equals
+    dataset-level SNR ``10 log10(||psi @ theta||_F^2 / E||delta||_F^2)`` equals
     `snr_db` in expectation; the achieved value is recorded in the
     result.  ``snr_db = inf`` yields noiseless signals; ``-inf`` is
     rejected, since no finite noise level reaches it.  The column count
@@ -152,7 +145,6 @@ def gen_signals(psi, theta, snr_db: float, seed: int) -> SyntheticDataset:
     return SyntheticDataset(
         psi=psi,
         theta=theta,
-        x0=x0,
         delta=delta,
         x=x0 + delta,
         sigma=sigma,

@@ -3,6 +3,8 @@ import pytest
 
 from csdesign.cli import CliError, _parse_grid, main
 from csdesign.coherence import welch_bound
+from csdesign.experiments import (ExperimentParams, run_dimension_sweeps, run_snr_sweep,
+                                  write_records_csv)
 from csdesign.matio import read_keyvalues, read_matrix_csv, write_matrix_csv
 from csdesign.synth import gen_dictionary
 
@@ -72,7 +74,7 @@ class TestDesignCommand:
 
         def stalled_design(method, params, psi, phi0, lam, sre=None, cfg=None):
             trace = (TracePoint(1, 0, 5.0, 1.0), TracePoint(1, 1, 4.0, 0.5))
-            return DesignResult(phi=phi0, trace=trace, method=method, converged=False,
+            return DesignResult(phi=phi0, trace=trace, method=method,
                                 stop_reason="line-search stall")
 
         monkeypatch.setattr(cli_mod, "design_for_method", stalled_design)
@@ -116,6 +118,13 @@ class TestDesignCommand:
                    "--lambda", "0.4", "--sre", str(sre_path), "--out", str(out))
         assert code == 0
         assert read_matrix_csv(out / "phi.csv").shape == (8, 30)
+
+    def test_dictionary_with_extra_rows_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("2,2\n1,0\n0,1\n1,1\n")
+        code = run("design", "--dict", str(path), "--m", "1", "--out", str(tmp_path / "x"))
+        assert code == 3
+        assert "long.csv" in capsys.readouterr().err
 
     def test_missing_dictionary_file(self, tmp_path, capsys):
         code = run("design", "--dict", str(tmp_path / "absent.csv"), "--m", "4",
@@ -277,9 +286,35 @@ class TestSweepCommand:
     def test_unknown_axis(self, tmp_path):
         assert run("sweep", "--axis", "q", "--grid", "1", "--out", str(tmp_path / "x")) == 2
 
-    def test_dimension_axis_requires_integers(self, tmp_path):
+    def test_dimension_axis_requires_integers(self, tmp_path, capsys):
         assert run("sweep", "--axis", "m", "--grid", "4.5,6", "--p", "10",
                    "--out", str(tmp_path / "x")) == 2
+        assert "axis 'm' requires integer grid values, got 4.5" in capsys.readouterr().err
+
+    def test_dimension_sweep_resolves_welch_per_point(self, tmp_path):
+        # the Welch level of an -etf design follows each point's M, so the
+        # CLI, the library and a replay of the CLI's manifest agree
+        out, replay, lib = tmp_path / "cli", tmp_path / "replay", tmp_path / "lib.csv"
+        assert run("sweep", "--axis", "m", "--grid", "4:2:8", "--methods", "randn,mt-etf",
+                   "--seeds", "1", "--m", "8", "--n", "20", "--l", "30", "--k", "2",
+                   "--p", "30", "--iter", "2", "--out", str(out)) == 0
+        params = ExperimentParams(m=8, n=20, l=30, k=2, p=30, xi=None, outer_iters=2)
+        write_records_csv(run_dimension_sweeps(params, "m", [4, 6, 8], [1],
+                                               methods=("randn", "mt-etf")), lib)
+        assert (out / "records.csv").read_bytes() == lib.read_bytes()
+        assert read_keyvalues(out / "manifest.txt")["xi"] == "welch"
+        assert run("sweep", "--config", str(out / "manifest.txt"), "--out", str(replay)) == 0
+        assert (replay / "records.csv").read_bytes() == lib.read_bytes()
+
+    def test_snr_sweep_lambda_grid_matches_library(self, tmp_path):
+        out, lib = tmp_path / "cli", tmp_path / "lib.csv"
+        assert run("sweep", "--axis", "snr", "--grid", "10,20", "--methods", "randn,mt",
+                   "--seeds", "1", "--m", "8", "--n", "20", "--l", "30", "--k", "2",
+                   "--p", "30", "--lambda-grid", "0.1,1", "--out", str(out)) == 0
+        params = ExperimentParams(m=8, n=20, l=30, k=2, p=30)
+        write_records_csv(run_snr_sweep(params, [10.0, 20.0], ("randn", "mt"), [1],
+                                        lambda_grid=(0.1, 1.0)), lib)
+        assert (out / "records.csv").read_bytes() == lib.read_bytes()
 
     def test_manifest_in_current_format_replays_bytes(self, tmp_path):
         manifest = tmp_path / "manifest.txt"

@@ -6,6 +6,7 @@ import pytest
 
 from csdesign.experiments import (
     RECORDS_HEADER,
+    SWEEP_METHODS,
     ExperimentParams,
     evaluate_system,
     make_dataset,
@@ -169,7 +170,7 @@ class TestUnconvergedDesignWarning:
         from csdesign.solver import DesignResult
 
         def stub(method, params, psi, phi0, lam, sre=None, cfg=None):
-            return DesignResult(phi=phi0, trace=(), method=method, converged=converged,
+            return DesignResult(phi=phi0, trace=(), method=method,
                                 stop_reason="converged" if converged else "iteration cap")
 
         monkeypatch.setattr(experiments, "design_for_method", stub)
@@ -249,6 +250,11 @@ class TestRunSnrSweep:
         with pytest.raises(ValueError, match="'mt' at snr 10"):
             run_snr_sweep(SMALL, [10.0], ("mt",), [1], lambda_grid=(0.1, 0.3))
 
+    def test_paired_weights_at_infinite_snr_keep_the_given_weight(self):
+        # noiseless data has a zero SRE, so pairing leaves every weight at params.lam
+        paired = run_snr_sweep(SMALL, [math.inf], ("mt", "lh"), [1], pair_lambdas=True)
+        assert paired == run_snr_sweep(SMALL, [math.inf], ("mt", "lh"), [1], lambda_grid=None)
+
     def test_noiseless_control_exact_recovery_regime(self):
         # with k inside the coherence bound and essentially no noise, the
         # designed system reconstructs to numerical precision
@@ -293,6 +299,18 @@ class TestRunDimensionSweeps:
     def test_bad_axis(self):
         with pytest.raises(ValueError):
             run_dimension_sweeps(SMALL, "n", [20], [1])
+
+    @pytest.mark.parametrize("value", [8.7, math.nan, math.inf])
+    def test_non_integer_grid_value_rejected(self, value):
+        with pytest.raises(ValueError, match="axis 'm' requires integer grid values"):
+            run_dimension_sweeps(SMALL, "m", [6, value], [1])
+
+    def test_integral_floats_and_default_methods(self):
+        base = ExperimentParams(m=4, n=10, l=12, k=2, p=10)
+        recs = run_dimension_sweeps(base, "k", [2.0 + 1e-12], [1])
+        assert recs == run_dimension_sweeps(base, "k", [2], [1], methods=SWEEP_METHODS["k"])
+        assert [r.method for r in recs] == list(SWEEP_METHODS["k"])
+        assert recs[0].param_value == 2.0
 
 
 class TestRecordsCsv:

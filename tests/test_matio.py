@@ -44,6 +44,17 @@ class TestMatrixCsv:
         with pytest.raises(ValueError):
             read_matrix_csv(path)
 
+    def test_rejects_rows_past_the_header_count(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("2,2\n1,2\n3,4\n5,6\n")
+        with pytest.raises(ValueError, match="long.csv"):
+            read_matrix_csv(path)
+
+    def test_trailing_blank_lines_allowed(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("1,2\n1,2\n\n \n")
+        np.testing.assert_array_equal(read_matrix_csv(path), [[1.0, 2.0]])
+
     def test_rejects_ragged_row(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("1,3\n1,2\n")

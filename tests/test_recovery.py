@@ -30,6 +30,13 @@ class TestOmpBasics:
         with pytest.raises(ValueError):
             omp(np.zeros((3, 4)), np.ones(3), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_dictionary_rejected(self, bad):
+        d = np.random.default_rng(9).standard_normal((6, 10))
+        d[:, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            batch_recover(d, np.ones((6, 4)), 2)
+
     def test_zero_signal_early_stop(self):
         code = omp(np.eye(4), np.zeros(4), 2)
         assert code.support == ()

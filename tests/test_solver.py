@@ -418,6 +418,13 @@ class TestQuarticLineSearch:
 class TestStopReason:
     # "converged" and "iteration cap" are asserted beside the tests of
     # convergence and of the iteration cap above
+    @pytest.mark.parametrize("reason, converged", [
+        ("converged", True), ("line-search stall", False), ("iteration cap", False),
+    ])
+    def test_converged_follows_stop_reason(self, reason, converged):
+        result = DesignResult(phi=np.eye(2), trace=(), method="mt", stop_reason=reason)
+        assert result.converged is converged
+
     def test_line_search_stall(self, monkeypatch):
         import csdesign.solver as solver
 
@@ -425,3 +432,57 @@ class TestStopReason:
         result = design_mt(gen_dictionary(12, 20, 35), 0.3, random_projection(5, 12, 35))
         assert not result.converged and result.stop_reason == "line-search stall"
         assert len(result.trace) == 1
+
+
+def closed_form_optimum(spec, m):
+    """Global minimiser of `spec`'s objective over M x N matrices (psi of full row rank N).
+
+    With the thin SVD psi = U S V^T and C = S U^T phi^T phi U S, the objective
+    is ||C - K||_F^2 plus a constant, K = V^T G V - (lam/2) S^-1 U^T R U S^-1
+    with R the identity or E E^T.  By Eckart-Young the best C of rank <= M
+    keeps the top-M positive eigenpairs (c_i, q_i) of sym(K), so phi has the
+    rows sqrt(c_i) q_i^T S^-1 U^T (for G = I the closed form of Li, Zhu et
+    al., IEEE TSP 2013).
+    """
+    u, s, vt = np.linalg.svd(spec.psi, full_matrices=False)
+    reg = np.eye(spec.n) if spec.sre_outer is None else spec.sre_outer
+    k = vt @ spec.gram_target @ vt.T - 0.5 * spec.lam * (u.T @ reg @ u) / np.outer(s, s)
+    c, q = np.linalg.eigh((k + k.T) / 2.0)
+    top = np.argsort(c)[::-1][:m]
+    return (np.sqrt(np.maximum(c[top], 0.0))[:, None] * q[:, top].T / s) @ u.T
+
+
+class TestClosedFormOracle:
+    """Converged CG reaches the exact optimum on random instances."""
+
+    @staticmethod
+    def _instance(target, seed):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(3, 7)), int(rng.integers(8, 15))
+        l = n + int(rng.integers(0, 7))
+        psi = gen_dictionary(n, l, seed)
+        phi0 = random_projection(m, n, seed)
+        lam = float(rng.uniform(0.05, 1.0))
+        if target == "sre":
+            return ObjectiveSpec(psi=psi, lam=lam,
+                                 sre=0.2 * rng.standard_normal((n, 3 * n))), phi0
+        if target == "etf":
+            d = phi0 @ psi
+            d = d / np.linalg.norm(d, axis=0)
+            g = project_to_relaxed_etf(d.T @ d, 0.3).data
+            return ObjectiveSpec(psi=psi, gram_target=g, lam=lam), phi0
+        return ObjectiveSpec(psi=psi, lam=lam), phi0
+
+    @pytest.mark.parametrize("target", ["identity", "sre", "etf"])
+    def test_converged_cg_matches_closed_form(self, target):
+        converged = 0
+        for seed in range(10):
+            spec, phi0 = self._instance(target, seed)
+            f_star = objective_value(closed_form_optimum(spec, phi0.shape[0]), spec)
+            result = cg_minimize(spec, phi0)
+            # a global minimum: no iterate goes below it beyond rounding
+            assert f_star <= min(p.f for p in result.trace) * (1.0 + 1e-12)
+            if result.converged:
+                converged += 1
+                assert result.trace[-1].f == pytest.approx(f_star, rel=1e-8)
+        assert converged >= 9

@@ -65,7 +65,7 @@ class TestGenSignals:
         psi = gen_dictionary(8, 12, 0)
         theta = gen_sparse_codes(12, 2, 10, 0)
         ds = gen_signals(psi, theta, math.inf, 0)
-        np.testing.assert_array_equal(ds.x, ds.x0)
+        np.testing.assert_array_equal(ds.x, psi @ theta)
         assert ds.sigma == 0.0
         assert math.isinf(ds.snr_db)
 
@@ -79,7 +79,7 @@ class TestGenSignals:
         psi = gen_dictionary(50, 80, 1)
         theta = gen_sparse_codes(80, 4, 2000, 1)  # N * count = 1e5
         ds = gen_signals(psi, theta, 0.0, 1)
-        clean = float(np.sum(ds.x0**2))
+        clean = float(np.sum((psi @ theta) ** 2))
         noise = float(np.sum(ds.delta**2))
         assert abs(noise - clean) / clean <= 0.02
 
@@ -94,8 +94,7 @@ class TestGenSignals:
         psi = gen_dictionary(10, 15, 3)
         theta = gen_sparse_codes(15, 3, 40, 3)
         ds = gen_signals(psi, theta, 10.0, 3)
-        np.testing.assert_array_equal(ds.x, ds.x0 + ds.delta)
-        np.testing.assert_array_equal(ds.x0, psi @ theta)
+        np.testing.assert_array_equal(ds.x, psi @ theta + ds.delta)
 
     def test_split_halves_disjoint(self):
         psi = gen_dictionary(6, 9, 4)
@@ -106,7 +105,7 @@ class TestGenSignals:
             np.hstack([ds.train_sre(), ds.test_sre()]), ds.delta
         )
         np.testing.assert_array_equal(
-            np.hstack([ds.train_signals(), ds.test_signals()]), ds.x
+            np.hstack([ds.x[:, : ds.p], ds.test_signals()]), ds.x
         )
 
     def test_zero_energy_rejected(self):
