@@ -285,9 +285,10 @@ def cmd_design(values: dict) -> int:
     write_trace_csv(result.trace, out_dir / "trace.csv")
     if values["synth"] is not None:  # make the generated dictionary reusable
         write_matrix_csv(psi, out_dir / "psi.csv")
-    _write_manifest(out_dir, "design", values, converged=result.converged)
+    _write_manifest(out_dir, "design", values, converged=result.converged,
+                    stop_reason=result.stop_reason)
     if not result.converged:
-        print(f"design did not converge within the iteration budget; artifacts in {out_dir}",
+        print(f"design did not converge ({result.stop_reason}); artifacts in {out_dir}",
               file=sys.stderr)
         return EXIT_NOT_CONVERGED
     return EXIT_OK

@@ -37,6 +37,7 @@ from .solver import (
     DesignResult,
     SolverConfig,
     alternating_design,
+    check_xi,
     design_lh,
     design_lh_etf,
     design_mt,
@@ -102,6 +103,10 @@ class ExperimentParams:
     outer_iters: int = DEFAULT_OUTER_ITERS
     snr_db: float = 15.0
     mu_bar: ClassVar[float] = DEFAULT_MU_BAR
+
+    def __post_init__(self):
+        if self.xi is not None:
+            check_xi(self.xi)
 
     def resolved_xi(self) -> float:
         return welch_bound(self.m, self.l) if self.xi is None else float(self.xi)

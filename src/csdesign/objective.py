@@ -11,14 +11,27 @@ Two families share one quadratic Gram-matching term
 ``E @ E.T`` is formed, and an unset Gram target resolved to the
 identity, once when the spec is built, so an SRE-mode evaluation costs
 the same as a training-free one regardless of how many training samples
-fed ``E``.  The value and the gradient come from one evaluation,
-``_evaluate``, so the value is computed one way.  The objective is a
-quartic in the step along any direction, and ``_step_polynomial`` gives
-its coefficients from ``_evaluate``'s products, so a line search tries
-steps without evaluating the objective again.  No matrix is ever
-inverted here; learned dictionaries can be ill-conditioned enough to
-make inversion of ``Psi @ Psi.T`` unsafe, and plain products are all
-the gradient needs.
+fed ``E``.
+
+The objective sees the N x L dictionary only through its row space.
+When L > N the spec factors ``Psi^T = Q R`` once (thin QR: Q is L x N
+with orthonormal columns, R is N x N), and since
+``Psi^T X Psi = Q (R X R^T) Q^T``, the Gram term splits into
+``|| Q^T G Q - R^T Phi^T Phi R ||_F^2`` plus a constant that does not
+depend on Phi (Li, Zhu et al., "On projection matrix optimization for
+compressive sensing systems", IEEE TSP 2013, reduce the same way to
+their closed form).  Every evaluation therefore works with the N x N
+``psi_r = R^T`` and ``target_r = Q^T G Q``, and forms no L x L matrix;
+with L <= N the reduction is trivial and the spec keeps Psi and G.
+
+The value and the gradient come from one evaluation, ``_evaluate``, so
+the value is computed one way.  The objective is a quartic in the step
+along any direction, and ``_step_polynomial`` gives its coefficients
+from ``_evaluate``'s products, so a line search tries steps without
+evaluating the objective again.  No matrix is ever inverted here;
+learned dictionaries can be ill-conditioned enough to make inversion
+of ``Psi @ Psi.T`` unsafe, and an orthogonal factorisation plus plain
+products are all the gradient needs.
 """
 
 from __future__ import annotations
@@ -55,6 +68,12 @@ class ObjectiveSpec:
     sre : ndarray or None
         Optional N x P matrix of representation errors.  Present makes
         this an SRE-mode spec; absent, training-free mode.
+
+    Derived once at construction: ``sre_outer`` is ``E @ E.T``; the
+    row-space problem of the module docstring is ``psi_r`` (N x N when
+    L > N, else ``psi``), ``target_r`` and ``offset``, the constant the
+    reduction leaves, ``2|(I - QQ^T) G Q|^2 + |(I - QQ^T) G (I - QQ^T)|^2``;
+    ``row_basis`` is Q, or None when L <= N.
     """
 
     psi: np.ndarray
@@ -62,6 +81,10 @@ class ObjectiveSpec:
     lam: float = 0.0
     sre: np.ndarray | None = None
     sre_outer: np.ndarray | None = field(init=False, default=None, repr=False)
+    row_basis: np.ndarray | None = field(init=False, default=None, repr=False)
+    psi_r: np.ndarray = field(init=False, default=None, repr=False)
+    target_r: np.ndarray = field(init=False, default=None, repr=False)
+    offset: float = field(init=False, default=0.0, repr=False)
 
     def __post_init__(self):
         psi = np.asarray(self.psi, dtype=float)
@@ -73,9 +96,19 @@ class ObjectiveSpec:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
         object.__setattr__(self, "lam", float(self.lam))
 
-        l = psi.shape[1]
+        n, l = psi.shape
+        basis, psi_r = None, psi
+        if l > n:
+            basis, r = np.linalg.qr(psi.T)
+            psi_r = r.T
+        object.__setattr__(self, "row_basis", basis)
+        object.__setattr__(self, "psi_r", psi_r)
+
         if self.gram_target is None:
             g = np.eye(l)
+            # Q^T I Q = I and |(I - QQ^T)|^2 = L - N: no L x L product
+            object.__setattr__(self, "target_r", np.eye(min(n, l)))
+            object.__setattr__(self, "offset", float(max(l - n, 0)))
         else:
             g = np.asarray(self.gram_target, dtype=float)
             if g.shape != (l, l):
@@ -85,6 +118,7 @@ class ObjectiveSpec:
             # the gradient and the line-search quartic hold for a symmetric target only
             if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
                 raise ValueError("gram target is not symmetric")
+            _set_reduced_target(self, g)
         object.__setattr__(self, "gram_target", g)
 
         if self.sre is not None:
@@ -103,14 +137,38 @@ class ObjectiveSpec:
         return self.psi.shape[0]
 
 
+def _set_reduced_target(spec: ObjectiveSpec, g: np.ndarray) -> None:
+    """Store the row-space target ``Q^T G Q`` and the offset of the symmetric `g` on `spec`.
+
+    The offset is taken as ``|(I - QQ^T) G Q|^2 + |(I - QQ^T) G|^2``,
+    which equals the docstring's form for symmetric G; both are sums of
+    squares, so nothing cancels and a target inside the row space gives
+    an offset at rounding level.
+    """
+    q = spec.row_basis
+    if q is None:
+        target_r, offset = g, 0.0
+    else:
+        gq = g @ q
+        target_r = q.T @ gq
+        target_r = (target_r + target_r.T) / 2.0
+        side = gq - q @ target_r  # (I - QQ^T) G Q
+        rest = g - q @ gq.T  # (I - QQ^T) G
+        offset = float(np.vdot(side, side)) + float(np.vdot(rest, rest))
+    object.__setattr__(spec, "target_r", target_r)
+    object.__setattr__(spec, "offset", offset)
+
+
 def _with_target(spec: ObjectiveSpec, gram_target: np.ndarray) -> ObjectiveSpec:
     """`spec` with its Gram target swapped for the L x L `gram_target`.
 
-    The copy skips ``__post_init__``, so ``E @ E.T`` is not rebuilt; the
-    caller owns the target's shape and finiteness.
+    The copy skips ``__post_init__``, so neither ``E @ E.T`` nor the QR
+    factorisation is rebuilt; only the new target is reduced to the row
+    space.  The caller owns the target's shape, finiteness and symmetry.
     """
     swapped = copy.copy(spec)
     object.__setattr__(swapped, "gram_target", gram_target)
+    _set_reduced_target(swapped, gram_target)
     return swapped
 
 
@@ -138,22 +196,22 @@ def _evaluate(
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """The objective at `phi` and the products its gradient reuses.
 
-    Returns ``(value, d, r, reg)``: ``d = phi @ psi``, the residual
-    ``r = G - d.T @ d``, and the regularizer's factor ``reg``, which is
-    ``phi`` or ``phi @ E @ E.T``, so the regularizer is
-    ``lam * sum(phi * reg)``.
+    Returns ``(value, d, r, reg)`` in the row space: ``d = phi @ psi_r``,
+    the residual ``r = target_r - d.T @ d``, and the regularizer's
+    factor ``reg``, which is ``phi`` or ``phi @ E @ E.T``, so the value
+    is ``|r|^2 + offset + lam * sum(phi * reg)``.
     """
     phi = _check_phi(phi, spec)
-    d = phi @ spec.psi
-    r = spec.gram_target - d.T @ d
+    d = phi @ spec.psi_r
+    r = spec.target_r - d.T @ d
     reg = phi if spec.sre_outer is None else phi @ spec.sre_outer
-    value = float(np.sum(r * r)) + spec.lam * float(np.sum(phi * reg))
+    value = float(np.sum(r * r)) + spec.offset + spec.lam * float(np.sum(phi * reg))
     return value, d, r, reg
 
 
 def _gradient(spec: ObjectiveSpec, d, r, reg) -> np.ndarray:
     """The gradient from the products ``(d, r, reg)`` of :func:`_evaluate`."""
-    return -4.0 * (d @ r) @ spec.psi.T + 2.0 * spec.lam * reg
+    return -4.0 * (d @ r) @ spec.psi_r.T + 2.0 * spec.lam * reg
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -168,7 +226,7 @@ def _step_polynomial(
 
     At the point whose :func:`_evaluate` products are ``(d, r, reg)``,
     ``f(phi + t * direction) - f(phi)`` is exactly
-    ``a1*t + a2*t**2 + a3*t**3 + a4*t**4``.  With ``b = direction @ psi``,
+    ``a1*t + a2*t**2 + a3*t**3 + a4*t**4``.  With ``b = direction @ psi_r``,
     ``s1 = d.T @ b + b.T @ d``, ``s2 = b.T @ b`` and ``S`` the identity
     or ``E @ E.T``, the residual at step t is ``r - t*s1 - t**2*s2``, so
 
@@ -177,15 +235,17 @@ def _step_polynomial(
     * ``a3 = 2<s1, s2>``
     * ``a4 = |s2|^2``
 
-    for any symmetric Gram target (the gradient assumes one too).  No
-    L x L matrix is formed: the inner products are taken through
-    ``b @ r`` (M x L) and the M x M matrices ``p = d @ b.T``,
+    for any symmetric Gram target (the gradient assumes one too).  The
+    constant ``offset`` cancels from the change, so the coefficients are
+    those of the row-space problem and equal the full problem's.  No
+    matrix wider than ``min(N, L)`` is formed: the inner products are
+    taken through ``b @ r`` (M x N) and the M x M matrices ``p = d @ b.T``,
     ``d @ d.T`` and ``q = b @ b.T``, as ``<r, s1> = 2<b @ r, d>``,
     ``<r, s2> = <b @ r, b>``, ``|s1|^2 = 2<d @ d.T, q> + 2<p, p.T>``,
     ``<s1, s2> = 2<p, q>`` and ``|s2|^2 = |q|^2``.  ``a1`` is the
     directional derivative.
     """
-    b = direction @ spec.psi
+    b = direction @ spec.psi_r
     br = b @ r
     p = d @ b.T
     q = b @ b.T

@@ -51,6 +51,7 @@ __all__ = [
     "DEFAULT_OUTER_ITERS",
     "SolverConfig",
     "RelaxedETFTarget",
+    "check_xi",
     "TracePoint",
     "DesignResult",
     "cg_minimize",
@@ -91,6 +92,13 @@ class SolverConfig:
             raise ValueError("max_cg_iterations must be >= 1")
 
 
+def check_xi(xi: float) -> float:
+    """`xi` as a float, or ValueError unless it lies in [0, 1): the relaxed-ETF level's rule."""
+    if not 0.0 <= xi < 1.0:
+        raise ValueError(f"xi must lie in [0, 1), got {xi}")
+    return float(xi)
+
+
 @dataclass(frozen=True)
 class RelaxedETFTarget:
     """Symmetric unit-diagonal matrix with off-diagonals bounded by `xi`."""
@@ -102,17 +110,16 @@ class RelaxedETFTarget:
         g = np.asarray(self.data, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError(f"target must be square, got shape {g.shape}")
-        if not 0.0 <= self.xi < 1.0:
-            raise ValueError(f"xi must lie in [0, 1), got {self.xi}")
+        xi = check_xi(self.xi)
         if np.max(np.abs(g - g.T)) > 1e-12:
             raise ValueError("target is not symmetric")
         if np.max(np.abs(np.diag(g) - 1.0)) > 1e-12:
             raise ValueError("target diagonal is not unit")
         off = np.abs(g - np.diag(np.diag(g)))
-        if off.max() > self.xi + 1e-12:
+        if off.max() > xi + 1e-12:
             raise ValueError("off-diagonal entries exceed xi")
         object.__setattr__(self, "data", g)
-        object.__setattr__(self, "xi", float(self.xi))
+        object.__setattr__(self, "xi", xi)
 
 
 class TracePoint(NamedTuple):
@@ -154,11 +161,10 @@ def project_to_relaxed_etf(gram, xi: float) -> RelaxedETFTarget:
     g = np.asarray(gram, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {g.shape}")
-    if not 0.0 <= xi < 1.0:
-        raise ValueError(f"xi must lie in [0, 1), got {xi}")
+    xi = check_xi(xi)
     clipped = np.clip(g, -xi, xi)
     np.fill_diagonal(clipped, 1.0)
-    return RelaxedETFTarget(data=(clipped + clipped.T) / 2.0, xi=float(xi))
+    return RelaxedETFTarget(data=(clipped + clipped.T) / 2.0, xi=xi)
 
 
 def _frob(a: np.ndarray) -> float:

@@ -82,8 +82,21 @@ class TestDesignCommand:
         code = run("design", "--synth", "30,40", "--m", "8", "--out", str(out))
         assert code == 4
         assert read_matrix_csv(out / "phi.csv").shape == (8, 30)
-        assert read_keyvalues(out / "manifest.txt")["converged"] == "false"
-        assert "did not converge" in capsys.readouterr().err
+        manifest = read_keyvalues(out / "manifest.txt")
+        assert manifest["converged"] == "false"
+        assert manifest["stop_reason"] == "line-search stall"
+        err = capsys.readouterr().err
+        assert "did not converge (line-search stall)" in err
+        assert "iteration budget" not in err
+
+    @pytest.mark.parametrize("xi", ["1.5", "-0.1", "nan"])
+    def test_xi_outside_unit_interval_exits_2(self, tmp_path, capsys, xi):
+        out = tmp_path / "bad-xi"
+        code = run("design", "--synth", "30,40", "--m", "8", "--method", "mt",
+                   "--xi", xi, "--out", str(out))
+        assert code == 2
+        assert "xi must lie in [0, 1)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_reproduces_bytes(self, tmp_path):
         args = ("design", "--synth", "30,40", "--m", "8", "--method", "mt",

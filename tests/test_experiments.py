@@ -162,6 +162,22 @@ class TestRunLambdaSweep:
         assert {r.seed for r in recs} == {1, 2}
         assert {r.method for r in recs} == {"mt", "mt-etf"}
 
+    @pytest.mark.parametrize("xi", [1.5, 1.0, -0.1, math.nan])
+    def test_xi_outside_unit_interval_raises_before_any_dataset(self, monkeypatch, xi):
+        import csdesign.experiments as ex
+
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("a dataset was built")
+
+        monkeypatch.setattr(ex, "make_dataset", no_dataset)
+        with pytest.raises(ValueError, match=r"xi must lie in \[0, 1\)"):
+            run_lambda_sweep(ExperimentParams(xi=xi), [0.1], 1, methods=("mt-etf",))
+
+    def test_xi_in_unit_interval_and_welch_accepted(self):
+        assert ExperimentParams(xi=0.0).resolved_xi() == 0.0
+        assert ExperimentParams(xi=0.5).resolved_xi() == 0.5
+        assert 0.0 < ExperimentParams(xi=None).resolved_xi() < 1.0
+
 
 class TestUnconvergedDesignWarning:
     @staticmethod

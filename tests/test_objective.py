@@ -278,3 +278,109 @@ class TestStepPolynomial:
         _, g = value_and_gradient(phi, spec)
         a1 = _step_polynomial(spec, *products, direction)[0]
         assert a1 == pytest.approx(float(np.sum(g * direction)), rel=1e-12)
+
+
+def full_gradient(phi, psi, g, lam, sre=None):
+    """Independent oracle: the gradient written with the full L x L residual."""
+    d = phi @ psi
+    reg = phi if sre is None else phi @ sre @ sre.T
+    return -4.0 * d @ (g - d.T @ d) @ psi.T + 2.0 * lam * reg
+
+
+def full_step_polynomial(phi, direction, psi, g, lam, sre=None):
+    """Independent oracle: the step quartic's coefficients from L x L matrices."""
+    d, b = phi @ psi, direction @ psi
+    r = g - d.T @ d
+    s1 = d.T @ b + b.T @ d
+    s2 = b.T @ b
+    s = np.eye(psi.shape[0]) if sre is None else sre @ sre.T
+    a1 = -2.0 * np.sum(r * s1) + 2.0 * lam * np.sum(direction * (phi @ s))
+    a2 = np.sum(s1 * s1) - 2.0 * np.sum(r * s2) + lam * np.sum(direction * (direction @ s))
+    return np.array([a1, a2, 2.0 * np.sum(s1 * s2), np.sum(s2 * s2)])
+
+
+def _row_space_instance(shape, target, rank_deficient=False):
+    """(phi, direction, psi, target, sre) for an N x L dictionary of the given `shape`."""
+    n, l = shape
+    rng = np.random.default_rng(100 + 7 * n + l)
+    if rank_deficient:  # rank min(N, L) - 2: with L > N, Psi^T's R factor is singular
+        k = min(n, l) - 2
+        psi = rng.standard_normal((n, k)) @ rng.standard_normal((k, l))
+    else:
+        psi = rng.standard_normal((n, l))
+    phi = rng.standard_normal((3, n))
+    direction = rng.standard_normal((3, n))
+    sre = rng.standard_normal((n, 15)) if target == "sre" else None
+    if target == "relaxed-etf":
+        gram = (phi @ psi).T @ (phi @ psi)
+        g = project_to_relaxed_etf(gram / np.max(np.diag(gram)), 0.3).data
+    else:
+        g = None
+    return phi, direction, psi, g, sre
+
+
+ROW_SPACE_SHAPES = {"L>N": (6, 10), "L=N": (6, 6), "L<N": (6, 4)}
+
+
+class TestRowSpaceReduction:
+    """The reduced objective equals the full one in value, gradient and step quartic."""
+
+    @pytest.mark.parametrize("target", ["identity", "sre", "relaxed-etf"])
+    @pytest.mark.parametrize("shape", sorted(ROW_SPACE_SHAPES))
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_matches_full_space_oracles(self, shape, target, rank_deficient):
+        phi, direction, psi, g, sre = _row_space_instance(
+            ROW_SPACE_SHAPES[shape], target, rank_deficient
+        )
+        lam = 0.02 if sre is not None else 0.4
+        spec = ObjectiveSpec(psi=psi, gram_target=g, lam=lam, sre=sre)
+        g = spec.gram_target
+        value, *products = _evaluate(phi, spec)
+        assert value == pytest.approx(elementwise_objective(phi, psi, g, lam, sre), rel=1e-10)
+        grad = full_gradient(phi, psi, g, lam, sre)
+        np.testing.assert_allclose(objective_gradient(phi, spec), grad,
+                                   rtol=0, atol=1e-10 * np.max(np.abs(grad)))
+        expected = full_step_polynomial(phi, direction, psi, g, lam, sre)
+        got = np.array(_step_polynomial(spec, *products, direction))
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("shape", sorted(ROW_SPACE_SHAPES))
+    def test_reduced_sizes(self, shape):
+        n, l = ROW_SPACE_SHAPES[shape]
+        spec = ObjectiveSpec(psi=np.random.default_rng(0).standard_normal((n, l)), lam=0.1)
+        k = min(n, l)
+        assert spec.psi_r.shape == (n, k)
+        assert spec.target_r.shape == (k, k)
+        assert (spec.row_basis is None) == (l <= n)
+
+    def test_identity_shortcut_equals_generic_reduction(self):
+        psi = np.random.default_rng(1).standard_normal((6, 10))
+        unset = ObjectiveSpec(psi=psi, lam=0.1)
+        explicit = ObjectiveSpec(psi=psi, gram_target=np.eye(10), lam=0.1)
+        assert unset.offset == 4.0
+        assert explicit.offset == pytest.approx(4.0, rel=1e-13)
+        np.testing.assert_allclose(unset.target_r, explicit.target_r, rtol=0, atol=1e-14)
+
+    def test_with_target_swap_reduces_the_new_target(self):
+        from csdesign.objective import _with_target
+
+        phi, direction, psi, g, _ = _row_space_instance((6, 10), "relaxed-etf")
+        swapped = _with_target(ObjectiveSpec(psi=psi, lam=0.4), g)
+        fresh = ObjectiveSpec(psi=psi, gram_target=g, lam=0.4)
+        assert swapped.offset == fresh.offset
+        np.testing.assert_array_equal(swapped.target_r, fresh.target_r)
+        value, *products = _evaluate(phi, swapped)
+        assert value == pytest.approx(elementwise_objective(phi, psi, g, 0.4), rel=1e-10)
+        expected = full_step_polynomial(phi, direction, psi, g, 0.4)
+        got = np.array(_step_polynomial(swapped, *products, direction))
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.max(np.abs(expected)))
+
+    def test_target_inside_the_row_space_leaves_no_offset(self):
+        # target = the achieved Gram, which lies in Psi's row space
+        rng = np.random.default_rng(2)
+        psi = rng.standard_normal((5, 9))
+        phi = rng.standard_normal((3, 5))
+        d = phi @ psi
+        spec = ObjectiveSpec(psi=psi, gram_target=d.T @ d, lam=0.0)
+        assert spec.offset == pytest.approx(0.0, abs=1e-24)
+        assert objective_value(phi, spec) == pytest.approx(0.0, abs=1e-24)
