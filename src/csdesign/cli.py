@@ -326,7 +326,7 @@ def cmd_eval(values: dict) -> int:
     )
 
     write_records_csv([record], out_dir / "records.csv")
-    _write_manifest(out_dir, "eval", values)
+    _write_manifest(out_dir, "eval", values, achieved_snr_db=dataset.snr_db)
     return EXIT_OK
 
 

@@ -185,6 +185,23 @@ class TestEvalCommand:
         assert row[0] == "mt"
         assert float(row[4]) <= 1e-10  # rho_mse
 
+    def test_manifest_reports_achieved_snr(self, tmp_path):
+        out = tmp_path / "eval"
+        assert self._eval_with_tag(tmp_path, "mt", out) == 0
+        manifest = read_keyvalues(out / "manifest.txt")
+        assert float(manifest["snr"]) == 15.0
+        achieved = float(manifest["achieved_snr_db"])
+        assert achieved != 15.0 and achieved == pytest.approx(15.0, abs=0.5)
+
+    def test_replay_ignores_achieved_snr(self, tmp_path):
+        out = tmp_path / "eval"
+        assert self._eval_with_tag(tmp_path, "mt", out) == 0
+        replay = tmp_path / "replay"
+        assert run("eval", "--config", str(out / "manifest.txt"), "--out", str(replay)) == 0
+        assert (replay / "records.csv").read_bytes() == (out / "records.csv").read_bytes()
+        assert (read_keyvalues(replay / "manifest.txt")["achieved_snr_db"]
+                == read_keyvalues(out / "manifest.txt")["achieved_snr_db"])
+
     def test_scaled_phi_same_rho_mse(self, tmp_path):
         psi_path = tmp_path / "psi.csv"
         write_matrix_csv(gen_dictionary(20, 30, 4), psi_path)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from csdesign.coherence import mutual_coherence, recoverable_sparsity
+from csdesign import recovery
 from csdesign.recovery import batch_recover, omp, reconstruct
 
 
@@ -36,6 +37,18 @@ class TestOmpBasics:
         d[:, 3] = bad
         with pytest.raises(ValueError, match="non-finite"):
             batch_recover(d, np.ones((6, 4)), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_measurement_rejected(self, bad):
+        # unchecked, a NaN residual norm fails the early-stop test and the
+        # signal is skipped silently, and an inf entry gives a NaN code
+        with pytest.raises(ValueError, match="non-finite entries in 1 of 1 columns"):
+            omp(np.eye(3), np.array([bad, 1.0, 0.0]), 1)
+        y = np.ones((3, 5))
+        y[0, 1] = bad
+        y[2, 3] = -bad
+        with pytest.raises(ValueError, match="non-finite entries in 2 of 5 columns"):
+            batch_recover(np.eye(3), y, 1)
 
     def test_zero_signal_early_stop(self):
         code = omp(np.eye(4), np.zeros(4), 2)
@@ -234,3 +247,79 @@ class TestBatchRecover:
     def test_rejects_vector(self):
         with pytest.raises(ValueError):
             batch_recover(np.eye(3), np.ones(3), 1)
+
+
+class TestRefitSemantics:
+    """What the refit must keep whatever factorisation it uses.
+
+    The dictionaries hold exact zeros, so the correlations that decide a
+    tie are exactly zero under any rounding of the residual.
+    """
+
+    # atom 1 is atom 0 scaled by -2; atom 2 is the second axis
+    DUPLICATE = np.array([[1.0, -2.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+
+    def test_duplicate_atoms_both_selected(self):
+        # after atom 0 the residual lies along the third axis, which no atom
+        # reaches, so every correlation is 0 and atom 1 wins the tie
+        y = np.array([1.0, 0.0, 1.0])
+        code = omp(self.DUPLICATE, y, 3)
+        assert code.support == (0, 1, 2)
+        assert code.rank_deficient
+        np.testing.assert_allclose(code.values, _reference_omp(self.DUPLICATE, y, 3),
+                                   rtol=0, atol=1e-13)
+        # the minimum-norm split of the first coordinate over atoms 0 and 1
+        np.testing.assert_allclose(code.values, [0.2, -0.4, 0.0], rtol=0, atol=1e-13)
+
+    def test_rank_below_k_every_fit_flagged(self):
+        # rank 2 < K = 3: scaled copies of the first two axes
+        d = np.array([[1.0, 0.0, 2.0, 0.0, -3.0],
+                      [0.0, 1.0, 0.0, -2.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0, 0.0]])
+        y = np.array([[3.0, 1.0, -2.0, 0.5],
+                      [1.0, 4.0, 1.0, -2.0],
+                      [1.0, -1.0, 2.0, 1.0],
+                      [0.5, 2.0, 0.0, -1.0]])
+        codes, flags = batch_recover(d, y, 3)
+        assert flags.all()
+        for j in range(y.shape[1]):
+            np.testing.assert_allclose(codes[:, j], _reference_omp(d, y[:, j], 3),
+                                       rtol=0, atol=1e-12)
+
+    def test_ill_conditioned_pair_not_flagged(self):
+        # atoms 0 and 1 differ by 1e-8: independent, condition number ~1e8
+        d = np.array([[1.0, 1.0, 0.0], [0.0, 1e-8, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        y = d @ np.array([1.0, 1.0, 0.5]) + np.array([0.0, 0.0, 0.0, 0.25])
+        code = omp(d, y, 3)
+        assert sorted(code.support) == [0, 1, 2]
+        assert not code.rank_deficient
+        residual = y - d @ code.values
+        np.testing.assert_allclose(residual, [0.0, 0.0, 0.0, 0.25], rtol=0, atol=1e-12)
+        assert np.max(np.abs(d.T @ residual)) <= 1e-12
+
+    def test_mixed_flags_match_single_calls_bitwise(self):
+        # columns with no second-axis component select both copies of the
+        # first axis and are flagged; the rest are not
+        y = np.random.default_rng(12).standard_normal((3, 20))
+        y[1, ::2] = 0.0
+        codes, flags = batch_recover(self.DUPLICATE, y, 2)
+        np.testing.assert_array_equal(flags, np.arange(20) % 2 == 0)
+        for j in range(20):
+            single = omp(self.DUPLICATE, y[:, j], 2)
+            np.testing.assert_array_equal(codes[:, j], single.values)
+            assert single.rank_deficient == flags[j]
+
+    def test_full_rank_batch_makes_no_svd_call(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called on a full-rank batch")
+
+        monkeypatch.setattr(recovery.np.linalg, "svd", no_svd)
+        rng = np.random.default_rng(13)
+        d = rng.standard_normal((20, 80))
+        y = rng.standard_normal((20, 50))
+        codes, flags = batch_recover(d, y, 4)
+        assert not flags.any()
+        for j in range(50):
+            np.testing.assert_allclose(codes[:, j], _reference_omp(d, y[:, j], 4),
+                                       rtol=0, atol=1e-13)
