@@ -286,7 +286,8 @@ def cmd_design(values: dict) -> int:
     if values["synth"] is not None:  # make the generated dictionary reusable
         write_matrix_csv(psi, out_dir / "psi.csv")
     _write_manifest(out_dir, "design", values, converged=result.converged,
-                    stop_reason=result.stop_reason)
+                    stop_reason=result.stop_reason, n_f_evals=result.n_f_evals,
+                    n_sd_restarts=result.n_sd_restarts)
     if not result.converged:
         print(f"design did not converge ({result.stop_reason}); artifacts in {out_dir}",
               file=sys.stderr)

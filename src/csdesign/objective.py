@@ -28,9 +28,17 @@ The value and the gradient come from one evaluation, ``_evaluate``, so
 the value is computed one way.  The objective is a quartic in the step
 along any direction, and ``_step_polynomial`` gives its coefficients
 from ``_evaluate``'s products, so a line search tries steps without
-evaluating the objective again.  No matrix is ever inverted here;
-learned dictionaries can be ill-conditioned enough to make inversion
-of ``Psi @ Psi.T`` unsafe, and an orthogonal factorisation plus plain
+evaluating the objective again.
+
+One CG iterate calls each of ``_evaluate``, ``_gradient`` and
+``_step_polynomial`` once.  Together they form six M x N by N x N
+products and three M x M Grams, and take ten Frobenius inner products,
+each one BLAS dot (``np.vdot``) with no elementwise temporary; an SRE
+regularizer adds two products by ``E @ E.T`` and one inner product.
+These private functions trust their caller for `phi`'s shape, which
+the public functions check.  No matrix is ever inverted here; learned
+dictionaries can be ill-conditioned enough to make inversion of
+``Psi @ Psi.T`` unsafe, and an orthogonal factorisation plus plain
 products are all the gradient needs.
 """
 
@@ -192,31 +200,30 @@ def _check_phi(phi, spec: ObjectiveSpec) -> np.ndarray:
 
 
 def _evaluate(
-    phi, spec: ObjectiveSpec
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """The objective at `phi` and the products its gradient reuses.
+    phi: np.ndarray, spec: ObjectiveSpec
+) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
+    """The objective at the float M x N `phi` and the products its gradient reuses.
 
-    Returns ``(value, d, r, reg)`` in the row space: ``d = phi @ psi_r``,
-    the residual ``r = target_r - d.T @ d``, and the regularizer's
-    factor ``reg``, which is ``phi`` or ``phi @ E @ E.T``, so the value
-    is ``|r|^2 + offset + lam * sum(phi * reg)``.
+    Returns ``(value, phi_sq, d, r, reg)`` in the row space:
+    ``phi_sq = |phi|^2``, ``d = phi @ psi_r``, the residual
+    ``r = target_r - d.T @ d``, and the regularizer's factor ``reg``,
+    which is ``phi`` or ``phi @ E @ E.T``, so the value is
+    ``|r|^2 + offset + lam * <phi, reg>``.  The caller checks `phi`.
     """
-    phi = _check_phi(phi, spec)
     d = phi @ spec.psi_r
     r = spec.target_r - d.T @ d
     reg = phi if spec.sre_outer is None else phi @ spec.sre_outer
-    value = float(np.sum(r * r)) + spec.offset + spec.lam * float(np.sum(phi * reg))
-    return value, d, r, reg
+    phi_sq = float(np.vdot(phi, phi))
+    penalty = phi_sq if reg is phi else float(np.vdot(phi, reg))
+    return float(np.vdot(r, r)) + spec.offset + spec.lam * penalty, phi_sq, d, r, reg
 
 
 def _gradient(spec: ObjectiveSpec, d, r, reg) -> np.ndarray:
     """The gradient from the products ``(d, r, reg)`` of :func:`_evaluate`."""
-    return -4.0 * (d @ r) @ spec.psi_r.T + 2.0 * spec.lam * reg
-
-
-def _inner(x: np.ndarray, y: np.ndarray) -> float:
-    """Frobenius inner product, without an elementwise temporary."""
-    return float(np.vdot(x, y))
+    g = (d @ r) @ spec.psi_r.T
+    g *= -4.0  # a power of two: the same bits as scaling before the product
+    g += 2.0 * spec.lam * reg
+    return g
 
 
 def _step_polynomial(
@@ -250,16 +257,16 @@ def _step_polynomial(
     p = d @ b.T
     q = b @ b.T
     dir_reg = direction if spec.sre_outer is None else direction @ spec.sre_outer
-    lam = spec.lam
-    a1 = -4.0 * _inner(br, d) + 2.0 * lam * _inner(direction, reg)
-    a2 = (2.0 * _inner(d @ d.T, q) + 2.0 * _inner(p, p.T) - 2.0 * _inner(br, b)
-          + lam * _inner(direction, dir_reg))
-    return a1, a2, 4.0 * _inner(p, q), _inner(q, q)
+    vdot, lam = np.vdot, spec.lam
+    a1 = -4.0 * vdot(br, d) + 2.0 * lam * vdot(direction, reg)
+    a2 = (2.0 * vdot(d @ d.T, q) + 2.0 * vdot(p, p.T) - 2.0 * vdot(br, b)
+          + lam * vdot(direction, dir_reg))
+    return float(a1), float(a2), float(4.0 * vdot(p, q)), float(vdot(q, q))
 
 
 def objective_value(phi, spec: ObjectiveSpec) -> float:
     """Evaluate the design objective at `phi`."""
-    return _evaluate(phi, spec)[0]
+    return _evaluate(_check_phi(phi, spec), spec)[0]
 
 
 def objective_gradient(phi, spec: ObjectiveSpec) -> np.ndarray:
@@ -269,7 +276,7 @@ def objective_gradient(phi, spec: ObjectiveSpec) -> np.ndarray:
 
 def value_and_gradient(phi, spec: ObjectiveSpec) -> tuple[float, np.ndarray]:
     """Objective value and gradient sharing the intermediate products."""
-    value, *products = _evaluate(phi, spec)
+    value, _, *products = _evaluate(_check_phi(phi, spec), spec)
     return value, _gradient(spec, *products)
 
 

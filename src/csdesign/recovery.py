@@ -99,6 +99,9 @@ def _omp_batch(d, y, k: int):
     d_unit, atom_norm, degenerate = normalize_columns(d)  # rejects non-finite entries
     if len(degenerate) == l:
         raise ValueError("all dictionary columns are (near) zero")
+    if k > l - len(degenerate):  # a signal would run out of atoms to select
+        raise ValueError(f"k={k} exceeds the {l - len(degenerate)} usable (non-degenerate) "
+                         f"dictionary columns")
     usable = np.ones(l, dtype=bool)
     usable[degenerate] = False
     atoms = np.ascontiguousarray(d.T)  # L x M, row i is atom i
@@ -191,7 +194,8 @@ def omp(d, y, k: int) -> SparseCode:
     y : array_like
         Length-M measurement vector.
     k : int
-        Number of atoms to select, ``1 <= k <= min(M, L)``.
+        Number of atoms to select, ``1 <= k <= min(M, L)`` and at most
+        the number of columns that are not (near) zero.
     """
     y = np.asarray(y, dtype=float).reshape(-1, 1)
     codes, support, n_selected, residual_norm, rank_deficient = _omp_batch(d, y, k)

@@ -18,10 +18,16 @@ from the products of the one objective evaluation at the current
 iterate, and the line search tests its trial steps on the quartic.  The
 quartic only evaluates trial steps; it does not choose them.  Each
 accepted iterate is evaluated directly, so trace values and gradients
-carry no rounding from earlier steps.  A failed line search ends the
-solve: it returns its current iterate with ``converged=False`` rather
-than raising.  ``DesignResult.stop_reason`` says why a design stopped.
-Identical inputs, config, and seed reproduce a bitwise-identical result.
+carry no rounding from earlier steps.  One iterate therefore costs one
+objective evaluation and one quartic (their products are counted in
+:mod:`csdesign.objective`) plus three dot reductions: ``<g, d>``,
+``|g|^2`` and the Polak-Ribiere numerator ``|g_new|^2 - <g_new, g>``.
+The stopping rule reads ``||phi||_F`` from the evaluation.  A failed
+line search ends the solve: it returns its current iterate with
+``converged=False`` rather than raising.  ``DesignResult.stop_reason``
+says why a design stopped, and ``n_f_evals`` and ``n_sd_restarts`` how
+much work it did.  Identical inputs, config, and seed reproduce a
+bitwise-identical result.
 """
 
 from __future__ import annotations
@@ -136,17 +142,26 @@ class DesignResult:
     ``stop_reason`` is ``converged`` when every CG solve of the design
     converged.  Otherwise it says why the last unconverged solve
     stopped: ``line-search stall`` (no step passed the line search) or
-    ``iteration cap`` (``max_cg_iterations`` ran out).
+    ``iteration cap`` (``max_cg_iterations`` ran out).  The work done,
+    summed over rounds: ``n_f_evals`` objective evaluations, and
+    ``n_sd_restarts`` fallbacks to steepest descent, one for each search
+    direction that was not downhill.
     """
 
     phi: np.ndarray
     trace: tuple[TracePoint, ...]
     method: str
     stop_reason: str
+    n_sd_restarts: int = 0
 
     @property
     def converged(self) -> bool:
         return self.stop_reason == "converged"
+
+    @property
+    def n_f_evals(self) -> int:
+        """Objective evaluations, summed over rounds: each adds one trace point."""
+        return len(self.trace)
 
 
 def project_to_relaxed_etf(gram, xi: float) -> RelaxedETFTarget:
@@ -165,14 +180,6 @@ def project_to_relaxed_etf(gram, xi: float) -> RelaxedETFTarget:
     clipped = np.clip(g, -xi, xi)
     np.fill_diagonal(clipped, 1.0)
     return RelaxedETFTarget(data=(clipped + clipped.T) / 2.0, xi=xi)
-
-
-def _frob(a: np.ndarray) -> float:
-    return float(math.sqrt(np.sum(a * a)))
-
-
-def _relative_grad_norm(grad_norm: float, phi: np.ndarray) -> float:
-    return grad_norm / max(1.0, _frob(phi))
 
 
 def _armijo(poly, gd) -> tuple[float, float] | None:
@@ -228,51 +235,56 @@ def _cg_solve(
     cfg: SolverConfig,
     outer_iter: int,
     trace: list[TracePoint],
-) -> tuple[np.ndarray, str]:
-    """Run one CG solve, appending to `trace`; returns the iterate and its stop reason.
+) -> tuple[np.ndarray, str, int]:
+    """Run one CG solve, appending to `trace`.
 
-    Evaluates the objective once per iterate, and never raises on numerics.
+    Returns the iterate, its stop reason and the number of steepest-descent
+    restarts.  Evaluates the objective once per iterate, updates `phi` in
+    place, and never raises on numerics.
     """
-    f, *products = _evaluate(phi, spec)
+    f, phi_sq, *products = _evaluate(phi, spec)
     g = _gradient(spec, *products)
-    g_dot = float(np.sum(g * g))
+    g_dot = float(np.vdot(g, g))
     trace.append(TracePoint(outer_iter, 0, f, math.sqrt(g_dot)))
-    if _relative_grad_norm(math.sqrt(g_dot), phi) <= cfg.grad_tol:
-        return phi, "converged"
+    if math.sqrt(g_dot) / max(1.0, math.sqrt(phi_sq)) <= cfg.grad_tol:
+        return phi, "converged", 0
 
     d = -g
+    restarts = 0
     for it in range(1, cfg.max_cg_iterations + 1):
-        gd = float(np.sum(g * d))
-        if gd >= 0.0:
+        gd = float(np.vdot(g, d))
+        if gd >= 0.0:  # not a descent direction: fall back to steepest descent
             d = -g
             gd = -g_dot
+            restarts += 1
         accepted = _armijo(_step_polynomial(spec, *products, d), gd)
         if accepted is None:
-            return phi, "line-search stall"  # below line-search resolution
-        step, _ = accepted
-        phi = phi + step * d
-        f, *products = _evaluate(phi, spec)
+            return phi, "line-search stall", restarts  # below line-search resolution
+        phi += accepted[0] * d
+        f, phi_sq, *products = _evaluate(phi, spec)
         g_new = _gradient(spec, *products)
-        g_dot_new = float(np.sum(g_new * g_new))
-        beta = max(0.0, float(np.sum(g_new * (g_new - g))) / g_dot)
+        g_dot_new = float(np.vdot(g_new, g_new))
+        beta = max(0.0, (g_dot_new - float(np.vdot(g_new, g))) / g_dot)
         if it % phi.size == 0:  # restart every M*N iterations (the number of unknowns)
             beta = 0.0
-        d = -g_new + beta * d
+        d *= beta
+        d -= g_new
         g, g_dot = g_new, g_dot_new
         trace.append(TracePoint(outer_iter, it, f, math.sqrt(g_dot)))
-        if _relative_grad_norm(math.sqrt(g_dot), phi) <= cfg.grad_tol:
-            return phi, "converged"
-    return phi, "iteration cap"
+        if math.sqrt(g_dot) / max(1.0, math.sqrt(phi_sq)) <= cfg.grad_tol:
+            return phi, "converged", restarts
+    return phi, "iteration cap", restarts
 
 
 def _design(spec, phi0, cfg, method, xi=None, outer_iters=1) -> DesignResult:
     """Run `outer_iters` CG solves of `spec`, each warm-started at the last.
 
     With `xi` set, each round first replaces the Gram target by the
-    relaxed-ETF projection of the Gram at the current matrix.
+    relaxed-ETF projection of the Gram at the current matrix.  The
+    solves work on a copy of `phi0`, which is never written or returned.
     """
     cfg = cfg or SolverConfig()
-    phi = np.asarray(phi0, dtype=float)
+    phi = np.array(phi0, dtype=float)
     if phi.ndim != 2 or phi.shape[1] != spec.n:
         raise ValueError(
             f"phi0 must have {spec.n} columns to match psi rows, got shape {phi.shape}"
@@ -283,14 +295,17 @@ def _design(spec, phi0, cfg, method, xi=None, outer_iters=1) -> DesignResult:
         raise ValueError(f"outer_iters must be >= 1, got {outer_iters}")
     trace: list[TracePoint] = []
     stop_reason = "converged"
+    restarts = 0
     for k in range(1, outer_iters + 1):
         if xi is not None:
             d = phi @ spec.psi
             spec = _with_target(spec, project_to_relaxed_etf(d.T @ d, xi).data)
-        phi, reason = _cg_solve(spec, phi, cfg, outer_iter=k, trace=trace)
+        phi, reason, round_restarts = _cg_solve(spec, phi, cfg, outer_iter=k, trace=trace)
+        restarts += round_restarts
         if reason != "converged":
             stop_reason = reason
-    return DesignResult(phi=phi, trace=tuple(trace), method=method, stop_reason=stop_reason)
+    return DesignResult(phi=phi, trace=tuple(trace), method=method, stop_reason=stop_reason,
+                        n_sd_restarts=restarts)
 
 
 def cg_minimize(

@@ -21,7 +21,7 @@ from csdesign.experiments import (
     write_records_csv,
 )
 from csdesign.objective import ObjectiveSpec, gradient_check
-from csdesign.recovery import omp
+from csdesign.recovery import batch_recover, omp
 from csdesign.solver import design_mt, project_to_relaxed_etf, random_projection
 from csdesign.streams import derive_seed
 from csdesign.synth import lemma1_check
@@ -205,6 +205,28 @@ def test_criterion_08_omp_guarantee():
         if set(code.support) == set(support) and np.max(np.abs(code.values - theta)) <= 1e-10:
             successes += 1
     report(8, "omp exact recovery", successes == trials, f"{successes}/{trials} exact (need all)")
+
+
+def test_omp_exact_recovery_at_k4():
+    # Criterion 8's random dictionaries only ever ask for K = 1.  The union of
+    # I_64 and the normalised Sylvester Hadamard basis has mu = 1/8, so OMP
+    # recovers every noiseless 4-sparse code: K = 4 < (1 + 1/mu)/2 (Tropp,
+    # "Greed is good", IEEE TIT 2004), which exercises multi-atom refits.
+    h = np.ones((1, 1))
+    while h.shape[0] < 64:
+        h = np.block([[h, h], [h, -h]])
+    d = np.hstack([np.eye(64), h / 8.0])
+    assert abs(mutual_coherence(d) - 1.0 / 8.0) <= 1e-15
+    assert recoverable_sparsity(mutual_coherence(d)) == 4
+    rng = np.random.default_rng(8100)
+    p = 2000
+    theta = np.zeros((128, p))
+    support = np.argsort(rng.random((p, 128)), axis=1)[:, :4]
+    theta[support.T, np.arange(p)] = rng.standard_normal((4, p))
+    codes, flags = batch_recover(d, d @ theta, 4)
+    worst = float(np.max(np.abs(codes - theta)))
+    assert not flags.any(), f"{np.count_nonzero(flags)} fits flagged rank-deficient"
+    assert worst <= 1e-12, f"worst coefficient error {worst:.3g}"
 
 
 def test_criterion_09_etf_projection():

@@ -65,6 +65,9 @@ class TestDesignCommand:
         assert read_matrix_csv(out / "psi.csv").shape == (60, 100)
         manifest = read_keyvalues(out / "manifest.txt")
         assert manifest["command"] == "design"
+        trace_rows = (out / "trace.csv").read_text().splitlines()[1:]
+        assert int(manifest["n_f_evals"]) == len(trace_rows)
+        assert manifest["n_sd_restarts"] == "0"
         assert float(manifest["xi"]) == pytest.approx(welch_bound(20, 100), rel=1e-15)
         assert (out / "trace.csv").read_text().splitlines()[0] == "outer_iter,cg_iter,f,grad_norm"
 
@@ -75,7 +78,7 @@ class TestDesignCommand:
         def stalled_design(method, params, psi, phi0, lam, sre=None, cfg=None):
             trace = (TracePoint(1, 0, 5.0, 1.0), TracePoint(1, 1, 4.0, 0.5))
             return DesignResult(phi=phi0, trace=trace, method=method,
-                                stop_reason="line-search stall")
+                                stop_reason="line-search stall", n_sd_restarts=1)
 
         monkeypatch.setattr(cli_mod, "design_for_method", stalled_design)
         out = tmp_path / "slow"
@@ -85,6 +88,7 @@ class TestDesignCommand:
         manifest = read_keyvalues(out / "manifest.txt")
         assert manifest["converged"] == "false"
         assert manifest["stop_reason"] == "line-search stall"
+        assert (manifest["n_f_evals"], manifest["n_sd_restarts"]) == ("2", "1")
         err = capsys.readouterr().err
         assert "did not converge (line-search stall)" in err
         assert "iteration budget" not in err

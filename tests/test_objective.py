@@ -264,7 +264,7 @@ class TestStepPolynomial:
     def test_matches_direct_difference(self, target, t):
         phi, direction, specs = _step_specs()
         spec = specs[target]
-        _, *products = _evaluate(phi, spec)
+        _, _, *products = _evaluate(phi, spec)
         a1, a2, a3, a4 = _step_polynomial(spec, *products, direction)
         delta = a1 * t + a2 * t**2 + a3 * t**3 + a4 * t**4
         direct = objective_value(phi + t * direction, spec) - objective_value(phi, spec)
@@ -274,7 +274,7 @@ class TestStepPolynomial:
     def test_linear_coefficient_is_directional_derivative(self, target):
         phi, direction, specs = _step_specs()
         spec = specs[target]
-        _, *products = _evaluate(phi, spec)
+        _, _, *products = _evaluate(phi, spec)
         _, g = value_and_gradient(phi, spec)
         a1 = _step_polynomial(spec, *products, direction)[0]
         assert a1 == pytest.approx(float(np.sum(g * direction)), rel=1e-12)
@@ -335,7 +335,8 @@ class TestRowSpaceReduction:
         lam = 0.02 if sre is not None else 0.4
         spec = ObjectiveSpec(psi=psi, gram_target=g, lam=lam, sre=sre)
         g = spec.gram_target
-        value, *products = _evaluate(phi, spec)
+        value, phi_sq, *products = _evaluate(phi, spec)
+        assert phi_sq == pytest.approx(np.sum(phi * phi), rel=1e-14)
         assert value == pytest.approx(elementwise_objective(phi, psi, g, lam, sre), rel=1e-10)
         grad = full_gradient(phi, psi, g, lam, sre)
         np.testing.assert_allclose(objective_gradient(phi, spec), grad,
@@ -369,7 +370,7 @@ class TestRowSpaceReduction:
         fresh = ObjectiveSpec(psi=psi, gram_target=g, lam=0.4)
         assert swapped.offset == fresh.offset
         np.testing.assert_array_equal(swapped.target_r, fresh.target_r)
-        value, *products = _evaluate(phi, swapped)
+        value, _, *products = _evaluate(phi, swapped)
         assert value == pytest.approx(elementwise_objective(phi, psi, g, 0.4), rel=1e-10)
         expected = full_step_polynomial(phi, direction, psi, g, 0.4)
         got = np.array(_step_polynomial(swapped, *products, direction))

@@ -50,6 +50,27 @@ class TestOmpBasics:
         with pytest.raises(ValueError, match="non-finite entries in 2 of 5 columns"):
             batch_recover(np.eye(3), y, 1)
 
+    def test_k_above_usable_atoms_rejected(self):
+        # column 2 is zero: at K = 3 no atom is left for the third step, and
+        # argmax over the masked correlations would pick atom 0 again
+        d = np.diag([1.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="k=3 exceeds the 2 usable"):
+            omp(d, np.ones(3), 3)
+        with pytest.raises(ValueError, match="k=3 exceeds the 2 usable"):
+            batch_recover(d, np.ones((3, 4)), 3)
+
+    def test_k_equal_to_usable_atoms_recovers_exactly(self):
+        rng = np.random.default_rng(14)
+        d = rng.standard_normal((6, 5))
+        d[:, 2] = 0.0
+        theta = np.array([[1.5, -0.5, 0.0, 2.0, 0.75], [0.0, 1.0, 0.0, -1.0, 3.0]]).T
+        code = omp(d, d @ theta[:, 0], 4)
+        assert sorted(code.support) == [0, 1, 3, 4] and not code.rank_deficient
+        np.testing.assert_allclose(code.values, theta[:, 0], rtol=0, atol=1e-12)
+        codes, flags = batch_recover(d, d @ theta, 4)
+        assert not flags.any()
+        np.testing.assert_allclose(codes, theta, rtol=0, atol=1e-12)
+
     def test_zero_signal_early_stop(self):
         code = omp(np.eye(4), np.zeros(4), 2)
         assert code.support == ()

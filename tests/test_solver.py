@@ -434,6 +434,97 @@ class TestStopReason:
         assert len(result.trace) == 1
 
 
+# every design method as (psi, phi0) -> result; the sre has 6 rows
+DESIGNS = {
+    "mt": lambda psi, phi0: design_mt(psi, 0.2, phi0),
+    "mt-etf": lambda psi, phi0: alternating_design(psi, 0.2, 0.3, 3, phi0),
+    "lh": lambda psi, phi0: design_lh(psi, 0.2, ROUND_SRE, phi0),
+    "lh-etf": lambda psi, phi0: design_lh_etf(psi, 0.2, ROUND_SRE, 0.3, 3, phi0),
+}
+
+
+class TestCallerStartUntouched:
+    """No design writes to the caller's phi0 or hands it back as its result."""
+
+    psi = gen_dictionary(6, 9, 14)
+
+    @staticmethod
+    def _assert_untouched(result, phi0, before):
+        np.testing.assert_array_equal(phi0, before)
+        assert not np.shares_memory(result.phi, phi0)
+
+    @pytest.mark.parametrize("method", sorted(DESIGNS))
+    def test_design_moves_a_copy(self, method):
+        phi0 = random_projection(3, 6, 14)
+        before = phi0.copy()
+        result = DESIGNS[method](self.psi, phi0)
+        assert result.n_f_evals > 1 and not np.array_equal(result.phi, before)
+        self._assert_untouched(result, phi0, before)
+
+    def test_start_converged_at_iterate_zero(self):
+        phi0 = np.zeros((3, 6))  # d = 0, so the gradient is exactly zero
+        result = design_mt(self.psi, 0.2, phi0)
+        assert result.converged and result.n_f_evals == 1
+        self._assert_untouched(result, phi0, np.zeros((3, 6)))
+
+    def test_stalled_start(self, monkeypatch):
+        import csdesign.solver as solver
+
+        monkeypatch.setattr(solver, "_armijo", lambda poly, gd: None)
+        phi0 = random_projection(3, 6, 14)
+        before = phi0.copy()
+        result = design_mt(self.psi, 0.2, phi0)
+        assert result.stop_reason == "line-search stall" and result.n_f_evals == 1
+        self._assert_untouched(result, phi0, before)
+
+
+class TestWorkCounts:
+    """``n_f_evals`` and ``n_sd_restarts`` on solves capped at 15 iterations."""
+
+    psi = gen_dictionary(12, 20, 31)
+    phi0 = random_projection(5, 12, 31)
+    cfg = SolverConfig(max_cg_iterations=15)
+
+    @pytest.mark.parametrize("rounds", [1, 3])
+    def test_evaluations_counted(self, monkeypatch, rounds):
+        import csdesign.solver as solver
+
+        evaluate = solver._evaluate
+        calls = []
+
+        def counting(phi, spec):
+            calls.append(1)
+            return evaluate(phi, spec)
+
+        monkeypatch.setattr(solver, "_evaluate", counting)
+        sre = np.ones((12, 3))
+        result = (design_lh(self.psi, 0.05, sre, self.phi0, self.cfg) if rounds == 1 else
+                  design_lh_etf(self.psi, 0.05, sre, 0.3, rounds, self.phi0, self.cfg))
+        assert result.stop_reason == "iteration cap"
+        assert result.n_f_evals == len(calls) == 16 * rounds  # every round hits the cap
+        assert result.n_sd_restarts == 0
+
+    def test_steepest_descent_fallbacks_counted(self, monkeypatch):
+        # The gradient flips sign at each evaluation and every step of 1 is
+        # accepted.  From iteration 2 on, beta = (|g|^2 + |g|^2) / |g|^2 = 2 and
+        # the PR+ direction -g_new + 2 d equals g_new, uphill, so iterations
+        # 2..15 each fall back to steepest descent.
+        import csdesign.solver as solver
+
+        signs = []
+
+        def flipping(spec, d, r, reg):
+            signs.append(-1.0 if signs[-1:] == [1.0] else 1.0)
+            return signs[-1] * np.ones((5, 12))
+
+        monkeypatch.setattr(solver, "_gradient", flipping)
+        monkeypatch.setattr(solver, "_step_polynomial", lambda *args: (-1e9, 0.0, 0.0, 0.0))
+        result = cg_minimize(ObjectiveSpec(psi=self.psi, lam=0.3), self.phi0, self.cfg)
+        assert result.stop_reason == "iteration cap"
+        assert result.n_f_evals == 16
+        assert result.n_sd_restarts == 14
+
+
 def closed_form_optimum(spec, m):
     """Global minimiser of `spec`'s objective over M x N matrices (psi of full row rank N).
 
