@@ -117,7 +117,11 @@ def mutual_coherence(d) -> float:
     to [0, 1] (rounding can push an inner product of unit vectors a hair
     past 1).
     """
-    g = gram(d)
+    return _mu_from_gram(gram(d))
+
+
+def _mu_from_gram(g: GramMatrix) -> float:
+    """:func:`mutual_coherence` of the matrix whose normalized Gram is `g`."""
     n_ok = g.data.shape[0] - len(g.degenerate)
     if n_ok < 2:
         raise ValueError(
@@ -140,9 +144,13 @@ def average_mutual_coherence(d, mu_bar: float = DEFAULT_MU_BAR) -> tuple[float, 
     mu_bar : float
         Inclusion threshold, ``0 <= mu_bar < 1``.
     """
+    return _mu_av_from_gram(gram(d), mu_bar)
+
+
+def _mu_av_from_gram(g: GramMatrix, mu_bar: float) -> tuple[float, int]:
+    """:func:`average_mutual_coherence` of the matrix whose normalized Gram is `g`."""
     if not 0.0 <= mu_bar < 1.0:
         raise ValueError(f"mu_bar must lie in [0, 1), got {mu_bar}")
-    g = gram(d)
     ok = np.ones(g.data.shape[0], dtype=bool)
     if g.degenerate:
         ok[list(g.degenerate)] = False
@@ -196,8 +204,8 @@ def coherence_report(phi, psi, mu_bar: float = DEFAULT_MU_BAR) -> CoherenceRepor
     d = equivalent_dictionary(phi, psi)
     m, l = d.shape
     g = gram(d)
-    mu = mutual_coherence(d)
-    mu_av, n_av = average_mutual_coherence(d, mu_bar)
+    mu = _mu_from_gram(g)
+    mu_av, n_av = _mu_av_from_gram(g, mu_bar)
     ident = np.eye(l)
     return CoherenceReport(
         mu=mu,

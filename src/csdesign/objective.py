@@ -13,16 +13,17 @@ identity, once when the spec is built, so an SRE-mode evaluation costs
 the same as a training-free one regardless of how many training samples
 fed ``E``.
 
-The objective sees the N x L dictionary only through its row space.
-When L > N the spec factors ``Psi^T = Q R`` once (thin QR: Q is L x N
-with orthonormal columns, R is N x N), and since
-``Psi^T X Psi = Q (R X R^T) Q^T``, the Gram term splits into
-``|| Q^T G Q - R^T Phi^T Phi R ||_F^2`` plus a constant that does not
+The objective sees the N x L dictionary only through its singular
+basis.  The spec factors ``Psi = U S V^T`` once (U is N x N orthogonal,
+S holds the ``k = min(N, L)`` singular values, V is L x k), and with
+``Phi' = Phi U`` the Gram term splits into
+``|| V^T G V - S Phi'^T Phi' S ||_F^2`` plus a constant that does not
 depend on Phi (Li, Zhu et al., "On projection matrix optimization for
-compressive sensing systems", IEEE TSP 2013, reduce the same way to
-their closed form).  Every evaluation therefore works with the N x N
-``psi_r = R^T`` and ``target_r = Q^T G Q``, and forms no L x L matrix;
-with L <= N the reduction is trivial and the spec keeps Psi and G.
+compressive sensing systems", IEEE TSP 2013, use the same basis for
+their closed form).  The private functions below work on ``Phi'``, where
+a product by Psi's factor is a per-column scaling and no L x L matrix is
+formed; the public ones rotate at the boundary (``phi @ U`` in,
+``grad @ U.T`` out), as the orthogonal change keeps every norm.
 
 The value and the gradient come from one evaluation, ``_evaluate``, so
 the value is computed one way.  The objective is a quartic in the step
@@ -31,10 +32,11 @@ from ``_evaluate``'s products, so a line search tries steps without
 evaluating the objective again.
 
 One CG iterate calls each of ``_evaluate``, ``_gradient`` and
-``_step_polynomial`` once.  Together they form six M x N by N x N
-products and three M x M Grams, and take ten Frobenius inner products,
-each one BLAS dot (``np.vdot``) with no elementwise temporary; an SRE
-regularizer adds two products by ``E @ E.T`` and one inner product.
+``_step_polynomial`` once.  Together they form three N-wide products
+(``d.T @ d``, ``d @ r`` and ``b @ r``), three scalings by S and
+three M x M Grams, and take ten Frobenius inner products, each one BLAS
+dot (``np.vdot``) with no elementwise temporary; an SRE regularizer
+adds two products by the rotated ``U^T E E^T U`` and one inner product.
 These private functions trust their caller for `phi`'s shape, which
 the public functions check.  No matrix is ever inverted here; learned
 dictionaries can be ill-conditioned enough to make inversion of
@@ -77,11 +79,12 @@ class ObjectiveSpec:
         Optional N x P matrix of representation errors.  Present makes
         this an SRE-mode spec; absent, training-free mode.
 
-    Derived once at construction: ``sre_outer`` is ``E @ E.T``; the
-    row-space problem of the module docstring is ``psi_r`` (N x N when
-    L > N, else ``psi``), ``target_r`` and ``offset``, the constant the
-    reduction leaves, ``2|(I - QQ^T) G Q|^2 + |(I - QQ^T) G (I - QQ^T)|^2``;
-    ``row_basis`` is Q, or None when L <= N.
+    Derived once at construction: ``sre_outer`` is ``E @ E.T`` and
+    ``sre_rotated`` is ``U^T E E^T U``; the singular basis of the module
+    docstring is ``basis`` (U, N x N), ``sigma`` (length k) and
+    ``row_basis`` (V, L x k); the reduced problem is ``target_r``
+    (``V^T G V``, k x k) and ``offset``, the constant the reduction
+    leaves, ``2|(I - VV^T) G V|^2 + |(I - VV^T) G (I - VV^T)|^2``.
     """
 
     psi: np.ndarray
@@ -89,8 +92,10 @@ class ObjectiveSpec:
     lam: float = 0.0
     sre: np.ndarray | None = None
     sre_outer: np.ndarray | None = field(init=False, default=None, repr=False)
-    row_basis: np.ndarray | None = field(init=False, default=None, repr=False)
-    psi_r: np.ndarray = field(init=False, default=None, repr=False)
+    sre_rotated: np.ndarray | None = field(init=False, default=None, repr=False)
+    basis: np.ndarray = field(init=False, default=None, repr=False)
+    sigma: np.ndarray = field(init=False, default=None, repr=False)
+    row_basis: np.ndarray = field(init=False, default=None, repr=False)
     target_r: np.ndarray = field(init=False, default=None, repr=False)
     offset: float = field(init=False, default=0.0, repr=False)
 
@@ -105,16 +110,15 @@ class ObjectiveSpec:
         object.__setattr__(self, "lam", float(self.lam))
 
         n, l = psi.shape
-        basis, psi_r = None, psi
-        if l > n:
-            basis, r = np.linalg.qr(psi.T)
-            psi_r = r.T
-        object.__setattr__(self, "row_basis", basis)
-        object.__setattr__(self, "psi_r", psi_r)
+        # U stays square when L < N, so phi @ U keeps every norm the regularizer reads
+        u, sigma, vt = np.linalg.svd(psi, full_matrices=l < n)
+        object.__setattr__(self, "basis", u)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "row_basis", vt.T)
 
         if self.gram_target is None:
             g = np.eye(l)
-            # Q^T I Q = I and |(I - QQ^T)|^2 = L - N: no L x L product
+            # V^T I V = I and |(I - VV^T)|^2 = L - N: no L x L product
             object.__setattr__(self, "target_r", np.eye(min(n, l)))
             object.__setattr__(self, "offset", float(max(l - n, 0)))
         else:
@@ -139,6 +143,8 @@ class ObjectiveSpec:
                 raise ValueError("sre contains non-finite entries")
             object.__setattr__(self, "sre", e)
             object.__setattr__(self, "sre_outer", e @ e.T)
+            rotated = u.T @ self.sre_outer @ u
+            object.__setattr__(self, "sre_rotated", (rotated + rotated.T) / 2.0)
 
     @property
     def n(self) -> int:
@@ -146,23 +152,20 @@ class ObjectiveSpec:
 
 
 def _set_reduced_target(spec: ObjectiveSpec, g: np.ndarray) -> None:
-    """Store the row-space target ``Q^T G Q`` and the offset of the symmetric `g` on `spec`.
+    """Store the reduced target ``V^T G V`` and the offset of the symmetric `g` on `spec`.
 
-    The offset is taken as ``|(I - QQ^T) G Q|^2 + |(I - QQ^T) G|^2``,
+    The offset is taken as ``|(I - VV^T) G V|^2 + |(I - VV^T) G|^2``,
     which equals the docstring's form for symmetric G; both are sums of
     squares, so nothing cancels and a target inside the row space gives
     an offset at rounding level.
     """
-    q = spec.row_basis
-    if q is None:
-        target_r, offset = g, 0.0
-    else:
-        gq = g @ q
-        target_r = q.T @ gq
-        target_r = (target_r + target_r.T) / 2.0
-        side = gq - q @ target_r  # (I - QQ^T) G Q
-        rest = g - q @ gq.T  # (I - QQ^T) G
-        offset = float(np.vdot(side, side)) + float(np.vdot(rest, rest))
+    v = spec.row_basis
+    gv = g @ v
+    target_r = v.T @ gv
+    target_r = (target_r + target_r.T) / 2.0
+    side = gv - v @ target_r  # (I - VV^T) G V
+    rest = g - v @ gv.T  # (I - VV^T) G
+    offset = float(np.vdot(side, side)) + float(np.vdot(rest, rest))
     object.__setattr__(spec, "target_r", target_r)
     object.__setattr__(spec, "offset", offset)
 
@@ -170,9 +173,9 @@ def _set_reduced_target(spec: ObjectiveSpec, g: np.ndarray) -> None:
 def _with_target(spec: ObjectiveSpec, gram_target: np.ndarray) -> ObjectiveSpec:
     """`spec` with its Gram target swapped for the L x L `gram_target`.
 
-    The copy skips ``__post_init__``, so neither ``E @ E.T`` nor the QR
-    factorisation is rebuilt; only the new target is reduced to the row
-    space.  The caller owns the target's shape, finiteness and symmetry.
+    The copy skips ``__post_init__``, so neither ``E @ E.T`` nor the SVD
+    is rebuilt; only the new target is reduced to the singular basis.
+    The caller owns the target's shape, finiteness and symmetry.
     """
     swapped = copy.copy(spec)
     object.__setattr__(swapped, "gram_target", gram_target)
@@ -204,25 +207,25 @@ def _evaluate(
 ) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
     """The objective at the float M x N `phi` and the products its gradient reuses.
 
-    Returns ``(value, phi_sq, d, r, reg)`` in the row space:
-    ``phi_sq = |phi|^2``, ``d = phi @ psi_r``, the residual
-    ``r = target_r - d.T @ d``, and the regularizer's factor ``reg``,
-    which is ``phi`` or ``phi @ E @ E.T``, so the value is
+    `phi` is in the singular basis (``Phi @ U``).  Returns
+    ``(value, phi_sq, d, r, reg)``: ``phi_sq = |phi|^2``, ``d = phi S``,
+    the residual ``r = target_r - d.T @ d``, and the regularizer's factor
+    ``reg``, which is ``phi`` or ``phi @ U^T E E^T U``, so the value is
     ``|r|^2 + offset + lam * <phi, reg>``.  The caller checks `phi`.
     """
-    d = phi @ spec.psi_r
-    r = spec.target_r - d.T @ d
-    reg = phi if spec.sre_outer is None else phi @ spec.sre_outer
+    d = phi[:, : spec.sigma.size] * spec.sigma
+    # a gemm on a copy: at small N it beats the syrk numpy picks for d.T @ d
+    r = spec.target_r - d.T @ d.copy()
+    reg = phi if spec.sre_rotated is None else phi @ spec.sre_rotated
     phi_sq = float(np.vdot(phi, phi))
     penalty = phi_sq if reg is phi else float(np.vdot(phi, reg))
     return float(np.vdot(r, r)) + spec.offset + spec.lam * penalty, phi_sq, d, r, reg
 
 
 def _gradient(spec: ObjectiveSpec, d, r, reg) -> np.ndarray:
-    """The gradient from the products ``(d, r, reg)`` of :func:`_evaluate`."""
-    g = (d @ r) @ spec.psi_r.T
-    g *= -4.0  # a power of two: the same bits as scaling before the product
-    g += 2.0 * spec.lam * reg
+    """The gradient ``-4 (d r) S^T + 2 lam reg`` from the products of :func:`_evaluate`."""
+    g = 2.0 * spec.lam * reg
+    g[:, : d.shape[1]] -= (d @ r) * (4.0 * spec.sigma)
     return g
 
 
@@ -233,9 +236,9 @@ def _step_polynomial(
 
     At the point whose :func:`_evaluate` products are ``(d, r, reg)``,
     ``f(phi + t * direction) - f(phi)`` is exactly
-    ``a1*t + a2*t**2 + a3*t**3 + a4*t**4``.  With ``b = direction @ psi_r``,
+    ``a1*t + a2*t**2 + a3*t**3 + a4*t**4``.  With ``b = direction S``,
     ``s1 = d.T @ b + b.T @ d``, ``s2 = b.T @ b`` and ``S`` the identity
-    or ``E @ E.T``, the residual at step t is ``r - t*s1 - t**2*s2``, so
+    or ``U^T E E^T U``, the residual at step t is ``r - t*s1 - t**2*s2``, so
 
     * ``a1 = -2<r, s1> + 2 lam <direction, reg>``
     * ``a2 = |s1|^2 - 2<r, s2> + lam <direction, direction @ S>``
@@ -244,19 +247,19 @@ def _step_polynomial(
 
     for any symmetric Gram target (the gradient assumes one too).  The
     constant ``offset`` cancels from the change, so the coefficients are
-    those of the row-space problem and equal the full problem's.  No
-    matrix wider than ``min(N, L)`` is formed: the inner products are
+    those of the reduced problem and equal the full problem's.  No
+    matrix wider than N is formed: the inner products are
     taken through ``b @ r`` (M x N) and the M x M matrices ``p = d @ b.T``,
     ``d @ d.T`` and ``q = b @ b.T``, as ``<r, s1> = 2<b @ r, d>``,
     ``<r, s2> = <b @ r, b>``, ``|s1|^2 = 2<d @ d.T, q> + 2<p, p.T>``,
     ``<s1, s2> = 2<p, q>`` and ``|s2|^2 = |q|^2``.  ``a1`` is the
     directional derivative.
     """
-    b = direction @ spec.psi_r
+    b = direction[:, : spec.sigma.size] * spec.sigma
     br = b @ r
     p = d @ b.T
     q = b @ b.T
-    dir_reg = direction if spec.sre_outer is None else direction @ spec.sre_outer
+    dir_reg = direction if spec.sre_rotated is None else direction @ spec.sre_rotated
     vdot, lam = np.vdot, spec.lam
     a1 = -4.0 * vdot(br, d) + 2.0 * lam * vdot(direction, reg)
     a2 = (2.0 * vdot(d @ d.T, q) + 2.0 * vdot(p, p.T) - 2.0 * vdot(br, b)
@@ -266,7 +269,7 @@ def _step_polynomial(
 
 def objective_value(phi, spec: ObjectiveSpec) -> float:
     """Evaluate the design objective at `phi`."""
-    return _evaluate(_check_phi(phi, spec), spec)[0]
+    return _evaluate(_check_phi(phi, spec) @ spec.basis, spec)[0]
 
 
 def objective_gradient(phi, spec: ObjectiveSpec) -> np.ndarray:
@@ -276,8 +279,8 @@ def objective_gradient(phi, spec: ObjectiveSpec) -> np.ndarray:
 
 def value_and_gradient(phi, spec: ObjectiveSpec) -> tuple[float, np.ndarray]:
     """Objective value and gradient sharing the intermediate products."""
-    value, _, *products = _evaluate(_check_phi(phi, spec), spec)
-    return value, _gradient(spec, *products)
+    value, _, *products = _evaluate(_check_phi(phi, spec) @ spec.basis, spec)
+    return value, _gradient(spec, *products) @ spec.basis.T
 
 
 def gradient_check(

@@ -18,9 +18,11 @@ from the products of the one objective evaluation at the current
 iterate, and the line search tests its trial steps on the quartic.  The
 quartic only evaluates trial steps; it does not choose them.  Each
 accepted iterate is evaluated directly, so trace values and gradients
-carry no rounding from earlier steps.  One iterate therefore costs one
-objective evaluation and one quartic (their products are counted in
-:mod:`csdesign.objective`) plus three dot reductions: ``<g, d>``,
+carry no rounding from earlier steps.  Each round solves in the spec's
+singular basis ``Psi = U S V^T``, from ``phi @ U``, and rotates back.
+One iterate costs one objective evaluation and one quartic, together
+three N-wide products and three M x M Grams (counted in
+:mod:`csdesign.objective`), plus three dot reductions: ``<g, d>``,
 ``|g|^2`` and the Polak-Ribiere numerator ``|g_new|^2 - <g_new, g>``.
 The stopping rule reads ``||phi||_F`` from the evaluation.  A failed
 line search ends the solve: it returns its current iterate with
@@ -280,8 +282,8 @@ def _design(spec, phi0, cfg, method, xi=None, outer_iters=1) -> DesignResult:
     """Run `outer_iters` CG solves of `spec`, each warm-started at the last.
 
     With `xi` set, each round first replaces the Gram target by the
-    relaxed-ETF projection of the Gram at the current matrix.  The
-    solves work on a copy of `phi0`, which is never written or returned.
+    relaxed-ETF projection of the Gram at the current matrix.  Each
+    solve works on ``phi @ U``; `phi0` is never written or returned.
     """
     cfg = cfg or SolverConfig()
     phi = np.array(phi0, dtype=float)
@@ -300,7 +302,9 @@ def _design(spec, phi0, cfg, method, xi=None, outer_iters=1) -> DesignResult:
         if xi is not None:
             d = phi @ spec.psi
             spec = _with_target(spec, project_to_relaxed_etf(d.T @ d, xi).data)
-        phi, reason, round_restarts = _cg_solve(spec, phi, cfg, outer_iter=k, trace=trace)
+        rotated, reason, round_restarts = _cg_solve(spec, phi @ spec.basis, cfg, k, trace)
+        if trace[-1].cg_iter > 0:  # a round that took no step keeps its start bit for bit
+            phi = rotated @ spec.basis.T
         restarts += round_restarts
         if reason != "converged":
             stop_reason = reason

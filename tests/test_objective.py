@@ -258,14 +258,20 @@ def _step_specs():
     return phi, rng.standard_normal(phi.shape), specs
 
 
+def rotated(spec, *matrices):
+    """`matrices` in `spec`'s singular basis, where the private functions work."""
+    return [a @ spec.basis for a in matrices]
+
+
 class TestStepPolynomial:
     @pytest.mark.parametrize("target", ["identity", "relaxed-etf", "sre"])
     @pytest.mark.parametrize("t", [1e-3, 0.5, 1.0, 4.0])
     def test_matches_direct_difference(self, target, t):
         phi, direction, specs = _step_specs()
         spec = specs[target]
-        _, _, *products = _evaluate(phi, spec)
-        a1, a2, a3, a4 = _step_polynomial(spec, *products, direction)
+        phi_u, direction_u = rotated(spec, phi, direction)
+        _, _, *products = _evaluate(phi_u, spec)
+        a1, a2, a3, a4 = _step_polynomial(spec, *products, direction_u)
         delta = a1 * t + a2 * t**2 + a3 * t**3 + a4 * t**4
         direct = objective_value(phi + t * direction, spec) - objective_value(phi, spec)
         assert delta == pytest.approx(direct, rel=1e-9)
@@ -274,9 +280,10 @@ class TestStepPolynomial:
     def test_linear_coefficient_is_directional_derivative(self, target):
         phi, direction, specs = _step_specs()
         spec = specs[target]
-        _, _, *products = _evaluate(phi, spec)
+        phi_u, direction_u = rotated(spec, phi, direction)
+        _, _, *products = _evaluate(phi_u, spec)
         _, g = value_and_gradient(phi, spec)
-        a1 = _step_polynomial(spec, *products, direction)[0]
+        a1 = _step_polynomial(spec, *products, direction_u)[0]
         assert a1 == pytest.approx(float(np.sum(g * direction)), rel=1e-12)
 
 
@@ -335,14 +342,15 @@ class TestRowSpaceReduction:
         lam = 0.02 if sre is not None else 0.4
         spec = ObjectiveSpec(psi=psi, gram_target=g, lam=lam, sre=sre)
         g = spec.gram_target
-        value, phi_sq, *products = _evaluate(phi, spec)
+        phi_u, direction_u = rotated(spec, phi, direction)
+        value, phi_sq, *products = _evaluate(phi_u, spec)
         assert phi_sq == pytest.approx(np.sum(phi * phi), rel=1e-14)
         assert value == pytest.approx(elementwise_objective(phi, psi, g, lam, sre), rel=1e-10)
         grad = full_gradient(phi, psi, g, lam, sre)
         np.testing.assert_allclose(objective_gradient(phi, spec), grad,
                                    rtol=0, atol=1e-10 * np.max(np.abs(grad)))
         expected = full_step_polynomial(phi, direction, psi, g, lam, sre)
-        got = np.array(_step_polynomial(spec, *products, direction))
+        got = np.array(_step_polynomial(spec, *products, direction_u))
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.max(np.abs(expected)))
 
     @pytest.mark.parametrize("shape", sorted(ROW_SPACE_SHAPES))
@@ -350,9 +358,11 @@ class TestRowSpaceReduction:
         n, l = ROW_SPACE_SHAPES[shape]
         spec = ObjectiveSpec(psi=np.random.default_rng(0).standard_normal((n, l)), lam=0.1)
         k = min(n, l)
-        assert spec.psi_r.shape == (n, k)
+        assert spec.basis.shape == (n, n)  # square even when L < N
+        np.testing.assert_allclose(spec.basis.T @ spec.basis, np.eye(n), rtol=0, atol=1e-14)
+        assert spec.sigma.shape == (k,)
+        assert spec.row_basis.shape == (l, k)
         assert spec.target_r.shape == (k, k)
-        assert (spec.row_basis is None) == (l <= n)
 
     def test_identity_shortcut_equals_generic_reduction(self):
         psi = np.random.default_rng(1).standard_normal((6, 10))
@@ -370,10 +380,11 @@ class TestRowSpaceReduction:
         fresh = ObjectiveSpec(psi=psi, gram_target=g, lam=0.4)
         assert swapped.offset == fresh.offset
         np.testing.assert_array_equal(swapped.target_r, fresh.target_r)
-        value, _, *products = _evaluate(phi, swapped)
+        phi_u, direction_u = rotated(swapped, phi, direction)
+        value, _, *products = _evaluate(phi_u, swapped)
         assert value == pytest.approx(elementwise_objective(phi, psi, g, 0.4), rel=1e-10)
         expected = full_step_polynomial(phi, direction, psi, g, 0.4)
-        got = np.array(_step_polynomial(swapped, *products, direction))
+        got = np.array(_step_polynomial(swapped, *products, direction_u))
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.max(np.abs(expected)))
 
     def test_target_inside_the_row_space_leaves_no_offset(self):
