@@ -32,11 +32,14 @@ from ``_evaluate``'s products, so a line search tries steps without
 evaluating the objective again.
 
 One CG iterate calls each of ``_evaluate``, ``_gradient`` and
-``_step_polynomial`` once.  Together they form three N-wide products
-(``d.T @ d``, ``d @ r`` and ``b @ r``), three scalings by S and
-three M x M Grams, and take ten Frobenius inner products, each one BLAS
-dot (``np.vdot``) with no elementwise temporary; an SRE regularizer
-adds two products by the rotated ``U^T E E^T U`` and one inner product.
+``_step_polynomial`` once.  For an identity target with M <= k (every
+``mt`` and ``lh`` design) the residual is the M x M ``I - d d^T``, and
+they form four M x k products (``d @ d.T``, ``r @ d``, ``d @ b.T``,
+``b @ b.T``: about 3 M^2 k multiply-adds); otherwise three k-wide ones
+(``d.T @ d``, ``d @ r``, ``b @ r``) and three M x M Grams.  Either way
+they take three scalings by S and ten inner products, each one BLAS
+dot (``np.vdot``); an SRE regularizer adds two products by the rotated
+``U^T E E^T U`` and one inner product.
 These private functions trust their caller for `phi`'s shape, which
 the public functions check.  No matrix is ever inverted here; learned
 dictionaries can be ill-conditioned enough to make inversion of
@@ -85,6 +88,8 @@ class ObjectiveSpec:
     ``row_basis`` (V, L x k); the reduced problem is ``target_r``
     (``V^T G V``, k x k) and ``offset``, the constant the reduction
     leaves, ``2|(I - VV^T) G V|^2 + |(I - VV^T) G (I - VV^T)|^2``.
+    ``identity_target`` says the target is ``np.eye(L)`` entry for entry
+    (as an unset one is); then an M <= k iterate runs on the M x M Gram.
     """
 
     psi: np.ndarray
@@ -98,6 +103,7 @@ class ObjectiveSpec:
     row_basis: np.ndarray = field(init=False, default=None, repr=False)
     target_r: np.ndarray = field(init=False, default=None, repr=False)
     offset: float = field(init=False, default=0.0, repr=False)
+    identity_target: bool = field(init=False, default=False, repr=False)
 
     def __post_init__(self):
         psi = np.asarray(self.psi, dtype=float)
@@ -118,9 +124,6 @@ class ObjectiveSpec:
 
         if self.gram_target is None:
             g = np.eye(l)
-            # V^T I V = I and |(I - VV^T)|^2 = L - N: no L x L product
-            object.__setattr__(self, "target_r", np.eye(min(n, l)))
-            object.__setattr__(self, "offset", float(max(l - n, 0)))
         else:
             g = np.asarray(self.gram_target, dtype=float)
             if g.shape != (l, l):
@@ -130,7 +133,7 @@ class ObjectiveSpec:
             # the gradient and the line-search quartic hold for a symmetric target only
             if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
                 raise ValueError("gram target is not symmetric")
-            _set_reduced_target(self, g)
+        _set_reduced_target(self, g)
         object.__setattr__(self, "gram_target", g)
 
         if self.sre is not None:
@@ -157,15 +160,22 @@ def _set_reduced_target(spec: ObjectiveSpec, g: np.ndarray) -> None:
     The offset is taken as ``|(I - VV^T) G V|^2 + |(I - VV^T) G|^2``,
     which equals the docstring's form for symmetric G; both are sums of
     squares, so nothing cancels and a target inside the row space gives
-    an offset at rounding level.
+    an offset at rounding level.  The identity is reduced with no
+    product, so an explicit ``np.eye(L)`` gives an unset target's bits.
     """
-    v = spec.row_basis
-    gv = g @ v
-    target_r = v.T @ gv
-    target_r = (target_r + target_r.T) / 2.0
-    side = gv - v @ target_r  # (I - VV^T) G V
-    rest = g - v @ gv.T  # (I - VV^T) G
-    offset = float(np.vdot(side, side)) + float(np.vdot(rest, rest))
+    n, l = spec.psi.shape
+    identity = np.array_equal(g, np.eye(l))
+    if identity:  # V^T I V = I and |(I - VV^T)|^2 = L - N
+        target_r, offset = np.eye(min(n, l)), float(max(l - n, 0))
+    else:
+        v = spec.row_basis
+        gv = g @ v
+        target_r = v.T @ gv
+        target_r = (target_r + target_r.T) / 2.0
+        side = gv - v @ target_r  # (I - VV^T) G V
+        rest = g - v @ gv.T  # (I - VV^T) G
+        offset = float(np.vdot(side, side)) + float(np.vdot(rest, rest))
+    object.__setattr__(spec, "identity_target", identity)
     object.__setattr__(spec, "target_r", target_r)
     object.__setattr__(spec, "offset", offset)
 
@@ -202,6 +212,11 @@ def _check_phi(phi, spec: ObjectiveSpec) -> np.ndarray:
     return phi
 
 
+def _gram_side(spec: ObjectiveSpec, d: np.ndarray) -> bool:
+    """Whether `spec`'s target is the identity and ``d = phi S`` (M x k) has M <= k."""
+    return spec.identity_target and d.shape[0] <= d.shape[1]
+
+
 def _evaluate(
     phi: np.ndarray, spec: ObjectiveSpec
 ) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
@@ -211,21 +226,27 @@ def _evaluate(
     ``(value, phi_sq, d, r, reg)``: ``phi_sq = |phi|^2``, ``d = phi S``,
     the residual ``r = target_r - d.T @ d``, and the regularizer's factor
     ``reg``, which is ``phi`` or ``phi @ U^T E E^T U``, so the value is
-    ``|r|^2 + offset + lam * <phi, reg>``.  The caller checks `phi`.
+    ``|r|^2 + offset + lam * <phi, reg>``.  On the Gram side
+    (:func:`_gram_side`) ``d^T d`` and ``d d^T`` share their nonzero
+    eigenvalues, so ``r`` is the M x M ``I - d @ d.T`` and the value adds
+    ``k - M``.  Both are sums of squares, so a perfect match reads zero.
+    The caller checks `phi`.
     """
     d = phi[:, : spec.sigma.size] * spec.sigma
-    # a gemm on a copy: at small N it beats the syrk numpy picks for d.T @ d
-    r = spec.target_r - d.T @ d.copy()
+    if _gram_side(spec, d):
+        r, offset = np.eye(d.shape[0]) - d @ d.T, spec.offset + (d.shape[1] - d.shape[0])
+    else:  # a gemm on a copy: at small N it beats the syrk numpy picks for d.T @ d
+        r, offset = spec.target_r - d.T @ d.copy(), spec.offset
     reg = phi if spec.sre_rotated is None else phi @ spec.sre_rotated
     phi_sq = float(np.vdot(phi, phi))
     penalty = phi_sq if reg is phi else float(np.vdot(phi, reg))
-    return float(np.vdot(r, r)) + spec.offset + spec.lam * penalty, phi_sq, d, r, reg
+    return float(np.vdot(r, r)) + offset + spec.lam * penalty, phi_sq, d, r, reg
 
 
 def _gradient(spec: ObjectiveSpec, d, r, reg) -> np.ndarray:
-    """The gradient ``-4 (d r) S^T + 2 lam reg`` from the products of :func:`_evaluate`."""
+    """The gradient ``-4 (d r) S^T + 2 lam reg`` from :func:`_evaluate`; Gram side: ``r d``."""
     g = 2.0 * spec.lam * reg
-    g[:, : d.shape[1]] -= (d @ r) * (4.0 * spec.sigma)
+    g[:, : d.shape[1]] -= (r @ d if _gram_side(spec, d) else d @ r) * (4.0 * spec.sigma)
     return g
 
 
@@ -237,33 +258,38 @@ def _step_polynomial(
     At the point whose :func:`_evaluate` products are ``(d, r, reg)``,
     ``f(phi + t * direction) - f(phi)`` is exactly
     ``a1*t + a2*t**2 + a3*t**3 + a4*t**4``.  With ``b = direction S``,
-    ``s1 = d.T @ b + b.T @ d``, ``s2 = b.T @ b`` and ``S`` the identity
-    or ``U^T E E^T U``, the residual at step t is ``r - t*s1 - t**2*s2``, so
+    the M x M ``p = d @ b.T`` and ``q = b @ b.T``, and ``S`` the identity
+    or ``U^T E E^T U``, the Gram side's residual at step t is
+    ``r - t*(p + p.T) - t**2*q``, so
 
-    * ``a1 = -2<r, s1> + 2 lam <direction, reg>``
-    * ``a2 = |s1|^2 - 2<r, s2> + lam <direction, direction @ S>``
-    * ``a3 = 2<s1, s2>``
-    * ``a4 = |s2|^2``
+    * ``a1 = -4<r, p> + 2 lam <direction, reg>``
+    * ``a2 = 2|p|^2 + 2<p, p.T> - 2<r, q> + lam <direction, direction @ S>``
+    * ``a3 = 4<p, q>``
+    * ``a4 = |q|^2``
 
-    for any symmetric Gram target (the gradient assumes one too).  The
-    constant ``offset`` cancels from the change, so the coefficients are
-    those of the reduced problem and equal the full problem's.  No
-    matrix wider than N is formed: the inner products are
-    taken through ``b @ r`` (M x N) and the M x M matrices ``p = d @ b.T``,
-    ``d @ d.T`` and ``q = b @ b.T``, as ``<r, s1> = 2<b @ r, d>``,
-    ``<r, s2> = <b @ r, b>``, ``|s1|^2 = 2<d @ d.T, q> + 2<p, p.T>``,
-    ``<s1, s2> = 2<p, q>`` and ``|s2|^2 = |q|^2``.  ``a1`` is the
-    directional derivative.
+    Otherwise the k x k residual is ``r - t*s1 - t**2*s2``, with
+    ``s1 = d.T @ b + b.T @ d`` and ``s2 = b.T @ b``; through ``b @ r``
+    (M x k), ``-2<r, s1> = -4<b @ r, d>`` takes the place of ``-4<r, p>``
+    and ``|s1|^2 - 2<r, s2> = 2<d @ d.T, q> + 2<p, p.T> - 2<b @ r, b>``
+    that of ``2|p|^2 + 2<p, p.T> - 2<r, q>``.  This holds for any
+    symmetric Gram target (the gradient assumes one too); the constants
+    of the value cancel from the change.  ``a1`` is the directional
+    derivative.
     """
     b = direction[:, : spec.sigma.size] * spec.sigma
-    br = b @ r
     p = d @ b.T
     q = b @ b.T
     dir_reg = direction if spec.sre_rotated is None else direction @ spec.sre_rotated
     vdot, lam = np.vdot, spec.lam
-    a1 = -4.0 * vdot(br, d) + 2.0 * lam * vdot(direction, reg)
-    a2 = (2.0 * vdot(d @ d.T, q) + 2.0 * vdot(p, p.T) - 2.0 * vdot(br, b)
-          + lam * vdot(direction, dir_reg))
+    if _gram_side(spec, d):
+        a1 = -4.0 * vdot(r, p)
+        a2 = 2.0 * vdot(p, p) + 2.0 * vdot(p, p.T) - 2.0 * vdot(r, q)
+    else:
+        br = b @ r
+        a1 = -4.0 * vdot(br, d)
+        a2 = 2.0 * vdot(d @ d.T, q) + 2.0 * vdot(p, p.T) - 2.0 * vdot(br, b)
+    a1 += 2.0 * lam * vdot(direction, reg)
+    a2 += lam * vdot(direction, dir_reg)
     return float(a1), float(a2), float(4.0 * vdot(p, q)), float(vdot(q, q))
 
 

@@ -20,11 +20,12 @@ quartic only evaluates trial steps; it does not choose them.  Each
 accepted iterate is evaluated directly, so trace values and gradients
 carry no rounding from earlier steps.  Each round solves in the spec's
 singular basis ``Psi = U S V^T``, from ``phi @ U``, and rotates back.
-One iterate costs one objective evaluation and one quartic, together
-three N-wide products and three M x M Grams (counted in
-:mod:`csdesign.objective`), plus three dot reductions: ``<g, d>``,
+One iterate costs one objective evaluation and one quartic (products
+counted in :mod:`csdesign.objective`), plus two dot reductions:
 ``|g|^2`` and the Polak-Ribiere numerator ``|g_new|^2 - <g_new, g>``.
-The stopping rule reads ``||phi||_F`` from the evaluation.  A failed
+The quartic's ``a1`` is ``<g, d>``; when it is not negative the
+iterate restarts along ``-g`` with that direction's quartic.  The
+stopping rule reads ``||phi||_F`` from the evaluation.  A failed
 line search ends the solve: it returns its current iterate with
 ``converged=False`` rather than raising.  ``DesignResult.stop_reason``
 says why a design stopped, and ``n_f_evals`` and ``n_sd_restarts`` how
@@ -184,7 +185,7 @@ def project_to_relaxed_etf(gram, xi: float) -> RelaxedETFTarget:
     return RelaxedETFTarget(data=(clipped + clipped.T) / 2.0, xi=xi)
 
 
-def _armijo(poly, gd) -> tuple[float, float] | None:
+def _armijo(poly) -> tuple[float, float] | None:
     """Backtracking line search on the step's quartic; returns (step, change) or None.
 
     `poly` holds the coefficients ``(a1, a2, a3, a4)`` of
@@ -192,7 +193,7 @@ def _armijo(poly, gd) -> tuple[float, float] | None:
     from :func:`~csdesign.objective._step_polynomial`, so a trial step
     costs a few flops and no objective evaluation.  A step passes the
     Armijo test when ``delta(t)`` is finite and at most
-    ``LS_SUFFICIENT_DECREASE * t * gd``.
+    ``LS_SUFFICIENT_DECREASE * t * a1`` (``a1`` is the slope at 0).
 
     After the plain backtracking loop accepts a step, one quadratic
     interpolation through (f(0), f'(0), f(t)) proposes a refined step;
@@ -210,21 +211,21 @@ def _armijo(poly, gd) -> tuple[float, float] | None:
     accepted = None
     for _ in range(LS_MAX_BACKTRACKS + 1):
         change = delta(t)
-        if math.isfinite(change) and change <= LS_SUFFICIENT_DECREASE * t * gd:
+        if math.isfinite(change) and change <= LS_SUFFICIENT_DECREASE * t * a1:
             accepted = (t, change)
             break
         t *= LS_SHRINK
     if accepted is None:
         return None
     t_acc, change_acc = accepted
-    denom = 2.0 * (change_acc - gd * t_acc)
+    denom = 2.0 * (change_acc - a1 * t_acc)
     if denom > 0.0:
-        t_ref = -gd * t_acc * t_acc / denom
+        t_ref = -a1 * t_acc * t_acc / denom
         t_ref = min(max(t_ref, 0.1 * t_acc), 10.0 * t_acc)
         change_ref = delta(t_ref)
         if (
             math.isfinite(change_ref)
-            and change_ref <= LS_SUFFICIENT_DECREASE * t_ref * gd
+            and change_ref <= LS_SUFFICIENT_DECREASE * t_ref * a1
             and change_ref < change_acc
         ):
             return t_ref, change_ref
@@ -254,12 +255,12 @@ def _cg_solve(
     d = -g
     restarts = 0
     for it in range(1, cfg.max_cg_iterations + 1):
-        gd = float(np.vdot(g, d))
-        if gd >= 0.0:  # not a descent direction: fall back to steepest descent
+        poly = _step_polynomial(spec, *products, d)
+        if poly[0] >= 0.0:  # not a descent direction: fall back to steepest descent
             d = -g
-            gd = -g_dot
+            poly = _step_polynomial(spec, *products, d)
             restarts += 1
-        accepted = _armijo(_step_polynomial(spec, *products, d), gd)
+        accepted = _armijo(poly)
         if accepted is None:
             return phi, "line-search stall", restarts  # below line-search resolution
         phi += accepted[0] * d

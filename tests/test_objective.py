@@ -396,3 +396,103 @@ class TestRowSpaceReduction:
         spec = ObjectiveSpec(psi=psi, gram_target=d.T @ d, lam=0.0)
         assert spec.offset == pytest.approx(0.0, abs=1e-24)
         assert objective_value(phi, spec) == pytest.approx(0.0, abs=1e-24)
+
+
+#: (N, L, M) of the Gram-side instances, k = min(N, L)
+GRAM_SIDE_SHAPES = {
+    "M<k, L>N": (6, 10, 3),
+    "M=k, L>N": (6, 10, 6),
+    "M>k, L>N": (4, 7, 6),
+    "M<k, L<N": (6, 4, 3),
+    "M=k, L<N": (6, 4, 4),
+    "M>k, L<N": (6, 4, 5),
+}
+
+
+class TestGramSideReduction:
+    """An identity target with M <= k is evaluated on the M x M Gram ``I - d d^T``."""
+
+    @pytest.mark.parametrize("shape", sorted(GRAM_SIDE_SHAPES))
+    @pytest.mark.parametrize("mode", ["training-free", "sre"])
+    @pytest.mark.parametrize("explicit", [False, True])
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_matches_full_space_oracles(self, shape, mode, explicit, rank_deficient):
+        n, l, m = GRAM_SIDE_SHAPES[shape]
+        k = min(n, l)
+        rng = np.random.default_rng(300 + 11 * n + 3 * l + m)
+        if rank_deficient:
+            psi = rng.standard_normal((n, k - 2)) @ rng.standard_normal((k - 2, l))
+        else:
+            psi = rng.standard_normal((n, l))
+        phi, direction = rng.standard_normal((m, n)), rng.standard_normal((m, n))
+        sre = rng.standard_normal((n, 15)) if mode == "sre" else None
+        lam = 0.02 if sre is not None else 0.4
+        spec = ObjectiveSpec(psi=psi, gram_target=np.eye(l) if explicit else None,
+                             lam=lam, sre=sre)
+        assert spec.identity_target
+        phi_u, direction_u = rotated(spec, phi, direction)
+        value, _, d, r, reg = _evaluate(phi_u, spec)
+        if m <= k:  # the residual is the M x M one, not the k x k one
+            np.testing.assert_allclose(r, np.eye(m) - d @ d.T, rtol=0, atol=1e-12)
+        else:
+            assert r.shape == (k, k)
+            np.testing.assert_allclose(r, np.eye(k) - d.T @ d, rtol=0, atol=1e-12)
+        g = np.eye(l)
+        assert value == pytest.approx(elementwise_objective(phi, psi, g, lam, sre), rel=1e-10)
+        grad = full_gradient(phi, psi, g, lam, sre)
+        np.testing.assert_allclose(objective_gradient(phi, spec), grad,
+                                   rtol=0, atol=1e-10 * np.max(np.abs(grad)))
+        expected = full_step_polynomial(phi, direction, psi, g, lam, sre)
+        got = np.array(_step_polynomial(spec, d, r, reg, direction_u))
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.max(np.abs(expected)))
+
+    def test_perfect_identity_match_at_m_equals_k(self):
+        # orthonormal square psi and orthogonal phi: d d^T = I to rounding, and
+        # the sum of squares |I - d d^T|^2 cannot cancel to a larger error
+        rng = np.random.default_rng(5)
+        psi, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        phi, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        assert objective_value(phi, ObjectiveSpec(psi=psi, lam=0.0)) <= 1e-24
+
+
+class TestIdentityTargetByContent:
+    """A target equal to the identity takes the unset target's path, bit for bit."""
+
+    psi = np.random.default_rng(6).standard_normal((8, 12))
+    phi0 = np.random.default_rng(7).standard_normal((3, 8))
+
+    def _solve(self, spec):
+        from csdesign.solver import SolverConfig, cg_minimize
+
+        return cg_minimize(spec, self.phi0, SolverConfig(max_cg_iterations=40))
+
+    def test_explicit_and_swapped_identity_match_unset(self):
+        from csdesign.objective import _with_target
+
+        unset = ObjectiveSpec(psi=self.psi, lam=0.3)
+        etf = ObjectiveSpec(psi=self.psi, gram_target=np.full((12, 12), 0.1) + 0.9 * np.eye(12),
+                            lam=0.3)
+        reference = self._solve(unset)
+        for spec in (ObjectiveSpec(psi=self.psi, gram_target=np.eye(12), lam=0.3),
+                     _with_target(etf, np.eye(12))):
+            assert spec.identity_target and spec.offset == unset.offset
+            result = self._solve(spec)
+            np.testing.assert_array_equal(result.phi, reference.phi)
+            assert result.trace == reference.trace
+            assert result.stop_reason == reference.stop_reason
+
+    def test_one_ulp_off_takes_the_dictionary_side(self):
+        from csdesign.objective import _with_target
+
+        g = np.eye(12)
+        g[4, 4] = np.nextafter(1.0, 2.0)
+        unset = ObjectiveSpec(psi=self.psi, lam=0.3)
+        for spec in (ObjectiveSpec(psi=self.psi, gram_target=g, lam=0.3), _with_target(unset, g)):
+            assert not spec.identity_target
+            # the generic reduction of a near-identity agrees with the identity's
+            assert spec.offset == pytest.approx(unset.offset, rel=1e-13)
+            np.testing.assert_allclose(spec.target_r, unset.target_r, rtol=0, atol=1e-14)
+            _, _, d, r, _ = _evaluate(self.phi0 @ spec.basis, spec)
+            assert r.shape == (8, 8)  # k x k, where the Gram side is 3 x 3
+            assert objective_value(self.phi0, spec) == pytest.approx(
+                elementwise_objective(self.phi0, self.psi, g, 0.3), rel=1e-10)

@@ -391,7 +391,7 @@ class TestQuarticLineSearch:
         from csdesign.solver import _armijo
 
         # delta(1) overflows to inf; small enough steps are finite and pass
-        step, change = _armijo((-1e300, 0.0, 1.7e308, 1.7e308), -1e300)
+        step, change = _armijo((-1e300, 0.0, 1.7e308, 1.7e308))
         assert 0.0 < step < 1e-3
         assert np.isfinite(change) and change < 0.0
 
@@ -399,7 +399,7 @@ class TestQuarticLineSearch:
         import csdesign.solver as solver
 
         inf = float("inf")
-        assert solver._armijo((-1.0, 0.0, inf, inf), -1.0) is None
+        assert solver._armijo((-1.0, 0.0, inf, inf)) is None
         monkeypatch.setattr(solver, "_step_polynomial", lambda *args: (-1.0, 0.0, inf, inf))
         phi0 = random_projection(3, 8, 32)
         result = design_mt(gen_dictionary(8, 12, 32), 0.1, phi0)
@@ -428,7 +428,7 @@ class TestStopReason:
     def test_line_search_stall(self, monkeypatch):
         import csdesign.solver as solver
 
-        monkeypatch.setattr(solver, "_armijo", lambda poly, gd: None)
+        monkeypatch.setattr(solver, "_armijo", lambda poly: None)
         result = design_mt(gen_dictionary(12, 20, 35), 0.3, random_projection(5, 12, 35))
         assert not result.converged and result.stop_reason == "line-search stall"
         assert len(result.trace) == 1
@@ -470,7 +470,7 @@ class TestCallerStartUntouched:
     def test_stalled_start(self, monkeypatch):
         import csdesign.solver as solver
 
-        monkeypatch.setattr(solver, "_armijo", lambda poly, gd: None)
+        monkeypatch.setattr(solver, "_armijo", lambda poly: None)
         phi0 = random_projection(3, 6, 14)
         before = phi0.copy()
         result = design_mt(self.psi, 0.2, phi0)
@@ -505,10 +505,11 @@ class TestWorkCounts:
         assert result.n_sd_restarts == 0
 
     def test_steepest_descent_fallbacks_counted(self, monkeypatch):
-        # The gradient flips sign at each evaluation and every step of 1 is
-        # accepted.  From iteration 2 on, beta = (|g|^2 + |g|^2) / |g|^2 = 2 and
-        # the PR+ direction -g_new + 2 d equals g_new, uphill, so iterations
-        # 2..15 each fall back to steepest descent.
+        # The gradient flips sign at each evaluation, and the quartic is the
+        # linear <g, direction> t, so every step of 1 along -g is accepted.
+        # From iteration 2 on, beta = (|g|^2 + |g|^2) / |g|^2 = 2 and the PR+
+        # direction -g_new + 2 d equals g_new, uphill, so iterations 2..15
+        # each fall back to steepest descent.
         import csdesign.solver as solver
 
         signs = []
@@ -517,8 +518,11 @@ class TestWorkCounts:
             signs.append(-1.0 if signs[-1:] == [1.0] else 1.0)
             return signs[-1] * np.ones((5, 12))
 
+        def linear(spec, d, r, reg, direction):  # a1 = <g, direction> at the last gradient
+            return signs[-1] * float(np.sum(direction)), 0.0, 0.0, 0.0
+
         monkeypatch.setattr(solver, "_gradient", flipping)
-        monkeypatch.setattr(solver, "_step_polynomial", lambda *args: (-1e9, 0.0, 0.0, 0.0))
+        monkeypatch.setattr(solver, "_step_polynomial", linear)
         result = cg_minimize(ObjectiveSpec(psi=self.psi, lam=0.3), self.phi0, self.cfg)
         assert result.stop_reason == "iteration cap"
         assert result.n_f_evals == 16
