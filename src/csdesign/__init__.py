@@ -38,7 +38,6 @@ from .objective import (
     GradientCheckReport,
     ObjectiveSpec,
     gradient_check,
-    objective_gradient,
     objective_value,
     value_and_gradient,
 )

@@ -38,6 +38,7 @@ from .experiments import (
     SRE_METHODS,
     SWEEP_METHODS,
     ExperimentParams,
+    _check_method,
     design_for_method,
     evaluate_system,
     run_dimension_sweeps,
@@ -260,8 +261,7 @@ DESIGN_PARAMS = (
 
 def cmd_design(values: dict) -> int:
     method, m, seed = values["method"], values["m"], values["seed"]
-    if method not in METHODS:
-        raise CliError(EXIT_USAGE, f"unknown method {method!r}; expected one of {METHODS}")
+    _check_method(method)
     psi = _load_design_dictionary(values, seed)
     n, l = psi.shape
     if m < 1:
@@ -362,8 +362,7 @@ def cmd_sweep(values: dict) -> int:
     else:
         methods = tuple(tok.strip() for tok in values["methods"].split(","))
         for method in methods:
-            if method not in METHODS:
-                raise CliError(EXIT_USAGE, f"unknown method {method!r}; expected one of {METHODS}")
+            _check_method(method)
     values["methods"] = ",".join(methods)
     values["seeds"] = ",".join(str(s) for s in seeds)
     xi = _resolve_xi(values["xi"])

@@ -38,9 +38,9 @@ from .coherence import (
 from .matio import render_value, write_csv
 from .recovery import batch_recover
 from .solver import (
-    DEFAULT_OUTER_ITERS,
     DesignResult,
     SolverConfig,
+    _check_count,
     alternating_design,
     check_xi,
     design_lh,
@@ -105,13 +105,14 @@ class ExperimentParams:
     p: int = 1000
     lam: float = 0.5
     xi: float | None = None  # None resolves to the Welch bound of (m, l)
-    outer_iters: int = DEFAULT_OUTER_ITERS
+    outer_iters: int = 50  # alternating rounds of the -etf designs
     snr_db: float = 15.0
     mu_bar: ClassVar[float] = DEFAULT_MU_BAR
 
     def __post_init__(self):
         if self.xi is not None:
             check_xi(self.xi)
+        _check_count("outer_iters", self.outer_iters)
 
     def resolved_xi(self) -> float:
         return welch_bound(self.m, self.l) if self.xi is None else float(self.xi)
@@ -174,6 +175,12 @@ def make_dataset(
     return gen_signals(psi, theta, params.snr_db, seed)
 
 
+def _check_method(method: str) -> None:
+    """Raise ValueError unless `method` is one of :data:`METHODS`."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
 def design_for_method(
     method: str,
     params: ExperimentParams,
@@ -184,8 +191,9 @@ def design_for_method(
     cfg: SolverConfig | None = None,
 ) -> DesignResult:
     """Produce the projection matrix of `method` from the shared start `phi0`."""
+    _check_method(method)
     if method == "randn":
-        return DesignResult(phi=phi0, trace=(), method="randn", stop_reason="converged")
+        return DesignResult(np.array(phi0, dtype=float), (), "randn", "converged")
     if method in SRE_METHODS and sre is None:
         raise ValueError(f"method {method!r} needs the training SRE matrix")
     if method == "mt":
@@ -194,9 +202,7 @@ def design_for_method(
         return alternating_design(psi, lam, params.resolved_xi(), params.outer_iters, phi0, cfg)
     if method == "lh":
         return design_lh(psi, lam, sre, phi0, cfg)
-    if method == "lh-etf":
-        return design_lh_etf(psi, lam, sre, params.resolved_xi(), params.outer_iters, phi0, cfg)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return design_lh_etf(psi, lam, sre, params.resolved_xi(), params.outer_iters, phi0, cfg)
 
 
 def evaluate_system(
@@ -207,7 +213,6 @@ def evaluate_system(
     param_name: str,
     param_value: float,
     seed: int,
-    wall_time_ms: float = 0.0,
     mu_bar: float = DEFAULT_MU_BAR,
 ) -> ExperimentRecord:
     """Score one CS system on the test half of `dataset`.
@@ -240,7 +245,6 @@ def evaluate_system(
         mu_av=mu_av,
         phi_energy=float(np.sum(phi * phi)),
         proj_noise_energy=float(np.sum(test_noise * test_noise)),
-        wall_time_ms=wall_time_ms,
     )
 
 
@@ -262,10 +266,9 @@ def _design_and_score(method, params, dataset, phi0, lam, param_name, param_valu
     if not result.converged:
         logger.warning("design %s at %s=%s seed %d did not converge (%s); scoring it anyway",
                        method, param_name, param_value, seed, result.stop_reason)
-    return evaluate_system(
-        result.phi, dataset, params.k, method, param_name, float(param_value), seed,
-        wall_time_ms=elapsed_ms, mu_bar=params.mu_bar,
-    )
+    record = evaluate_system(result.phi, dataset, params.k, method, param_name,
+                             float(param_value), seed, mu_bar=params.mu_bar)
+    return replace(record, wall_time_ms=elapsed_ms)
 
 
 def run_convergence(
@@ -351,8 +354,7 @@ def run_snr_sweep(
     the recommended (0, 1] range when the noise is strong.
     """
     for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        _check_method(method)
     if lambda_grid is not None and len(lambda_grid) == 0:
         raise ValueError("lambda_grid must not be empty; pass None to skip the search")
     seeds = _seed_list(seed)

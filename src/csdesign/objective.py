@@ -32,14 +32,15 @@ from ``_evaluate``'s products, so a line search tries steps without
 evaluating the objective again.
 
 One CG iterate calls each of ``_evaluate``, ``_gradient`` and
-``_step_polynomial`` once.  For an identity target with M <= k (every
-``mt`` and ``lh`` design) the residual is the M x M ``I - d d^T``, and
-they form four M x k products (``d @ d.T``, ``r @ d``, ``d @ b.T``,
-``b @ b.T``: about 3 M^2 k multiply-adds); otherwise three k-wide ones
-(``d.T @ d``, ``d @ r``, ``b @ r``) and three M x M Grams.  Either way
-they take three scalings by S and ten inner products, each one BLAS
-dot (``np.vdot``); an SRE regularizer adds two products by the rotated
-``U^T E E^T U`` and one inner product.
+``_step_polynomial`` once.  The target alone picks the residual: for an
+identity target (every ``mt`` and ``lh`` design) it is the M x M
+``I - d d^T``, and they form four M x k products (``d @ d.T``,
+``r @ d``, ``d @ b.T``, ``b @ b.T``: about 3 M^2 k multiply-adds);
+otherwise it is the k x k ``V^T G V - d^T d``, and they form three
+k-wide products (``d.T @ d``, ``d @ r``, ``b @ r``) and three M x M
+Grams.  Either way they take three scalings by S and ten inner
+products, each one BLAS dot (``np.vdot``); an SRE regularizer adds two
+products by the rotated ``U^T E E^T U`` and one inner product.
 These private functions trust their caller for `phi`'s shape, which
 the public functions check.  No matrix is ever inverted here; learned
 dictionaries can be ill-conditioned enough to make inversion of
@@ -58,7 +59,6 @@ __all__ = [
     "ObjectiveSpec",
     "GradientCheckReport",
     "objective_value",
-    "objective_gradient",
     "value_and_gradient",
     "gradient_check",
 ]
@@ -82,21 +82,20 @@ class ObjectiveSpec:
         Optional N x P matrix of representation errors.  Present makes
         this an SRE-mode spec; absent, training-free mode.
 
-    Derived once at construction: ``sre_outer`` is ``E @ E.T`` and
-    ``sre_rotated`` is ``U^T E E^T U``; the singular basis of the module
-    docstring is ``basis`` (U, N x N), ``sigma`` (length k) and
-    ``row_basis`` (V, L x k); the reduced problem is ``target_r``
-    (``V^T G V``, k x k) and ``offset``, the constant the reduction
-    leaves, ``2|(I - VV^T) G V|^2 + |(I - VV^T) G (I - VV^T)|^2``.
+    Derived once at construction: ``sre_rotated`` is ``U^T E E^T U``,
+    the one form of the regularizer the objective reads; the singular
+    basis of the module docstring is ``basis`` (U, N x N), ``sigma``
+    (length k) and ``row_basis`` (V, L x k); the reduced problem is
+    ``target_r`` (``V^T G V``, k x k) and ``offset``, the constant the
+    reduction leaves, ``2|(I - VV^T) G V|^2 + |(I - VV^T) G (I - VV^T)|^2``.
     ``identity_target`` says the target is ``np.eye(L)`` entry for entry
-    (as an unset one is); then an M <= k iterate runs on the M x M Gram.
+    (as an unset one is); then an iterate runs on the M x M Gram.
     """
 
     psi: np.ndarray
     gram_target: np.ndarray | None = None
     lam: float = 0.0
     sre: np.ndarray | None = None
-    sre_outer: np.ndarray | None = field(init=False, default=None, repr=False)
     sre_rotated: np.ndarray | None = field(init=False, default=None, repr=False)
     basis: np.ndarray = field(init=False, default=None, repr=False)
     sigma: np.ndarray = field(init=False, default=None, repr=False)
@@ -145,8 +144,7 @@ class ObjectiveSpec:
             if not np.all(np.isfinite(e)):
                 raise ValueError("sre contains non-finite entries")
             object.__setattr__(self, "sre", e)
-            object.__setattr__(self, "sre_outer", e @ e.T)
-            rotated = u.T @ self.sre_outer @ u
+            rotated = u.T @ (e @ e.T) @ u
             object.__setattr__(self, "sre_rotated", (rotated + rotated.T) / 2.0)
 
     @property
@@ -212,11 +210,6 @@ def _check_phi(phi, spec: ObjectiveSpec) -> np.ndarray:
     return phi
 
 
-def _gram_side(spec: ObjectiveSpec, d: np.ndarray) -> bool:
-    """Whether `spec`'s target is the identity and ``d = phi S`` (M x k) has M <= k."""
-    return spec.identity_target and d.shape[0] <= d.shape[1]
-
-
 def _evaluate(
     phi: np.ndarray, spec: ObjectiveSpec
 ) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
@@ -226,14 +219,14 @@ def _evaluate(
     ``(value, phi_sq, d, r, reg)``: ``phi_sq = |phi|^2``, ``d = phi S``,
     the residual ``r = target_r - d.T @ d``, and the regularizer's factor
     ``reg``, which is ``phi`` or ``phi @ U^T E E^T U``, so the value is
-    ``|r|^2 + offset + lam * <phi, reg>``.  On the Gram side
-    (:func:`_gram_side`) ``d^T d`` and ``d d^T`` share their nonzero
-    eigenvalues, so ``r`` is the M x M ``I - d @ d.T`` and the value adds
-    ``k - M``.  Both are sums of squares, so a perfect match reads zero.
-    The caller checks `phi`.
+    ``|r|^2 + offset + lam * <phi, reg>``.  For an identity target
+    ``d^T d`` and ``d d^T`` share their nonzero eigenvalues, so ``r`` is
+    the M x M ``I - d @ d.T`` and the value adds ``k - M``, exact for
+    every M.  At M <= k both terms are sums of squares, so a perfect
+    match reads zero.  The caller checks `phi`.
     """
     d = phi[:, : spec.sigma.size] * spec.sigma
-    if _gram_side(spec, d):
+    if spec.identity_target:
         r, offset = np.eye(d.shape[0]) - d @ d.T, spec.offset + (d.shape[1] - d.shape[0])
     else:  # a gemm on a copy: at small N it beats the syrk numpy picks for d.T @ d
         r, offset = spec.target_r - d.T @ d.copy(), spec.offset
@@ -244,9 +237,9 @@ def _evaluate(
 
 
 def _gradient(spec: ObjectiveSpec, d, r, reg) -> np.ndarray:
-    """The gradient ``-4 (d r) S^T + 2 lam reg`` from :func:`_evaluate`; Gram side: ``r d``."""
+    """The gradient ``-4 (d r) S^T + 2 lam reg`` from :func:`_evaluate` (``r d`` at identity)."""
     g = 2.0 * spec.lam * reg
-    g[:, : d.shape[1]] -= (r @ d if _gram_side(spec, d) else d @ r) * (4.0 * spec.sigma)
+    g[:, : d.shape[1]] -= (r @ d if spec.identity_target else d @ r) * (4.0 * spec.sigma)
     return g
 
 
@@ -259,7 +252,7 @@ def _step_polynomial(
     ``f(phi + t * direction) - f(phi)`` is exactly
     ``a1*t + a2*t**2 + a3*t**3 + a4*t**4``.  With ``b = direction S``,
     the M x M ``p = d @ b.T`` and ``q = b @ b.T``, and ``S`` the identity
-    or ``U^T E E^T U``, the Gram side's residual at step t is
+    or ``U^T E E^T U``, an identity target's residual at step t is
     ``r - t*(p + p.T) - t**2*q``, so
 
     * ``a1 = -4<r, p> + 2 lam <direction, reg>``
@@ -281,7 +274,7 @@ def _step_polynomial(
     q = b @ b.T
     dir_reg = direction if spec.sre_rotated is None else direction @ spec.sre_rotated
     vdot, lam = np.vdot, spec.lam
-    if _gram_side(spec, d):
+    if spec.identity_target:
         a1 = -4.0 * vdot(r, p)
         a2 = 2.0 * vdot(p, p) + 2.0 * vdot(p, p.T) - 2.0 * vdot(r, q)
     else:
@@ -296,11 +289,6 @@ def _step_polynomial(
 def objective_value(phi, spec: ObjectiveSpec) -> float:
     """Evaluate the design objective at `phi`."""
     return _evaluate(_check_phi(phi, spec) @ spec.basis, spec)[0]
-
-
-def objective_gradient(phi, spec: ObjectiveSpec) -> np.ndarray:
-    """Gradient of the design objective with respect to `phi` (M x N)."""
-    return value_and_gradient(phi, spec)[1]
 
 
 def value_and_gradient(phi, spec: ObjectiveSpec) -> tuple[float, np.ndarray]:
@@ -332,7 +320,7 @@ def gradient_check(
     if step <= 0 or tol <= 0:
         raise ValueError("step and tol must be positive")
     phi = _check_phi(phi, spec)
-    analytic = objective_gradient(phi, spec) if gradient is None else np.asarray(gradient)
+    analytic = value_and_gradient(phi, spec)[1] if gradient is None else np.asarray(gradient)
     numeric = np.empty_like(phi)
     work = phi.copy()
     for i in range(phi.shape[0]):

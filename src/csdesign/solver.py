@@ -21,21 +21,23 @@ accepted iterate is evaluated directly, so trace values and gradients
 carry no rounding from earlier steps.  Each round solves in the spec's
 singular basis ``Psi = U S V^T``, from ``phi @ U``, and rotates back.
 One iterate costs one objective evaluation and one quartic (products
-counted in :mod:`csdesign.objective`), plus two dot reductions:
+counted in :mod:`csdesign.objective`: on the M x M residual for an
+identity target, the k x k one otherwise), plus two dot reductions:
 ``|g|^2`` and the Polak-Ribiere numerator ``|g_new|^2 - <g_new, g>``.
-The quartic's ``a1`` is ``<g, d>``; when it is not negative the
-iterate restarts along ``-g`` with that direction's quartic.  The
-stopping rule reads ``||phi||_F`` from the evaluation.  A failed
-line search ends the solve: it returns its current iterate with
-``converged=False`` rather than raising.  ``DesignResult.stop_reason``
-says why a design stopped, and ``n_f_evals`` and ``n_sd_restarts`` how
-much work it did.  Identical inputs, config, and seed reproduce a
-bitwise-identical result.
+The first direction, and every M*N-th, is ``-g``.  The quartic's
+``a1`` is ``<g, d>``; when it is not negative the iterate restarts
+along ``-g`` with that direction's quartic.  The stopping rule reads
+``||phi||_F`` from the evaluation.  A failed line search ends the
+solve: it returns its current iterate with ``converged=False`` rather
+than raising.  ``DesignResult.stop_reason`` says why a design stopped,
+and ``n_f_evals`` and ``n_sd_restarts`` how much work it did.
+Identical inputs, config, and seed reproduce a bitwise-identical result.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
@@ -47,6 +49,7 @@ from .matio import write_csv
 # bound in this namespace because perfbench's traced run wraps them by name
 from .objective import (
     ObjectiveSpec,
+    _check_phi,
     _evaluate,
     _gradient,
     _step_polynomial,
@@ -57,7 +60,6 @@ from .objective import (
 from .streams import stream
 
 __all__ = [
-    "DEFAULT_OUTER_ITERS",
     "SolverConfig",
     "RelaxedETFTarget",
     "check_xi",
@@ -72,10 +74,6 @@ __all__ = [
     "random_projection",
     "write_trace_csv",
 ]
-
-#: default number of target/matrix alternations for the ETF designs
-DEFAULT_OUTER_ITERS = 50
-
 
 #: backtracking line search: first trial step, shrink factor per
 #: rejection, Armijo sufficient-decrease constant, rejections allowed
@@ -97,8 +95,13 @@ class SolverConfig:
     grad_tol: ClassVar[float] = 1e-6
 
     def __post_init__(self):
-        if self.max_cg_iterations < 1:
-            raise ValueError("max_cg_iterations must be >= 1")
+        _check_count("max_cg_iterations", self.max_cg_iterations)
+
+
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless `value` is an integer >= 1, as an iteration count must be."""
+    if not hasattr(type(value), "__index__") or operator.index(value) < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def check_xi(xi: float) -> float:
@@ -245,37 +248,30 @@ def _cg_solve(
     restarts.  Evaluates the objective once per iterate, updates `phi` in
     place, and never raises on numerics.
     """
-    f, phi_sq, *products = _evaluate(phi, spec)
-    g = _gradient(spec, *products)
-    g_dot = float(np.vdot(g, g))
-    trace.append(TracePoint(outer_iter, 0, f, math.sqrt(g_dot)))
-    if math.sqrt(g_dot) / max(1.0, math.sqrt(phi_sq)) <= cfg.grad_tol:
-        return phi, "converged", 0
-
-    d = -g
     restarts = 0
-    for it in range(1, cfg.max_cg_iterations + 1):
-        poly = _step_polynomial(spec, *products, d)
-        if poly[0] >= 0.0:  # not a descent direction: fall back to steepest descent
-            d = -g
+    for it in range(cfg.max_cg_iterations + 1):
+        if it:
             poly = _step_polynomial(spec, *products, d)
-            restarts += 1
-        accepted = _armijo(poly)
-        if accepted is None:
-            return phi, "line-search stall", restarts  # below line-search resolution
-        phi += accepted[0] * d
+            if poly[0] >= 0.0:  # not a descent direction: fall back to steepest descent
+                d = -g
+                poly = _step_polynomial(spec, *products, d)
+                restarts += 1
+            accepted = _armijo(poly)
+            if accepted is None:
+                return phi, "line-search stall", restarts  # below line-search resolution
+            phi += accepted[0] * d
         f, phi_sq, *products = _evaluate(phi, spec)
         g_new = _gradient(spec, *products)
         g_dot_new = float(np.vdot(g_new, g_new))
-        beta = max(0.0, (g_dot_new - float(np.vdot(g_new, g))) / g_dot)
-        if it % phi.size == 0:  # restart every M*N iterations (the number of unknowns)
-            beta = 0.0
-        d *= beta
-        d -= g_new
-        g, g_dot = g_new, g_dot_new
-        trace.append(TracePoint(outer_iter, it, f, math.sqrt(g_dot)))
-        if math.sqrt(g_dot) / max(1.0, math.sqrt(phi_sq)) <= cfg.grad_tol:
+        trace.append(TracePoint(outer_iter, it, f, math.sqrt(g_dot_new)))
+        if math.sqrt(g_dot_new) / max(1.0, math.sqrt(phi_sq)) <= cfg.grad_tol:
             return phi, "converged", restarts
+        if it % phi.size == 0:  # the first direction, and a restart every M*N iterations
+            d = -g_new
+        else:
+            d *= max(0.0, (g_dot_new - float(np.vdot(g_new, g))) / g_dot)
+            d -= g_new
+        g, g_dot = g_new, g_dot_new
     return phi, "iteration cap", restarts
 
 
@@ -287,15 +283,10 @@ def _design(spec, phi0, cfg, method, xi=None, outer_iters=1) -> DesignResult:
     solve works on ``phi @ U``; `phi0` is never written or returned.
     """
     cfg = cfg or SolverConfig()
-    phi = np.array(phi0, dtype=float)
-    if phi.ndim != 2 or phi.shape[1] != spec.n:
-        raise ValueError(
-            f"phi0 must have {spec.n} columns to match psi rows, got shape {phi.shape}"
-        )
+    phi = _check_phi(np.array(phi0, dtype=float), spec)
     if not np.all(np.isfinite(phi)):
         raise ValueError("phi0 contains non-finite entries")
-    if outer_iters < 1:
-        raise ValueError(f"outer_iters must be >= 1, got {outer_iters}")
+    _check_count("outer_iters", outer_iters)
     trace: list[TracePoint] = []
     stop_reason = "converged"
     restarts = 0
@@ -313,14 +304,9 @@ def _design(spec, phi0, cfg, method, xi=None, outer_iters=1) -> DesignResult:
                         n_sd_restarts=restarts)
 
 
-def cg_minimize(
-    spec: ObjectiveSpec,
-    phi0,
-    cfg: SolverConfig | None = None,
-    method: str = "mt",
-) -> DesignResult:
+def cg_minimize(spec: ObjectiveSpec, phi0, cfg: SolverConfig | None = None) -> DesignResult:
     """Minimize a design objective from `phi0` with one CG solve."""
-    return _design(spec, phi0, cfg, method)
+    return _design(spec, phi0, cfg, "mt")
 
 
 def design_mt(psi, lam: float, phi0, cfg: SolverConfig | None = None) -> DesignResult:
@@ -332,8 +318,8 @@ def alternating_design(
     psi,
     lam: float,
     xi: float,
-    outer_iters: int = DEFAULT_OUTER_ITERS,
-    phi0=None,
+    outer_iters: int,
+    phi0,
     cfg: SolverConfig | None = None,
 ) -> DesignResult:
     """Training-free design alternating with a relaxed-ETF Gram target.
@@ -355,8 +341,8 @@ def design_lh_etf(
     lam: float,
     sre,
     xi: float,
-    outer_iters: int = DEFAULT_OUTER_ITERS,
-    phi0=None,
+    outer_iters: int,
+    phi0,
     cfg: SolverConfig | None = None,
 ) -> DesignResult:
     """SRE-regularized design alternating with a relaxed-ETF Gram target."""

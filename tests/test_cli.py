@@ -158,9 +158,20 @@ class TestDesignCommand:
         outer = {int(line.split(",")[0]) for line in trace}
         assert outer == {1, 2, 3}
 
-    def test_unknown_method(self, tmp_path):
+    def test_unknown_method(self, tmp_path, capsys):
+        out = tmp_path / "x"
         assert run("design", "--synth", "20,30", "--m", "6", "--method", "qr",
-                   "--out", str(tmp_path / "x")) == 2
+                   "--out", str(out)) == 2
+        assert "unknown method 'qr'; expected one of" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rounds", ["0", "-2"])
+    def test_bad_rounds_rejected_before_the_output_directory(self, tmp_path, capsys, rounds):
+        out = tmp_path / "x"
+        assert run("design", "--synth", "20,30", "--m", "6", "--method", "mt-etf",
+                   "--iter", rounds, "--out", str(out)) == 2
+        assert "outer_iters must be an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_non_finite_lambda_usage_error(self, tmp_path, capsys, lam):
@@ -319,6 +330,13 @@ class TestSweepCommand:
 
     def test_unknown_axis(self, tmp_path):
         assert run("sweep", "--axis", "q", "--grid", "1", "--out", str(tmp_path / "x")) == 2
+
+    def test_unknown_method_rejected_before_the_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("sweep", "--axis", "snr", "--grid", "5", "--methods", "mt,qr",
+                   "--out", str(out)) == 2
+        assert "unknown method 'qr'; expected one of" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dimension_axis_requires_integers(self, tmp_path, capsys):
         assert run("sweep", "--axis", "m", "--grid", "4.5,6", "--p", "10",

@@ -8,6 +8,7 @@ from csdesign.experiments import (
     RECORDS_HEADER,
     SWEEP_METHODS,
     ExperimentParams,
+    design_for_method,
     evaluate_system,
     make_dataset,
     rho_mse,
@@ -173,6 +174,11 @@ class TestRunLambdaSweep:
         with pytest.raises(ValueError, match=r"xi must lie in \[0, 1\)"):
             run_lambda_sweep(ExperimentParams(xi=xi), [0.1], 1, methods=("mt-etf",))
 
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, "3"])
+    def test_outer_iters_checked_at_construction(self, bad):
+        with pytest.raises(ValueError, match="outer_iters must be an integer >= 1"):
+            ExperimentParams(outer_iters=bad)
+
     def test_xi_in_unit_interval_and_welch_accepted(self):
         assert ExperimentParams(xi=0.0).resolved_xi() == 0.0
         assert ExperimentParams(xi=0.5).resolved_xi() == 0.5
@@ -227,7 +233,6 @@ class TestRunSnrSweep:
     def test_lh_uses_training_half_only(self):
         # records must be insensitive to the test half of the noise fed to
         # the design: rebuild the dataset, design from train_sre, compare
-        from csdesign.experiments import design_for_method
         from csdesign.solver import random_projection
         from csdesign.streams import derive_seed
         from csdesign.matio import FLOAT_FMT
@@ -245,8 +250,10 @@ class TestRunSnrSweep:
         assert rec.rho_mse == recs[0].rho_mse
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown method 'bogus'; expected one of"):
             run_snr_sweep(SMALL, [10.0], ("bogus",), [1])
+        with pytest.raises(ValueError, match="unknown method 'bogus'; expected one of"):
+            design_for_method("bogus", SMALL, np.eye(20, 30), np.zeros((8, 20)), 0.3)
 
     def test_empty_lambda_grid_rejected(self):
         with pytest.raises(ValueError, match="lambda_grid"):

@@ -8,7 +8,6 @@ from csdesign.objective import (
     _evaluate,
     _step_polynomial,
     gradient_check,
-    objective_gradient,
     objective_value,
     value_and_gradient,
 )
@@ -123,11 +122,12 @@ class TestObjectiveSpecValidation:
         spec = ObjectiveSpec(psi=np.ones((3, 4)), lam=0.1)
         np.testing.assert_array_equal(spec.gram_target, np.eye(4))
 
-    def test_sre_outer_cached(self):
+    def test_sre_rotated_cached(self):
         rng = np.random.default_rng(5)
         e = rng.standard_normal((3, 9))
-        spec = ObjectiveSpec(psi=np.eye(3), lam=0.2, sre=e)
-        np.testing.assert_allclose(spec.sre_outer, e @ e.T, rtol=1e-14)
+        spec = ObjectiveSpec(psi=rng.standard_normal((3, 4)), lam=0.2, sre=e)
+        np.testing.assert_allclose(spec.sre_rotated, spec.basis.T @ e @ e.T @ spec.basis,
+                                   rtol=1e-14)
 
 
 class TestGradient:
@@ -135,7 +135,7 @@ class TestGradient:
         rng = np.random.default_rng(6)
         _, spec = random_instance(rng)
         np.testing.assert_array_equal(
-            objective_gradient(np.zeros((3, 5)), spec), np.zeros((3, 5))
+            value_and_gradient(np.zeros((3, 5)), spec)[1], np.zeros((3, 5))
         )
 
     def test_stationary_when_gram_matches(self):
@@ -146,7 +146,7 @@ class TestGradient:
         d = phi @ psi
         spec = ObjectiveSpec(psi=psi, gram_target=d.T @ d, lam=0.0)
         np.testing.assert_allclose(
-            objective_gradient(phi, spec), np.zeros((3, 5)), atol=1e-12
+            value_and_gradient(phi, spec)[1], np.zeros((3, 5)), atol=1e-12
         )
 
     def test_matches_finite_differences(self):
@@ -164,7 +164,7 @@ class TestGradient:
     def test_corrupted_gradient_fails(self):
         rng = np.random.default_rng(10)
         phi, spec = random_instance(rng)
-        bad = objective_gradient(phi, spec)
+        bad = value_and_gradient(phi, spec)[1]
         bad[0, 0] += 1e-2
         report = gradient_check(phi, spec, gradient=bad)
         assert not report.passed
@@ -174,7 +174,8 @@ class TestGradient:
         phi, spec = random_instance(rng, baseline=True)
         f, g = value_and_gradient(phi, spec)
         assert f == pytest.approx(objective_value(phi, spec), rel=1e-14)
-        np.testing.assert_allclose(g, objective_gradient(phi, spec), rtol=1e-14)
+        grad = full_gradient(phi, spec.psi, spec.gram_target, spec.lam, spec.sre)
+        np.testing.assert_allclose(g, grad, rtol=0, atol=1e-10 * np.max(np.abs(grad)))
 
     @pytest.mark.parametrize("kind", ["identity", "explicit", "sre"])
     def test_value_equals_value_and_gradient_exactly(self, kind):
@@ -206,7 +207,7 @@ class TestDirectionalDerivative:
         rng = np.random.default_rng(12)
         phi, spec = random_instance(rng, m=4, n=6, l=8)
         v = rng.standard_normal(phi.shape)
-        exact = float(np.sum(objective_gradient(phi, spec) * v))
+        exact = float(np.sum(value_and_gradient(phi, spec)[1] * v))
         errors = []
         for h in (1e-2, 5e-3, 2.5e-3):
             fd = (objective_value(phi + h * v, spec) - objective_value(phi - h * v, spec)) / (2 * h)
@@ -347,7 +348,7 @@ class TestRowSpaceReduction:
         assert phi_sq == pytest.approx(np.sum(phi * phi), rel=1e-14)
         assert value == pytest.approx(elementwise_objective(phi, psi, g, lam, sre), rel=1e-10)
         grad = full_gradient(phi, psi, g, lam, sre)
-        np.testing.assert_allclose(objective_gradient(phi, spec), grad,
+        np.testing.assert_allclose(value_and_gradient(phi, spec)[1], grad,
                                    rtol=0, atol=1e-10 * np.max(np.abs(grad)))
         expected = full_step_polynomial(phi, direction, psi, g, lam, sre)
         got = np.array(_step_polynomial(spec, *products, direction_u))
@@ -410,7 +411,7 @@ GRAM_SIDE_SHAPES = {
 
 
 class TestGramSideReduction:
-    """An identity target with M <= k is evaluated on the M x M Gram ``I - d d^T``."""
+    """An identity target is evaluated on the M x M Gram ``I - d d^T``, for every M."""
 
     @pytest.mark.parametrize("shape", sorted(GRAM_SIDE_SHAPES))
     @pytest.mark.parametrize("mode", ["training-free", "sre"])
@@ -432,15 +433,12 @@ class TestGramSideReduction:
         assert spec.identity_target
         phi_u, direction_u = rotated(spec, phi, direction)
         value, _, d, r, reg = _evaluate(phi_u, spec)
-        if m <= k:  # the residual is the M x M one, not the k x k one
-            np.testing.assert_allclose(r, np.eye(m) - d @ d.T, rtol=0, atol=1e-12)
-        else:
-            assert r.shape == (k, k)
-            np.testing.assert_allclose(r, np.eye(k) - d.T @ d, rtol=0, atol=1e-12)
+        assert d.shape == (m, k) and r.shape == (m, m)  # M x M, also where M > k
+        np.testing.assert_allclose(r, np.eye(m) - d @ d.T, rtol=0, atol=1e-12)
         g = np.eye(l)
         assert value == pytest.approx(elementwise_objective(phi, psi, g, lam, sre), rel=1e-10)
         grad = full_gradient(phi, psi, g, lam, sre)
-        np.testing.assert_allclose(objective_gradient(phi, spec), grad,
+        np.testing.assert_allclose(value_and_gradient(phi, spec)[1], grad,
                                    rtol=0, atol=1e-10 * np.max(np.abs(grad)))
         expected = full_step_polynomial(phi, direction, psi, g, lam, sre)
         got = np.array(_step_polynomial(spec, d, r, reg, direction_u))

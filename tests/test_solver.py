@@ -60,14 +60,14 @@ class TestCgMinimize:
         assert result.trace[-1].f == pytest.approx(TINY_MT_ORACLE_MIN, abs=1e-6)
 
     def test_stationarity_at_convergence(self):
-        from csdesign.objective import objective_gradient
+        from csdesign.objective import value_and_gradient
 
         psi = gen_dictionary(12, 18, 5)
         phi0 = random_projection(5, 12, 5)
         cfg = SolverConfig()
         result = design_mt(psi, 0.4, phi0, cfg)
         assert result.converged
-        g = objective_gradient(result.phi, ObjectiveSpec(psi=psi, lam=0.4))
+        _, g = value_and_gradient(result.phi, ObjectiveSpec(psi=psi, lam=0.4))
         rel = np.linalg.norm(g) / max(1.0, np.linalg.norm(result.phi))
         assert rel <= cfg.grad_tol
 
@@ -114,9 +114,39 @@ class TestCgMinimize:
 
 
 class TestSolverConfigValidation:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            SolverConfig(max_cg_iterations=0)
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, 3.0, "5", None])
+    def test_rejects_bad_values(self, bad):
+        with pytest.raises(ValueError, match="max_cg_iterations must be an integer >= 1"):
+            SolverConfig(max_cg_iterations=bad)
+
+    def test_accepts_integer_types(self):
+        assert SolverConfig(max_cg_iterations=np.int64(3)).max_cg_iterations == 3
+        assert SolverConfig(max_cg_iterations=1).max_cg_iterations == 1
+
+
+class TestPeriodicRestart:
+    """The first direction, and every M*N-th after it, is ``-g`` bit for bit."""
+
+    def test_directions_at_multiples_of_the_unknowns(self, monkeypatch):
+        import csdesign.solver as solver
+
+        step_polynomial, calls = solver._step_polynomial, []
+
+        def recording(spec, d, r, reg, direction):  # the direction searched from each iterate
+            calls.append((direction.copy(), solver._gradient(spec, d, r, reg)))
+            return step_polynomial(spec, d, r, reg, direction)
+
+        monkeypatch.setattr(solver, "_step_polynomial", recording)
+        # the tiny oracle instance: M*N = 6 unknowns, 19 iterates, no steepest-descent fallback
+        result = cg_minimize(ObjectiveSpec(psi=gen_dictionary(3, 4, 42), lam=0.3),
+                             random_projection(2, 3, 7))
+        assert result.converged and result.n_sd_restarts == 0
+        assert len(calls) == len(result.trace) - 1 > 12
+        for it in (0, 6, 12):
+            direction, g = calls[it]
+            np.testing.assert_array_equal(direction, -g)
+        # in between, the Polak-Ribiere direction is not steepest descent
+        assert not np.array_equal(calls[7][0], -calls[7][1])
 
 
 class TestProjectToRelaxedEtf:
@@ -218,6 +248,8 @@ class TestAlternatingDesign:
         psi = gen_dictionary(4, 6, 15)
         with pytest.raises(ValueError):
             alternating_design(psi, 0.1, xi=0.2, outer_iters=0, phi0=np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="outer_iters must be an integer >= 1"):
+            design_lh_etf(psi, 0.1, np.ones((4, 3)), 0.2, 2.5, np.zeros((2, 4)))
 
 
 ROUND_SRE = 0.1 * np.random.default_rng(14).standard_normal((6, 20))
@@ -461,6 +493,16 @@ class TestCallerStartUntouched:
         assert result.n_f_evals > 1 and not np.array_equal(result.phi, before)
         self._assert_untouched(result, phi0, before)
 
+    def test_randn_through_design_for_method(self):
+        from csdesign.experiments import ExperimentParams, design_for_method
+
+        phi0 = random_projection(3, 6, 14)
+        before = phi0.copy()
+        params = ExperimentParams(m=3, n=6, l=9)
+        result = design_for_method("randn", params, self.psi, phi0, 0.2)
+        np.testing.assert_array_equal(result.phi, before)  # the baseline is the start itself
+        self._assert_untouched(result, phi0, before)
+
     def test_start_converged_at_iterate_zero(self):
         phi0 = np.zeros((3, 6))  # d = 0, so the gradient is exactly zero
         result = design_mt(self.psi, 0.2, phi0)
@@ -540,7 +582,7 @@ def closed_form_optimum(spec, m):
     al., IEEE TSP 2013).
     """
     u, s, vt = np.linalg.svd(spec.psi, full_matrices=False)
-    reg = np.eye(spec.n) if spec.sre_outer is None else spec.sre_outer
+    reg = np.eye(spec.n) if spec.sre is None else spec.sre @ spec.sre.T
     k = vt @ spec.gram_target @ vt.T - 0.5 * spec.lam * (u.T @ reg @ u) / np.outer(s, s)
     c, q = np.linalg.eigh((k + k.T) / 2.0)
     top = np.argsort(c)[::-1][:m]
