@@ -10,10 +10,8 @@ import numpy as np
 
 from csdesign import (
     SolverConfig,
-    alternating_design,
     coherence_report,
-    design_lh,
-    design_mt,
+    design,
     gen_dictionary,
     gen_signals,
     gen_sparse_codes,
@@ -37,11 +35,13 @@ cfg = SolverConfig()
 
 designs = {
     "randn (baseline)": phi0,
-    "identity target": design_mt(psi, lam, phi0, cfg).phi,
-    "relaxed-ETF target": alternating_design(
-        psi, lam, xi=welch_bound(m, l), outer_iters=10, phi0=phi0, cfg=cfg
+    "identity target": design(psi, lam, phi0, cfg=cfg).phi,
+    "relaxed-ETF target": design(
+        psi, lam, phi0, xi=welch_bound(m, l), outer_iters=10, cfg=cfg
     ).phi,
-    "SRE-regularized": design_lh(psi, lam / (dataset.sigma**2 * dataset.p), sre, phi0, cfg).phi,
+    "SRE-regularized": design(
+        psi, lam / (dataset.sigma**2 * dataset.p), phi0, sre=sre, cfg=cfg
+    ).phi,
 }
 
 print(f"{'design':20s} {'mu':>7s} {'mu_av':>7s} {'||phi||^2':>10s} {'||phi E||^2':>12s}")

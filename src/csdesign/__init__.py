@@ -46,11 +46,7 @@ from .solver import (
     DesignResult,
     RelaxedETFTarget,
     SolverConfig,
-    alternating_design,
-    cg_minimize,
-    design_lh,
-    design_lh_etf,
-    design_mt,
+    design,
     project_to_relaxed_etf,
     random_projection,
     write_trace_csv,

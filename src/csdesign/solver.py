@@ -1,13 +1,14 @@
 """Projection-matrix design by nonlinear conjugate gradient.
 
-Every design runs one loop, ``_design``: ``outer_iters`` CG solves of an
-:class:`~csdesign.objective.ObjectiveSpec`, each warm-started at the
-last.  Given a relaxed-ETF level ``xi``, each round first sets the Gram
-target to the relaxed-ETF projection of the current equivalent
-dictionary's Gram.  The public functions only pick the spec and rounds:
-``cg_minimize`` solves a given spec once; ``design_mt`` (training-free)
-and ``design_lh`` (SRE-regularized) fix the identity target;
-``alternating_design`` (tag ``mt-etf``) and ``design_lh_etf`` alternate.
+One public function, ``design``, poses the paper's one problem: Gram
+matching regularized by ``|Phi|^2``, or by ``|Phi E|^2`` given an SRE
+matrix ``sre``.  The Gram target is the identity; given a relaxed-ETF
+level ``xi``, each of ``outer_iters`` rounds instead sets it to the
+relaxed-ETF projection of the current equivalent dictionary's Gram and
+re-solves, warm-started at the last round.  The result is named by its
+inputs: ``lh`` with an SRE matrix, else ``mt``, plus ``-etf`` when
+``xi`` is set.  Every design runs one loop, ``_design``, on an
+:class:`~csdesign.objective.ObjectiveSpec`.
 ``random_projection`` draws the i.i.d. standard normal baseline.
 
 The CG flavor is Polak-Ribiere+ (beta clamped at zero) with a periodic
@@ -65,12 +66,8 @@ __all__ = [
     "check_xi",
     "TracePoint",
     "DesignResult",
-    "cg_minimize",
     "project_to_relaxed_etf",
-    "alternating_design",
-    "design_mt",
-    "design_lh",
-    "design_lh_etf",
+    "design",
     "random_projection",
     "write_trace_csv",
 ]
@@ -275,18 +272,21 @@ def _cg_solve(
     return phi, "iteration cap", restarts
 
 
-def _design(spec, phi0, cfg, method, xi=None, outer_iters=1) -> DesignResult:
+def _design(spec, phi0, cfg=None, xi=None, outer_iters=1) -> DesignResult:
     """Run `outer_iters` CG solves of `spec`, each warm-started at the last.
 
     With `xi` set, each round first replaces the Gram target by the
     relaxed-ETF projection of the Gram at the current matrix.  Each
     solve works on ``phi @ U``; `phi0` is never written or returned.
+    The result is tagged ``lh`` if `spec` holds an SRE matrix, else
+    ``mt``, with ``-etf`` appended when `xi` is set.
     """
     cfg = cfg or SolverConfig()
     phi = _check_phi(np.array(phi0, dtype=float), spec)
     if not np.all(np.isfinite(phi)):
         raise ValueError("phi0 contains non-finite entries")
     _check_count("outer_iters", outer_iters)
+    method = ("mt" if spec.sre is None else "lh") + ("" if xi is None else "-etf")
     trace: list[TracePoint] = []
     stop_reason = "converged"
     restarts = 0
@@ -304,49 +304,18 @@ def _design(spec, phi0, cfg, method, xi=None, outer_iters=1) -> DesignResult:
                         n_sd_restarts=restarts)
 
 
-def cg_minimize(spec: ObjectiveSpec, phi0, cfg: SolverConfig | None = None) -> DesignResult:
-    """Minimize a design objective from `phi0` with one CG solve."""
-    return _design(spec, phi0, cfg, "mt")
+def design(psi, lam: float, phi0, *, sre=None, xi: float | None = None, outer_iters: int = 1,
+           cfg: SolverConfig | None = None) -> DesignResult:
+    """Design a projection matrix for dictionary `psi` from the start `phi0`.
 
-
-def design_mt(psi, lam: float, phi0, cfg: SolverConfig | None = None) -> DesignResult:
-    """Training-free design with the Gram target fixed at the identity."""
-    return _design(ObjectiveSpec(psi=psi, lam=lam), phi0, cfg, "mt")
-
-
-def alternating_design(
-    psi,
-    lam: float,
-    xi: float,
-    outer_iters: int,
-    phi0,
-    cfg: SolverConfig | None = None,
-) -> DesignResult:
-    """Training-free design alternating with a relaxed-ETF Gram target.
-
-    Each round re-derives the target by projecting the current
-    equivalent-dictionary Gram onto the relaxed-ETF set, then re-solves
-    for the projection matrix by CG warm-started at the previous one.
+    `lam` weighs the regularizer: ``|Phi|^2``, or ``|Phi E|^2`` given the
+    SRE matrix `sre`.  Given `xi`, the Gram target alternates with its
+    relaxed-ETF projection over `outer_iters` rounds; otherwise it is
+    the identity and `outer_iters` must be 1.
     """
-    return _design(ObjectiveSpec(psi=psi, lam=lam), phi0, cfg, "mt-etf", xi, outer_iters)
-
-
-def design_lh(psi, lam: float, sre, phi0, cfg: SolverConfig | None = None) -> DesignResult:
-    """SRE-regularized design with the identity Gram target."""
-    return _design(ObjectiveSpec(psi=psi, lam=lam, sre=sre), phi0, cfg, "lh")
-
-
-def design_lh_etf(
-    psi,
-    lam: float,
-    sre,
-    xi: float,
-    outer_iters: int,
-    phi0,
-    cfg: SolverConfig | None = None,
-) -> DesignResult:
-    """SRE-regularized design alternating with a relaxed-ETF Gram target."""
-    return _design(ObjectiveSpec(psi=psi, lam=lam, sre=sre), phi0, cfg, "lh-etf", xi, outer_iters)
+    if xi is None and outer_iters != 1:
+        raise ValueError(f"outer_iters={outer_iters!r} needs xi, or each round solves one problem")
+    return _design(ObjectiveSpec(psi=psi, lam=lam, sre=sre), phi0, cfg, xi, outer_iters)
 
 
 def random_projection(m: int, n: int, rng_seed: int) -> np.ndarray:

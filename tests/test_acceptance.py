@@ -22,7 +22,7 @@ from csdesign.experiments import (
 )
 from csdesign.objective import ObjectiveSpec, gradient_check
 from csdesign.recovery import batch_recover, omp
-from csdesign.solver import design_mt, project_to_relaxed_etf, random_projection
+from csdesign.solver import design, project_to_relaxed_etf, random_projection
 from csdesign.streams import derive_seed
 from csdesign.synth import lemma1_check
 
@@ -157,7 +157,7 @@ def test_criterion_06_energy_and_noise_ordering():
     seed = 606
     dataset = make_dataset(params, seed)
     phi0 = random_projection(params.m, params.n, derive_seed(seed, "phi0"))
-    designed = design_mt(dataset.psi, 0.1, phi0).phi
+    designed = design(dataset.psi, 0.1, phi0).phi
     mu_designed = mutual_coherence(designed @ dataset.psi)
     mu_random = mutual_coherence(phi0 @ dataset.psi)
     e_designed = float(np.sum(designed**2))

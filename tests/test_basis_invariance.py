@@ -18,13 +18,7 @@ much as with the singular basis.
 import numpy as np
 import pytest
 
-from csdesign.solver import (
-    SolverConfig,
-    alternating_design,
-    design_lh,
-    design_mt,
-    random_projection,
-)
+from csdesign.solver import SolverConfig, design, random_projection
 from csdesign.synth import gen_dictionary
 
 N, L, M = 8, 16, 3
@@ -43,9 +37,9 @@ def _dictionary(kind):
 SRE = 0.2 * np.random.default_rng(22).standard_normal((N, 40))
 CFG = SolverConfig(max_cg_iterations=200)
 DESIGNS = {
-    "mt": lambda psi, phi0, sre: design_mt(psi, 0.3, phi0, CFG),
-    "lh": lambda psi, phi0, sre: design_lh(psi, 0.3, sre, phi0, CFG),
-    "mt-etf": lambda psi, phi0, sre: alternating_design(psi, 0.3, 0.35, 3, phi0, CFG),
+    "mt": lambda psi, phi0, sre: design(psi, 0.3, phi0, cfg=CFG),
+    "lh": lambda psi, phi0, sre: design(psi, 0.3, phi0, sre=sre, cfg=CFG),
+    "mt-etf": lambda psi, phi0, sre: design(psi, 0.3, phi0, xi=0.35, outer_iters=3, cfg=CFG),
 }
 
 

@@ -482,6 +482,20 @@ class TestLemma1Command:
         assert lines[0].startswith("trials,mean_estimate")
         assert len(lines) == 2
 
+    def test_out_writes_report_and_manifest_that_replays(self, tmp_path, capsys):
+        first, replay = tmp_path / "a", tmp_path / "b"
+        assert run("lemma1", "--random", "4,6", "--p", "50", "--seed", "3",
+                   "--out", str(first)) == 0
+        printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        assert sorted(path.name for path in first.iterdir()) == ["manifest.txt", "report.txt"]
+        report = read_keyvalues(first / "report.txt")
+        assert list(report)[:2] == ["trials", "mean_estimate"]
+        assert report == {key: printed[key] for key in report}
+        manifest = read_keyvalues(first / "manifest.txt")
+        assert manifest["command"] == "lemma1" and manifest["random"] == "4,6"
+        assert run("lemma1", "--config", str(first / "manifest.txt"), "--out", str(replay)) == 0
+        assert (replay / "report.txt").read_bytes() == (first / "report.txt").read_bytes()
+
 
 @pytest.mark.parametrize(
     "argv",

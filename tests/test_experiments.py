@@ -1,9 +1,11 @@
 import collections
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from csdesign import experiments
 from csdesign.experiments import (
     RECORDS_HEADER,
     SWEEP_METHODS,
@@ -20,8 +22,66 @@ from csdesign.experiments import (
     write_convergence_csv,
     write_records_csv,
 )
+from csdesign.solver import design, random_projection
 
 SMALL = ExperimentParams(m=8, n=20, l=30, k=2, p=60, lam=0.3, snr_db=20.0)
+
+
+#: each design tag and the experiments name design_for_method calls it by;
+#: perfbench's traced run wraps these names to count and time the designs
+DESIGN_ALIASES = {
+    "mt": "design_mt",
+    "mt-etf": "alternating_design",
+    "lh": "design_lh",
+    "lh-etf": "design_lh_etf",
+}
+
+
+class TestDesignForMethod:
+    params = replace(SMALL, outer_iters=3)
+    dataset = make_dataset(params, 8)
+    phi0 = random_projection(SMALL.m, SMALL.n, 8)
+
+    def _design(self, method):
+        return design_for_method(method, self.params, self.dataset.psi, self.phi0, 0.3,
+                                 sre=self.dataset.train_sre())
+
+    @pytest.mark.parametrize("method", DESIGN_ALIASES)
+    def test_result_is_tagged_with_the_method(self, method):
+        assert self._design(method).method == method
+
+    @pytest.mark.parametrize("method", ["mt", "mt-etf"])
+    def test_training_free_designs_ignore_the_sre(self, method):
+        given = self._design(method)
+        etf = {"xi": self.params.resolved_xi(), "outer_iters": 3} if method == "mt-etf" else {}
+        plain = design(self.dataset.psi, 0.3, self.phi0, **etf)
+        assert given.phi.tobytes() == plain.phi.tobytes()
+        assert given.trace == plain.trace and given.method == plain.method == method
+
+    @pytest.mark.parametrize("method", DESIGN_ALIASES)
+    def test_each_tag_calls_its_traced_name(self, monkeypatch, method):
+        calls = collections.Counter()
+        for alias in DESIGN_ALIASES.values():
+            def counting(*args, _alias=alias, _real=getattr(experiments, alias), **kwargs):
+                calls[_alias] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(experiments, alias, counting)
+        self._design(method)
+        assert calls == {DESIGN_ALIASES[method]: 1}
+
+
+@pytest.mark.parametrize(
+    "harness",
+    [
+        lambda seeds: run_lambda_sweep(SMALL, [0.1], seeds),
+        lambda seeds: run_snr_sweep(SMALL, [10.0], ("mt",), seeds),
+        lambda seeds: run_dimension_sweeps(SMALL, "m", [4], seeds),
+    ],
+    ids=["lambda", "snr", "dimension"],
+)
+def test_every_harness_rejects_an_empty_seed_list(harness):
+    with pytest.raises(ValueError, match="seed must name at least one seed"):
+        harness([])
 
 
 class TestRhoMse:

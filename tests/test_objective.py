@@ -460,9 +460,9 @@ class TestIdentityTargetByContent:
     phi0 = np.random.default_rng(7).standard_normal((3, 8))
 
     def _solve(self, spec):
-        from csdesign.solver import SolverConfig, cg_minimize
+        from csdesign.solver import SolverConfig, _design
 
-        return cg_minimize(spec, self.phi0, SolverConfig(max_cg_iterations=40))
+        return _design(spec, self.phi0, SolverConfig(max_cg_iterations=40))
 
     def test_explicit_and_swapped_identity_match_unset(self):
         from csdesign.objective import _with_target

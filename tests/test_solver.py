@@ -7,11 +7,8 @@ from csdesign.solver import (
     DesignResult,
     RelaxedETFTarget,
     SolverConfig,
-    alternating_design,
-    cg_minimize,
-    design_lh,
-    design_lh_etf,
-    design_mt,
+    _design,
+    design,
     project_to_relaxed_etf,
     random_projection,
     write_trace_csv,
@@ -37,7 +34,7 @@ class TestCgMinimize:
         # orthogonal phi
         spec = ObjectiveSpec(psi=np.eye(5), lam=0.0)
         phi0 = random_projection(5, 5, 3)
-        result = cg_minimize(spec, phi0)
+        result = _design(spec, phi0)
         assert result.converged and result.stop_reason == "converged"
         assert result.trace[-1].f <= 1e-8
         np.testing.assert_allclose(result.phi.T @ result.phi, np.eye(5), atol=1e-4)
@@ -46,7 +43,7 @@ class TestCgMinimize:
         psi = gen_dictionary(60, 100, 21)
         phi0 = random_projection(20, 60, 21)
         for lam in (0.1, 0.5, 1.0):
-            result = design_mt(psi, lam, phi0, SolverConfig(max_cg_iterations=250))
+            result = design(psi, lam, phi0, cfg=SolverConfig(max_cg_iterations=250))
             fs = [p.f for p in result.trace]
             assert monotone(fs)
             assert len(fs) <= 251
@@ -56,7 +53,7 @@ class TestCgMinimize:
     def test_tiny_instance_matches_restart_oracle(self):
         psi = gen_dictionary(3, 4, 42)
         spec = ObjectiveSpec(psi=psi, lam=0.3)
-        result = cg_minimize(spec, random_projection(2, 3, 7))
+        result = _design(spec, random_projection(2, 3, 7))
         assert result.trace[-1].f == pytest.approx(TINY_MT_ORACLE_MIN, abs=1e-6)
 
     def test_stationarity_at_convergence(self):
@@ -65,7 +62,7 @@ class TestCgMinimize:
         psi = gen_dictionary(12, 18, 5)
         phi0 = random_projection(5, 12, 5)
         cfg = SolverConfig()
-        result = design_mt(psi, 0.4, phi0, cfg)
+        result = design(psi, 0.4, phi0, cfg=cfg)
         assert result.converged
         _, g = value_and_gradient(result.phi, ObjectiveSpec(psi=psi, lam=0.4))
         rel = np.linalg.norm(g) / max(1.0, np.linalg.norm(result.phi))
@@ -74,8 +71,8 @@ class TestCgMinimize:
     def test_deterministic_bitwise(self):
         psi = gen_dictionary(10, 16, 6)
         phi0 = random_projection(4, 10, 6)
-        a = design_mt(psi, 0.2, phi0)
-        b = design_mt(psi, 0.2, phi0)
+        a = design(psi, 0.2, phi0)
+        b = design(psi, 0.2, phi0)
         np.testing.assert_array_equal(a.phi, b.phi)
         assert a.trace == b.trace
         assert a.converged == b.converged
@@ -84,15 +81,15 @@ class TestCgMinimize:
         # the objective is even in phi, so trajectories from +/-phi0 mirror
         psi = gen_dictionary(8, 12, 9)
         phi0 = random_projection(3, 8, 9)
-        a = design_mt(psi, 0.3, phi0)
-        b = design_mt(psi, 0.3, -phi0)
+        a = design(psi, 0.3, phi0)
+        b = design(psi, 0.3, -phi0)
         assert a.trace[-1].f == pytest.approx(b.trace[-1].f, abs=1e-4)
 
     def test_regularizer_trades_energy(self):
         psi = gen_dictionary(20, 30, 10)
         phi0 = random_projection(8, 20, 10)
-        free = design_mt(psi, 0.0, phi0)
-        tight = design_mt(psi, 0.5, phi0)
+        free = design(psi, 0.0, phi0)
+        tight = design(psi, 0.5, phi0)
         assert float(np.sum(tight.phi**2)) < float(np.sum(free.phi**2))
 
     def test_energy_drops_hard_while_gram_quality_holds(self):
@@ -100,8 +97,8 @@ class TestCgMinimize:
 
         psi = gen_dictionary(60, 100, 3)
         phi0 = random_projection(20, 60, 3)
-        free = design_mt(psi, 0.0, phi0)
-        reg = design_mt(psi, 0.5, phi0)
+        free = design(psi, 0.0, phi0)
+        reg = design(psi, 0.5, phi0)
         distortion_free = coherence_report(free.phi, psi).gram_distortion
         distortion_reg = coherence_report(reg.phi, psi).gram_distortion
         assert distortion_reg <= 1.05 * distortion_free
@@ -110,7 +107,7 @@ class TestCgMinimize:
     def test_dimension_mismatch(self):
         spec = ObjectiveSpec(psi=np.eye(4), lam=0.1)
         with pytest.raises(ValueError):
-            cg_minimize(spec, np.zeros((2, 5)))
+            _design(spec, np.zeros((2, 5)))
 
 
 class TestSolverConfigValidation:
@@ -138,8 +135,8 @@ class TestPeriodicRestart:
 
         monkeypatch.setattr(solver, "_step_polynomial", recording)
         # the tiny oracle instance: M*N = 6 unknowns, 19 iterates, no steepest-descent fallback
-        result = cg_minimize(ObjectiveSpec(psi=gen_dictionary(3, 4, 42), lam=0.3),
-                             random_projection(2, 3, 7))
+        result = _design(ObjectiveSpec(psi=gen_dictionary(3, 4, 42), lam=0.3),
+                         random_projection(2, 3, 7))
         assert result.converged and result.n_sd_restarts == 0
         assert len(calls) == len(result.trace) - 1 > 12
         for it in (0, 6, 12):
@@ -201,28 +198,28 @@ class TestAlternatingDesign:
         # solves the same problem as the identity-target design
         psi = np.eye(6)
         phi0 = random_projection(3, 6, 11)
-        alt = alternating_design(psi, 0.2, xi=0.0, outer_iters=3, phi0=phi0)
-        mt = design_mt(psi, 0.2, phi0)
+        alt = design(psi, 0.2, phi0, xi=0.0, outer_iters=3)
+        mt = design(psi, 0.2, phi0)
         np.testing.assert_array_equal(alt.phi, mt.phi)
 
     def test_zero_start_is_single_solve(self):
         # the Gram of a zero matrix projects to the identity target, and
         # zero is a stationary point, so one round returns immediately
         psi = gen_dictionary(5, 8, 12)
-        alt = alternating_design(psi, 0.1, xi=0.3, outer_iters=1, phi0=np.zeros((2, 5)))
-        single = cg_minimize(ObjectiveSpec(psi=psi, lam=0.1), np.zeros((2, 5)))
+        alt = design(psi, 0.1, np.zeros((2, 5)), xi=0.3, outer_iters=1)
+        single = _design(ObjectiveSpec(psi=psi, lam=0.1), np.zeros((2, 5)))
         np.testing.assert_array_equal(alt.phi, single.phi)
 
     def test_coherence_improves(self):
         psi = gen_dictionary(60, 80, 13)
         phi0 = random_projection(20, 60, 13)
-        alt = alternating_design(psi, 0.5, xi=0.2, outer_iters=5, phi0=phi0)
+        alt = design(psi, 0.5, phi0, xi=0.2, outer_iters=5)
         assert mutual_coherence(alt.phi @ psi) < mutual_coherence(phi0 @ psi)
 
     def test_trace_records_outer_rounds(self):
         psi = gen_dictionary(6, 9, 14)
         phi0 = random_projection(3, 6, 14)
-        alt = alternating_design(psi, 0.2, xi=0.3, outer_iters=4, phi0=phi0)
+        alt = design(psi, 0.2, phi0, xi=0.3, outer_iters=4)
         outers = sorted({p.outer_iter for p in alt.trace})
         assert outers == [1, 2, 3, 4]
         for k in outers:
@@ -240,16 +237,16 @@ class TestAlternatingDesign:
 
         monkeypatch.setattr(ObjectiveSpec, "__post_init__", counting)
         psi = gen_dictionary(6, 9, 14)
-        result = design_lh_etf(psi, 0.2, ROUND_SRE, 0.3, 5, random_projection(3, 6, 14))
+        result = design(psi, 0.2, random_projection(3, 6, 14), sre=ROUND_SRE, xi=0.3, outer_iters=5)
         assert sorted({p.outer_iter for p in result.trace}) == [1, 2, 3, 4, 5]
         assert len(built) == 1
 
     def test_invalid_outer_iters(self):
         psi = gen_dictionary(4, 6, 15)
         with pytest.raises(ValueError):
-            alternating_design(psi, 0.1, xi=0.2, outer_iters=0, phi0=np.zeros((2, 4)))
+            design(psi, 0.1, np.zeros((2, 4)), xi=0.2, outer_iters=0)
         with pytest.raises(ValueError, match="outer_iters must be an integer >= 1"):
-            design_lh_etf(psi, 0.1, np.ones((4, 3)), 0.2, 2.5, np.zeros((2, 4)))
+            design(psi, 0.1, np.zeros((2, 4)), sre=np.ones((4, 3)), xi=0.2, outer_iters=2.5)
 
 
 ROUND_SRE = 0.1 * np.random.default_rng(14).standard_normal((6, 20))
@@ -257,12 +254,14 @@ ROUND_SRE = 0.1 * np.random.default_rng(14).standard_normal((6, 20))
 # each alternating design as (rounds, phi0, cfg) -> result, plus its sre
 ALTERNATING = {
     "mt-etf": (
-        lambda psi, rounds, phi0, cfg=None: alternating_design(psi, 0.2, 0.3, rounds, phi0, cfg),
+        lambda psi, rounds, phi0, cfg=None: design(
+            psi, 0.2, phi0, xi=0.3, outer_iters=rounds, cfg=cfg
+        ),
         None,
     ),
     "lh-etf": (
-        lambda psi, rounds, phi0, cfg=None: design_lh_etf(
-            psi, 0.2, ROUND_SRE, 0.3, rounds, phi0, cfg
+        lambda psi, rounds, phi0, cfg=None: design(
+            psi, 0.2, phi0, sre=ROUND_SRE, xi=0.3, outer_iters=rounds, cfg=cfg
         ),
         ROUND_SRE,
     ),
@@ -282,7 +281,7 @@ class TestAlternatingRounds:
         d = two.phi @ self.psi
         target = project_to_relaxed_etf(d.T @ d, 0.3)
         spec = ObjectiveSpec(psi=self.psi, gram_target=target.data, lam=0.2, sre=sre)
-        return two, cg_minimize(spec, two.phi)
+        return two, _design(spec, two.phi)
 
     def test_last_round_is_a_warm_started_solve(self, method):
         three = ALTERNATING[method][0](self.psi, 3, self.phi0)
@@ -305,8 +304,8 @@ class TestDesignLh:
     def test_zero_sre_equals_unregularized(self):
         psi = gen_dictionary(8, 12, 16)
         phi0 = random_projection(3, 8, 16)
-        lh = design_lh(psi, 0.7, np.zeros((8, 10)), phi0)
-        mt0 = design_mt(psi, 0.0, phi0)
+        lh = design(psi, 0.7, phi0, sre=np.zeros((8, 10)))
+        mt0 = design(psi, 0.0, phi0)
         assert [p.f for p in lh.trace] == [p.f for p in mt0.trace]
         np.testing.assert_array_equal(lh.phi, mt0.phi)
 
@@ -330,8 +329,8 @@ class TestDesignLh:
         sigma, p = 0.3, 10_000
         e = sigma * rng.standard_normal((20, p))
         lam_lh = 2.0 / (sigma**2 * p)
-        lh = design_lh(psi, lam_lh, e, phi0)
-        mt = design_mt(psi, lam_lh * sigma**2 * p, phi0)
+        lh = design(psi, lam_lh, phi0, sre=e)
+        mt = design(psi, lam_lh * sigma**2 * p, phi0)
         assert lh.trace[-1].f == pytest.approx(mt.trace[-1].f, rel=0.02)
 
     def test_lh_etf_fixed_point_matches_restart_oracle(self):
@@ -339,7 +338,7 @@ class TestDesignLh:
         rng = np.random.default_rng(99)
         sre = 0.1 * rng.standard_normal((3, 30))
         phi0 = random_projection(2, 3, 8)
-        result = design_lh_etf(psi, 0.3, sre, xi=0.4, outer_iters=40, phi0=phi0)
+        result = design(psi, 0.3, phi0, sre=sre, xi=0.4, outer_iters=40)
         d = result.phi @ psi
         target = project_to_relaxed_etf(d.T @ d, 0.4)
         spec = ObjectiveSpec(psi=psi, gram_target=target.data, lam=0.3, sre=sre)
@@ -350,7 +349,7 @@ class TestDesignLh:
     def test_sre_dimension_mismatch(self):
         psi = gen_dictionary(5, 8, 19)
         with pytest.raises(ValueError):
-            design_lh(psi, 0.1, np.zeros((4, 7)), np.zeros((2, 5)))
+            design(psi, 0.1, np.zeros((2, 5)), sre=np.zeros((4, 7)))
 
 
 class TestRandomProjection:
@@ -372,7 +371,7 @@ class TestTraceSerialization:
     def test_trace_csv(self, tmp_path):
         psi = gen_dictionary(5, 8, 22)
         phi0 = random_projection(2, 5, 22)
-        result = design_mt(psi, 0.2, phi0, SolverConfig(max_cg_iterations=20))
+        result = design(psi, 0.2, phi0, cfg=SolverConfig(max_cg_iterations=20))
         path = tmp_path / "trace.csv"
         write_trace_csv(result.trace, path)
         lines = path.read_text().splitlines()
@@ -387,11 +386,28 @@ class TestDesignResultShape:
     def test_method_tags(self):
         psi = gen_dictionary(5, 8, 23)
         phi0 = random_projection(2, 5, 23)
-        assert design_mt(psi, 0.1, phi0).method == "mt"
-        assert design_lh(psi, 0.1, np.zeros((5, 4)), phi0).method == "lh"
-        assert alternating_design(psi, 0.1, 0.3, 2, phi0).method == "mt-etf"
-        assert design_lh_etf(psi, 0.1, np.zeros((5, 4)), 0.3, 2, phi0).method == "lh-etf"
-        assert isinstance(design_mt(psi, 0.1, phi0), DesignResult)
+        assert design(psi, 0.1, phi0).method == "mt"
+        assert design(psi, 0.1, phi0, sre=np.zeros((5, 4))).method == "lh"
+        assert design(psi, 0.1, phi0, xi=0.3, outer_iters=2).method == "mt-etf"
+        lh_etf = design(psi, 0.1, phi0, sre=np.zeros((5, 4)), xi=0.3, outer_iters=2)
+        assert lh_etf.method == "lh-etf"
+        assert isinstance(design(psi, 0.1, phi0), DesignResult)
+        # the inputs alone name the result, whatever the number of rounds
+        assert design(psi, 0.1, phi0, xi=0.3).method == "mt-etf"
+        assert design(psi, 0.1, phi0, sre=np.zeros((5, 4)), xi=0.3,
+                      outer_iters=3).method == "lh-etf"
+
+    @pytest.mark.parametrize("sre", [None, np.zeros((5, 4))], ids=["mt", "lh"])
+    def test_rounds_without_xi_rejected(self, sre):
+        psi = gen_dictionary(5, 8, 23)
+        with pytest.raises(ValueError, match="outer_iters=3 needs xi"):
+            design(psi, 0.1, random_projection(2, 5, 23), sre=sre, outer_iters=3)
+
+    def test_given_spec_is_tagged_by_its_sre(self):
+        spec = ObjectiveSpec(psi=gen_dictionary(5, 8, 23), lam=0.1, sre=np.zeros((5, 4)))
+        phi0 = random_projection(2, 5, 23)
+        assert _design(spec, phi0).method == "lh"
+        assert _design(spec, phi0, xi=0.3, outer_iters=2).method == "lh-etf"
 
 
 class TestQuarticLineSearch:
@@ -415,7 +431,7 @@ class TestQuarticLineSearch:
         psi = gen_dictionary(12, 20, 31)
         e = np.random.default_rng(31).standard_normal((12, 40)) if sre else None
         spec = ObjectiveSpec(psi=psi, lam=0.05 if sre else 0.3, sre=e)
-        result = cg_minimize(spec, random_projection(5, 12, 31), SolverConfig(max_cg_iterations=15))
+        result = _design(spec, random_projection(5, 12, 31), SolverConfig(max_cg_iterations=15))
         assert result.stop_reason == "iteration cap"
         assert len(calls) == result.trace[-1].cg_iter + 1 == 16
 
@@ -434,7 +450,7 @@ class TestQuarticLineSearch:
         assert solver._armijo((-1.0, 0.0, inf, inf)) is None
         monkeypatch.setattr(solver, "_step_polynomial", lambda *args: (-1.0, 0.0, inf, inf))
         phi0 = random_projection(3, 8, 32)
-        result = design_mt(gen_dictionary(8, 12, 32), 0.1, phi0)
+        result = design(gen_dictionary(8, 12, 32), 0.1, phi0)
         assert not result.converged
         assert result.stop_reason == "line-search stall"
         np.testing.assert_array_equal(result.phi, phi0)
@@ -442,7 +458,7 @@ class TestQuarticLineSearch:
     def test_overflowing_start_stalls_with_finite_phi(self):
         phi0 = 1e70 * random_projection(3, 8, 33)
         with np.errstate(over="ignore", invalid="ignore"):
-            result = design_mt(gen_dictionary(8, 12, 33), 0.1, phi0)
+            result = design(gen_dictionary(8, 12, 33), 0.1, phi0)
         assert not result.converged
         assert np.all(np.isfinite(result.phi))
 
@@ -461,17 +477,17 @@ class TestStopReason:
         import csdesign.solver as solver
 
         monkeypatch.setattr(solver, "_armijo", lambda poly: None)
-        result = design_mt(gen_dictionary(12, 20, 35), 0.3, random_projection(5, 12, 35))
+        result = design(gen_dictionary(12, 20, 35), 0.3, random_projection(5, 12, 35))
         assert not result.converged and result.stop_reason == "line-search stall"
         assert len(result.trace) == 1
 
 
 # every design method as (psi, phi0) -> result; the sre has 6 rows
 DESIGNS = {
-    "mt": lambda psi, phi0: design_mt(psi, 0.2, phi0),
-    "mt-etf": lambda psi, phi0: alternating_design(psi, 0.2, 0.3, 3, phi0),
-    "lh": lambda psi, phi0: design_lh(psi, 0.2, ROUND_SRE, phi0),
-    "lh-etf": lambda psi, phi0: design_lh_etf(psi, 0.2, ROUND_SRE, 0.3, 3, phi0),
+    "mt": lambda psi, phi0: design(psi, 0.2, phi0),
+    "mt-etf": lambda psi, phi0: design(psi, 0.2, phi0, xi=0.3, outer_iters=3),
+    "lh": lambda psi, phi0: design(psi, 0.2, phi0, sre=ROUND_SRE),
+    "lh-etf": lambda psi, phi0: design(psi, 0.2, phi0, sre=ROUND_SRE, xi=0.3, outer_iters=3),
 }
 
 
@@ -505,7 +521,7 @@ class TestCallerStartUntouched:
 
     def test_start_converged_at_iterate_zero(self):
         phi0 = np.zeros((3, 6))  # d = 0, so the gradient is exactly zero
-        result = design_mt(self.psi, 0.2, phi0)
+        result = design(self.psi, 0.2, phi0)
         assert result.converged and result.n_f_evals == 1
         self._assert_untouched(result, phi0, np.zeros((3, 6)))
 
@@ -515,7 +531,7 @@ class TestCallerStartUntouched:
         monkeypatch.setattr(solver, "_armijo", lambda poly: None)
         phi0 = random_projection(3, 6, 14)
         before = phi0.copy()
-        result = design_mt(self.psi, 0.2, phi0)
+        result = design(self.psi, 0.2, phi0)
         assert result.stop_reason == "line-search stall" and result.n_f_evals == 1
         self._assert_untouched(result, phi0, before)
 
@@ -540,8 +556,9 @@ class TestWorkCounts:
 
         monkeypatch.setattr(solver, "_evaluate", counting)
         sre = np.ones((12, 3))
-        result = (design_lh(self.psi, 0.05, sre, self.phi0, self.cfg) if rounds == 1 else
-                  design_lh_etf(self.psi, 0.05, sre, 0.3, rounds, self.phi0, self.cfg))
+        result = (design(self.psi, 0.05, self.phi0, sre=sre, cfg=self.cfg) if rounds == 1 else
+                  design(self.psi, 0.05, self.phi0, sre=sre, xi=0.3, outer_iters=rounds,
+                         cfg=self.cfg))
         assert result.stop_reason == "iteration cap"
         assert result.n_f_evals == len(calls) == 16 * rounds  # every round hits the cap
         assert result.n_sd_restarts == 0
@@ -565,7 +582,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(solver, "_gradient", flipping)
         monkeypatch.setattr(solver, "_step_polynomial", linear)
-        result = cg_minimize(ObjectiveSpec(psi=self.psi, lam=0.3), self.phi0, self.cfg)
+        result = _design(ObjectiveSpec(psi=self.psi, lam=0.3), self.phi0, self.cfg)
         assert result.stop_reason == "iteration cap"
         assert result.n_f_evals == 16
         assert result.n_sd_restarts == 14
@@ -616,7 +633,7 @@ class TestClosedFormOracle:
         for seed in range(10):
             spec, phi0 = self._instance(target, seed)
             f_star = objective_value(closed_form_optimum(spec, phi0.shape[0]), spec)
-            result = cg_minimize(spec, phi0)
+            result = _design(spec, phi0)
             # a global minimum: no iterate goes below it beyond rounding
             assert f_star <= min(p.f for p in result.trace) * (1.0 + 1e-12)
             if result.converged:
