@@ -14,8 +14,11 @@ the same as a training-free one regardless of how many training samples
 fed ``E``.
 
 The objective sees the N x L dictionary only through its singular
-basis.  The spec factors ``Psi = U S V^T`` once (U is N x N orthogonal,
-S holds the ``k = min(N, L)`` singular values, V is L x k), and with
+basis ``Psi = U S V^T`` (U is N x N orthogonal, S holds the
+``k = min(N, L)`` singular values, V is L x k).  Specs on the same bytes
+of Psi share one factorisation: the module keeps the last one, keyed by
+Psi's shape and a digest of its bytes, for as long as the array it was
+taken from lives, and its arrays are read-only (see ``_factor``).  With
 ``Phi' = Phi U`` the Gram term splits into
 ``|| V^T G V - S Phi'^T Phi' S ||_F^2`` plus a constant that does not
 depend on Phi (Li, Zhu et al., "On projection matrix optimization for
@@ -51,6 +54,8 @@ products are all the gradient needs.
 from __future__ import annotations
 
 import copy
+import hashlib
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +90,9 @@ class ObjectiveSpec:
     Derived once at construction: ``sre_rotated`` is ``U^T E E^T U``,
     the one form of the regularizer the objective reads; the singular
     basis of the module docstring is ``basis`` (U, N x N), ``sigma``
-    (length k) and ``row_basis`` (V, L x k); the reduced problem is
+    (length k) and ``row_basis`` (V, L x k), read-only arrays shared by
+    every spec built on the same bytes of `psi` while the array the
+    first of them factored lives; the reduced problem is
     ``target_r`` (``V^T G V``, k x k) and ``offset``, the constant the
     reduction leaves, ``2|(I - VV^T) G V|^2 + |(I - VV^T) G (I - VV^T)|^2``.
     ``identity_target`` says the target is ``np.eye(L)`` entry for entry
@@ -114,12 +121,11 @@ class ObjectiveSpec:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
         object.__setattr__(self, "lam", float(self.lam))
 
-        n, l = psi.shape
-        # U stays square when L < N, so phi @ U keeps every norm the regularizer reads
-        u, sigma, vt = np.linalg.svd(psi, full_matrices=l < n)
+        l = psi.shape[1]
+        u, sigma, v = _factor(psi)
         object.__setattr__(self, "basis", u)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "row_basis", vt.T)
+        object.__setattr__(self, "row_basis", v)
 
         if self.gram_target is None:
             g = np.eye(l)
@@ -152,6 +158,46 @@ class ObjectiveSpec:
         return self.psi.shape[0]
 
 
+# The last factorisation taken: (token, key, (U, sigma, V)), or None.
+_factors = None
+
+
+def _factor(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The singular basis ``(U, sigma, V)`` of the finite float 2-D `psi`.
+
+    The module keeps the last factorisation, keyed by the shape and a
+    128-bit digest of the C-order bytes, so a spec on any array with
+    those bytes, in any memory layout, reuses it and gets the bits of a
+    fresh SVD.  A digest, not a kept copy of `psi`, holds memory flat;
+    bytes, not ``np.array_equal``, tell -0.0 from 0.0; and content, not
+    identity, gives an array changed in place a new factorisation.  The
+    entry lives no longer than the array it was taken from: a finalizer
+    drops it then, unless a later one has replaced it.  The arrays are
+    read-only, as every spec on the same bytes shares them.
+    """
+    global _factors
+    key = (psi.shape, hashlib.blake2b(np.ascontiguousarray(psi), digest_size=16).digest())
+    entry = _factors
+    if entry is not None and entry[1] == key:
+        return entry[2]
+    n, l = psi.shape
+    # U stays square when L < N, so phi @ U keeps every norm the regularizer reads
+    u, sigma, vt = np.linalg.svd(psi, full_matrices=l < n)
+    for a in (u, sigma, vt):
+        a.setflags(write=False)
+    factors = (u, sigma, vt.T)
+    token = object()  # the finalizer holds this, not the factors, so a replaced entry is freed
+    _factors = (token, key, factors)
+    weakref.finalize(psi, _drop_factors, token)
+    return factors
+
+
+def _drop_factors(token: object) -> None:
+    global _factors
+    if _factors is not None and _factors[0] is token:
+        _factors = None
+
+
 def _set_reduced_target(spec: ObjectiveSpec, g: np.ndarray) -> None:
     """Store the reduced target ``V^T G V`` and the offset of the symmetric `g` on `spec`.
 
@@ -181,8 +227,10 @@ def _set_reduced_target(spec: ObjectiveSpec, g: np.ndarray) -> None:
 def _with_target(spec: ObjectiveSpec, gram_target: np.ndarray) -> ObjectiveSpec:
     """`spec` with its Gram target swapped for the L x L `gram_target`.
 
-    The copy skips ``__post_init__``, so neither ``E @ E.T`` nor the SVD
-    is rebuilt; only the new target is reduced to the singular basis.
+    The copy skips ``__post_init__``, so neither ``E @ E.T`` nor the
+    factorisation is looked up again: the copy holds `spec`'s read-only
+    singular basis, shared with every spec on the same bytes of Psi, and
+    only the new target is reduced to it.
     The caller owns the target's shape, finiteness and symmetry.
     """
     swapped = copy.copy(spec)

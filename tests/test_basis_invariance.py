@@ -1,4 +1,4 @@
-"""Designs do not depend on the coordinates of the signal space.
+"""Designs do not depend on the coordinates of the problem.
 
 For an orthogonal W, the problem (W psi, phi0 W^T, W E) has the same
 equivalent dictionary ``phi psi`` and the same ``phi E`` as (psi, phi0,
@@ -7,6 +7,17 @@ E) at every iterate, so its design times W must be the design on
 LAPACK picks afresh for W psi; the check holds only if nothing depends
 on that choice.  The dictionaries cover a rank-deficient psi and one
 whose singular values are all tied.
+
+Two more symmetries of the objective fix the design:
+
+* measurement rotation: for an orthogonal M x M Q, ``Q phi`` has the
+  Gram and the norms of ``phi``, and every CG inner product is
+  unchanged, so the design from ``Q phi0`` is Q times the design from
+  ``phi0``.  The second design runs on the same psi, so it also reuses
+  the first one's factorisation;
+* atom order: permuting psi's columns permutes the Gram of ``phi psi``
+  and leaves its distance to the identity, so an identity-target
+  design does not change.
 
 The tolerance 1e-8 sits far above rounding on these well-conditioned
 instances (the designs agree to about 1e-12).  On an ill-conditioned
@@ -55,4 +66,32 @@ def test_design_commutes_with_an_orthogonal_change_of_basis(kind, method):
     assert len(turned.trace) == len(base.trace) > 1
     assert turned.stop_reason == base.stop_reason
     np.testing.assert_allclose(turned.phi @ w, base.phi, rtol=0,
+                               atol=1e-8 * np.max(np.abs(base.phi)))
+
+
+@pytest.mark.parametrize("method", sorted(DESIGNS))
+def test_design_commutes_with_a_rotation_of_the_measurements(method):
+    psi = _dictionary("full-rank")
+    phi0 = random_projection(M, N, 25)
+    q, _ = np.linalg.qr(np.random.default_rng(26).standard_normal((M, M)))
+    design = DESIGNS[method]
+    base = design(psi, phi0, SRE)
+    turned = design(psi, q @ phi0, SRE)
+    assert len(turned.trace) == len(base.trace) > 1
+    assert turned.stop_reason == base.stop_reason
+    np.testing.assert_allclose(turned.phi, q @ base.phi, rtol=0,
+                               atol=1e-8 * np.max(np.abs(base.phi)))
+
+
+@pytest.mark.parametrize("method", ["lh", "mt"])
+def test_identity_target_design_ignores_the_atom_order(method):
+    psi = _dictionary("full-rank")
+    phi0 = random_projection(M, N, 27)
+    order = np.random.default_rng(28).permutation(L)
+    design = DESIGNS[method]
+    base = design(psi, phi0, SRE)
+    permuted = design(psi[:, order], phi0, SRE)
+    assert len(permuted.trace) == len(base.trace) > 1
+    assert permuted.stop_reason == base.stop_reason
+    np.testing.assert_allclose(permuted.phi, base.phi, rtol=0,
                                atol=1e-8 * np.max(np.abs(base.phi)))

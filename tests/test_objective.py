@@ -494,3 +494,73 @@ class TestIdentityTargetByContent:
             assert r.shape == (8, 8)  # k x k, where the Gram side is 3 x 3
             assert objective_value(self.phi0, spec) == pytest.approx(
                 elementwise_objective(self.phi0, self.psi, g, 0.3), rel=1e-10)
+
+
+class TestSharedFactorisation:
+    """Specs on the same bytes of psi share one read-only factorisation."""
+
+    n, l = 6, 9
+
+    def _psi(self):
+        psi = np.random.default_rng(8).standard_normal((self.n, self.l))
+        psi[2, 3] = 0.0
+        return psi
+
+    @staticmethod
+    def _arrays(spec):
+        return spec.basis, spec.sigma, spec.row_basis
+
+    def _assert_fresh(self, spec, psi):
+        n, l = psi.shape
+        u, sigma, vt = np.linalg.svd(psi, full_matrices=l < n)
+        for got, want in zip(self._arrays(spec), (u, sigma, vt.T)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_same_bytes_in_any_layout_reuse(self):
+        psi = self._psi()
+        first = ObjectiveSpec(psi=psi, lam=0.3)
+        wide = np.zeros((self.n, 2 * self.l))
+        wide[:, ::2] = psi
+        for same in (psi.copy(), np.asfortranarray(psi), wide[:, ::2]):
+            spec = ObjectiveSpec(psi=same, lam=0.7, sre=np.ones((self.n, 2)))
+            assert all(a is b for a, b in zip(self._arrays(spec), self._arrays(first)))
+        self._assert_fresh(first, psi)
+
+    def test_other_bytes_refactor(self):
+        psi = self._psi()
+        changed = psi.copy()
+        changed[0, 0] += 1.0
+        negative_zero = psi.copy()
+        negative_zero[2, 3] = -0.0
+        assert np.array_equal(negative_zero, psi)  # equal values, other bytes
+        for other in (changed, negative_zero, psi.reshape(self.l, self.n)):
+            first = ObjectiveSpec(psi=psi, lam=0.3)
+            spec = ObjectiveSpec(psi=other, lam=0.3)
+            assert not any(a is b for a, b in zip(self._arrays(spec), self._arrays(first)))
+            self._assert_fresh(spec, other)
+
+    def test_changed_in_place_refactors(self):
+        psi = self._psi()
+        first = ObjectiveSpec(psi=psi, lam=0.3)
+        psi[1, 1] *= 2.0
+        spec = ObjectiveSpec(psi=psi, lam=0.3)
+        assert spec.basis is not first.basis
+        self._assert_fresh(spec, psi)
+
+    def test_entry_dies_with_its_array(self):
+        import gc
+
+        import csdesign.objective as objective
+
+        psi = self._psi()
+        specs = [ObjectiveSpec(psi=psi, lam=0.3), ObjectiveSpec(psi=psi.copy(), lam=0.3)]
+        assert objective._factors is not None
+        del psi, specs
+        gc.collect()
+        assert objective._factors is None
+
+    def test_factors_are_read_only(self):
+        spec = ObjectiveSpec(psi=self._psi(), lam=0.3)
+        for name in ("basis", "sigma", "row_basis"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(spec, name)[0] = 1.0

@@ -640,3 +640,34 @@ class TestClosedFormOracle:
                 converged += 1
                 assert result.trace[-1].f == pytest.approx(f_star, rel=1e-8)
         assert converged >= 9
+
+
+class TestWarmFactorisation:
+    """A design on a dictionary already factored equals one that factors it afresh.
+
+    The mt design factors a Fortran-order copy, so the warm lh design
+    also checks that the memory layout the factors came from leaves no
+    trace in the bits.
+    """
+
+    psi = gen_dictionary(12, 20, 33)
+    phi0 = random_projection(4, 12, 33)
+    sre = 0.2 * np.random.default_rng(33).standard_normal((12, 30))
+
+    def _lh(self):
+        return design(self.psi, 0.05, self.phi0, sre=self.sre)
+
+    def test_lh_after_mt_matches_cold(self, monkeypatch):
+        import csdesign.objective as objective
+
+        fortran = np.asfortranarray(self.psi)
+        design(fortran, 0.3, self.phi0)
+        entry = objective._factors
+        warm = self._lh()
+        assert entry is not None and objective._factors is entry  # reused, not refactored
+        monkeypatch.setattr(objective, "_factors", None)
+        cold = self._lh()
+        assert objective._factors is not entry
+        assert warm.phi.tobytes() == cold.phi.tobytes()
+        assert warm.trace == cold.trace and len(warm.trace) > 1
+        assert (warm.stop_reason, warm.n_sd_restarts) == (cold.stop_reason, cold.n_sd_restarts)
