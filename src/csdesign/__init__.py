@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .coherence import (
     CoherenceReport,
-    GramMatrix,
     average_mutual_coherence,
     coherence_report,
     equivalent_dictionary,
@@ -34,13 +33,7 @@ from .experiments import (
     write_records_csv,
 )
 from .matio import read_matrix_csv, write_matrix_csv
-from .objective import (
-    GradientCheckReport,
-    ObjectiveSpec,
-    gradient_check,
-    objective_value,
-    value_and_gradient,
-)
+from .objective import ObjectiveSpec, objective_value, value_and_gradient
 from .recovery import SparseCode, batch_recover, omp, reconstruct
 from .solver import (
     DesignResult,

@@ -70,8 +70,6 @@ class CliError(Exception):
 def _read_matrix(path: str) -> np.ndarray:
     try:
         return read_matrix_csv(path)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise CliError(EXIT_IO, str(exc)) from exc
 
@@ -176,8 +174,6 @@ def _resolve(args: argparse.Namespace, params: tuple[Param, ...]) -> dict:
     if args.config:
         try:
             config = read_keyvalues(args.config)
-        except OSError as exc:
-            raise CliError(EXIT_IO, f"cannot read config {args.config}: {exc.strerror or exc}")
         except ValueError as exc:
             raise CliError(EXIT_IO, str(exc))
         if config.get("command", args.command) != args.command:
@@ -233,10 +229,7 @@ def _write_manifest(out_dir: Path, command: str, values: dict, **extra) -> None:
 
 def _ensure_out_dir(path_text: str) -> Path:
     out_dir = Path(path_text)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot create output directory {out_dir}: {exc}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
 
 
@@ -467,7 +460,7 @@ def main(argv=None) -> int:
     except (CliError, ValueError) as exc:  # a ValueError is a value the library rejects
         print(f"csdesign {args.command}: {exc}", file=sys.stderr)
         return getattr(exc, "code", EXIT_USAGE)
-    except OSError as exc:
+    except OSError as exc:  # the message names the path
         print(f"csdesign {args.command}: {exc}", file=sys.stderr)
         return EXIT_IO
 

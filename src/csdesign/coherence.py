@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "DEGENERATE_COL_TOL",
     "DEFAULT_MU_BAR",
-    "GramMatrix",
     "CoherenceReport",
     "normalize_columns",
     "gram",
@@ -42,22 +41,6 @@ DEGENERATE_COL_TOL = 1e-12
 #: the threshold they used; the value is a convention, not a constant of
 #: the problem)
 DEFAULT_MU_BAR = 0.2
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Gram matrix of a column-normalized matrix.
-
-    Attributes
-    ----------
-    data : ndarray
-        The L x L Gram matrix.
-    degenerate : tuple[int, ...]
-        Indices of columns that could not be normalized.
-    """
-
-    data: np.ndarray
-    degenerate: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -104,10 +87,15 @@ def normalize_columns(d) -> tuple[np.ndarray, np.ndarray, list[int]]:
     return normalized, scales, degenerate
 
 
-def gram(d) -> GramMatrix:
-    """Gram matrix of the column-normalized `d`."""
-    dbar, _, degenerate = normalize_columns(d)
-    return GramMatrix(data=dbar.T @ dbar, degenerate=tuple(degenerate))
+def gram(d) -> np.ndarray:
+    """Gram matrix of the column-normalized `d`.
+
+    :func:`normalize_columns` zeroes each degenerate column, so its row,
+    column and diagonal entry are exactly 0, and every other diagonal
+    entry is 1 to rounding: the usable atoms are ``np.diag(g) != 0``.
+    """
+    dbar = normalize_columns(d)[0]
+    return dbar.T @ dbar
 
 
 def mutual_coherence(d) -> float:
@@ -120,14 +108,14 @@ def mutual_coherence(d) -> float:
     return _mu_from_gram(gram(d))
 
 
-def _mu_from_gram(g: GramMatrix) -> float:
+def _mu_from_gram(g: np.ndarray) -> float:
     """:func:`mutual_coherence` of the matrix whose normalized Gram is `g`."""
-    n_ok = g.data.shape[0] - len(g.degenerate)
+    n_ok = np.count_nonzero(np.diag(g))
     if n_ok < 2:
         raise ValueError(
             f"mutual coherence needs >= 2 non-degenerate columns, found {n_ok}"
         )
-    off = np.abs(g.data - np.diag(np.diag(g.data)))
+    off = np.abs(g - np.diag(np.diag(g)))
     return float(min(max(off.max(), 0.0), 1.0))
 
 
@@ -147,14 +135,12 @@ def average_mutual_coherence(d, mu_bar: float = DEFAULT_MU_BAR) -> tuple[float, 
     return _mu_av_from_gram(gram(d), mu_bar)
 
 
-def _mu_av_from_gram(g: GramMatrix, mu_bar: float) -> tuple[float, int]:
+def _mu_av_from_gram(g: np.ndarray, mu_bar: float) -> tuple[float, int]:
     """:func:`average_mutual_coherence` of the matrix whose normalized Gram is `g`."""
     if not 0.0 <= mu_bar < 1.0:
         raise ValueError(f"mu_bar must lie in [0, 1), got {mu_bar}")
-    ok = np.ones(g.data.shape[0], dtype=bool)
-    if g.degenerate:
-        ok[list(g.degenerate)] = False
-    sub = np.abs(g.data[np.ix_(ok, ok)])
+    ok = np.diag(g) != 0
+    sub = np.abs(g[np.ix_(ok, ok)])
     np.fill_diagonal(sub, -1.0)  # excludes the diagonal from the threshold test
     selected = sub[sub >= mu_bar]
     if selected.size == 0:
@@ -213,6 +199,6 @@ def coherence_report(phi, psi, mu_bar: float = DEFAULT_MU_BAR) -> CoherenceRepor
         mu_bar_threshold=float(mu_bar),
         welch=welch_bound(m, l) if l >= 2 and m <= l else 0.0,
         n_av=n_av,
-        gram_distortion=float(np.sum((ident - g.data) ** 2)),
+        gram_distortion=float(np.sum((ident - g) ** 2)),
         phi_energy=float(np.sum(phi**2)),
     )

@@ -60,13 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "ObjectiveSpec",
-    "GradientCheckReport",
-    "objective_value",
-    "value_and_gradient",
-    "gradient_check",
-]
+__all__ = ["ObjectiveSpec", "objective_value", "value_and_gradient"]
 
 
 @dataclass(frozen=True)
@@ -158,7 +152,7 @@ class ObjectiveSpec:
         return self.psi.shape[0]
 
 
-# The last factorisation taken: (token, key, (U, sigma, V)), or None.
+# The last factorisation taken: (weak reference to its psi, key, (U, sigma, V)), or None.
 _factors = None
 
 
@@ -171,9 +165,10 @@ def _factor(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     fresh SVD.  A digest, not a kept copy of `psi`, holds memory flat;
     bytes, not ``np.array_equal``, tell -0.0 from 0.0; and content, not
     identity, gives an array changed in place a new factorisation.  The
-    entry lives no longer than the array it was taken from: a finalizer
-    drops it then, unless a later one has replaced it.  The arrays are
-    read-only, as every spec on the same bytes shares them.
+    entry lives no longer than the array it was taken from: the callback
+    of its weak reference drops it then.  A replaced entry frees its
+    reference, whose callback then never runs.  The arrays are read-only,
+    as every spec on the same bytes shares them.
     """
     global _factors
     key = (psi.shape, hashlib.blake2b(np.ascontiguousarray(psi), digest_size=16).digest())
@@ -186,15 +181,13 @@ def _factor(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for a in (u, sigma, vt):
         a.setflags(write=False)
     factors = (u, sigma, vt.T)
-    token = object()  # the finalizer holds this, not the factors, so a replaced entry is freed
-    _factors = (token, key, factors)
-    weakref.finalize(psi, _drop_factors, token)
+    _factors = (weakref.ref(psi, _drop_factors), key, factors)
     return factors
 
 
-def _drop_factors(token: object) -> None:
+def _drop_factors(ref: weakref.ref) -> None:
     global _factors
-    if _factors is not None and _factors[0] is token:
+    if _factors is not None and _factors[0] is ref:
         _factors = None
 
 
@@ -237,16 +230,6 @@ def _with_target(spec: ObjectiveSpec, gram_target: np.ndarray) -> ObjectiveSpec:
     object.__setattr__(swapped, "gram_target", gram_target)
     _set_reduced_target(swapped, gram_target)
     return swapped
-
-
-@dataclass(frozen=True)
-class GradientCheckReport:
-    """Outcome of comparing the analytic gradient against finite differences."""
-
-    max_rel_deviation: float
-    passed: bool
-    step: float
-    tol: float
 
 
 def _check_phi(phi, spec: ObjectiveSpec) -> np.ndarray:
@@ -343,45 +326,3 @@ def value_and_gradient(phi, spec: ObjectiveSpec) -> tuple[float, np.ndarray]:
     """Objective value and gradient sharing the intermediate products."""
     value, _, *products = _evaluate(_check_phi(phi, spec) @ spec.basis, spec)
     return value, _gradient(spec, *products) @ spec.basis.T
-
-
-def gradient_check(
-    phi,
-    spec: ObjectiveSpec,
-    step: float = 1e-6,
-    tol: float = 1e-5,
-    gradient: np.ndarray | None = None,
-) -> GradientCheckReport:
-    """Compare the analytic gradient with central finite differences.
-
-    The deviation of each entry is measured relative to
-    ``max(1, |analytic|, |numeric|)`` so entries near zero are judged on
-    absolute error; inputs are expected at unit scale, where a step of
-    1e-6 balances truncation against roundoff.
-
-    Parameters
-    ----------
-    gradient : ndarray, optional
-        Gradient to check instead of the analytic one (fault injection
-        for the checker's own tests).
-    """
-    if step <= 0 or tol <= 0:
-        raise ValueError("step and tol must be positive")
-    phi = _check_phi(phi, spec)
-    analytic = value_and_gradient(phi, spec)[1] if gradient is None else np.asarray(gradient)
-    numeric = np.empty_like(phi)
-    work = phi.copy()
-    for i in range(phi.shape[0]):
-        for j in range(phi.shape[1]):
-            orig = work[i, j]
-            work[i, j] = orig + step
-            f_plus = objective_value(work, spec)
-            work[i, j] = orig - step
-            f_minus = objective_value(work, spec)
-            work[i, j] = orig
-            numeric[i, j] = (f_plus - f_minus) / (2.0 * step)
-    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    max_rel = float(np.max(np.abs(analytic - numeric) / denom))
-    return GradientCheckReport(
-        max_rel_deviation=max_rel, passed=bool(max_rel <= tol), step=step, tol=tol
-    )

@@ -108,27 +108,12 @@ def check_xi(xi: float) -> float:
     return float(xi)
 
 
-@dataclass(frozen=True)
-class RelaxedETFTarget:
-    """Symmetric unit-diagonal matrix with off-diagonals bounded by `xi`."""
+class RelaxedETFTarget(NamedTuple):
+    """Symmetric unit-diagonal matrix with off-diagonals bounded by `xi`,
+    as :func:`project_to_relaxed_etf` builds it."""
 
     data: np.ndarray
     xi: float
-
-    def __post_init__(self):
-        g = np.asarray(self.data, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError(f"target must be square, got shape {g.shape}")
-        xi = check_xi(self.xi)
-        if np.max(np.abs(g - g.T)) > 1e-12:
-            raise ValueError("target is not symmetric")
-        if np.max(np.abs(np.diag(g) - 1.0)) > 1e-12:
-            raise ValueError("target diagonal is not unit")
-        off = np.abs(g - np.diag(np.diag(g)))
-        if off.max() > xi + 1e-12:
-            raise ValueError("off-diagonal entries exceed xi")
-        object.__setattr__(self, "data", g)
-        object.__setattr__(self, "xi", xi)
 
 
 class TracePoint(NamedTuple):

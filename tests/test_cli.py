@@ -149,6 +149,15 @@ class TestDesignCommand:
         assert code == 3
         assert "absent.csv" in capsys.readouterr().err
 
+    def test_out_under_a_regular_file_is_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file.txt"
+        blocker.write_text("not a directory\n")
+        out = blocker / "run"
+        code = run("design", "--synth", "20,30", "--m", "6", "--out", str(out))
+        assert code == 3
+        assert str(out) in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory\n"
+
     def test_etf_method(self, tmp_path):
         out = tmp_path / "etf"
         code = run("design", "--synth", "20,30", "--m", "6", "--method", "mt-etf",
@@ -436,6 +445,13 @@ class TestConfigFile:
         config.write_text(f"{key}={bad}\n")
         assert run(*argv, "--config", str(config), "--out", str(tmp_path / "x")) == 2
         assert f"{key} expects" in capsys.readouterr().err
+
+    def test_missing_config_is_io_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent-config.txt"
+        code = run("design", "--synth", "20,30", "--m", "6", "--config", str(missing),
+                   "--out", str(tmp_path / "x"))
+        assert code == 3
+        assert str(missing) in capsys.readouterr().err
 
 
 class TestLemma1Command:

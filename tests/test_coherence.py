@@ -61,22 +61,22 @@ class TestNormalizeColumns:
 class TestGram:
     def test_identity(self):
         g = gram(np.eye(5))
-        np.testing.assert_array_equal(g.data, np.eye(5))
+        np.testing.assert_array_equal(g, np.eye(5))
 
     def test_duplicate_columns_off_diagonal_one(self):
         d = np.array([[1.0, 2.0], [1.0, 2.0]])
         g = gram(d)
-        assert g.data[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert g[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(11)
         d = rng.standard_normal((3, 5))
-        np.testing.assert_allclose(gram(d).data, brute_force_gram(d), atol=1e-12)
+        np.testing.assert_allclose(gram(d), brute_force_gram(d), atol=1e-12)
 
     def test_unit_diagonal_and_symmetric(self):
         rng = np.random.default_rng(12)
         d = rng.standard_normal((6, 9))
-        g = gram(d).data
+        g = gram(d)
         np.testing.assert_allclose(np.diag(g), 1.0, atol=1e-12)
         np.testing.assert_allclose(g, g.T, atol=1e-12)
 
@@ -149,6 +149,18 @@ class TestAverageMutualCoherence:
             if n_av:
                 assert higher >= base - 1e-12
 
+    @pytest.mark.parametrize("mu_bar", [0.0, 0.2])
+    def test_dead_atom_is_excluded(self, mu_bar):
+        # at mu_bar 0 the dead atom's zero Gram entries would pass the
+        # threshold and pull the mean down if it were not excluded
+        d = np.random.default_rng(19).standard_normal((5, 8))
+        dead = np.insert(d, 3, 0.0, axis=1)
+        assert mutual_coherence(dead) == pytest.approx(mutual_coherence(d), abs=1e-15)
+        mu_av, n_av = average_mutual_coherence(dead, mu_bar)
+        want_av, want_n = average_mutual_coherence(d, mu_bar)
+        assert n_av == want_n > 0
+        assert mu_av == pytest.approx(want_av, abs=1e-15)
+
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             average_mutual_coherence(np.eye(3), 1.0)
@@ -217,5 +229,5 @@ class TestCoherenceReport:
         assert rep.mu >= rep.welch - 1e-9
         assert rep.mu_bar_threshold == 0.25
         assert rep.phi_energy == pytest.approx(float(np.sum(phi**2)), rel=1e-15)
-        g = gram(d).data
+        g = gram(d)
         assert rep.gram_distortion == pytest.approx(float(np.sum((np.eye(20) - g) ** 2)), rel=1e-12)

@@ -7,11 +7,11 @@ from csdesign.objective import (
     ObjectiveSpec,
     _evaluate,
     _step_polynomial,
-    gradient_check,
     objective_value,
     value_and_gradient,
 )
 from csdesign.solver import project_to_relaxed_etf
+from oracles import gradient_check
 
 
 def elementwise_objective(phi, psi, g, lam, sre=None):
@@ -564,3 +564,13 @@ class TestSharedFactorisation:
         for name in ("basis", "sigma", "row_basis"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(spec, name)[0] = 1.0
+
+
+def test_replaced_factorisation_leaves_no_weak_reference():
+    import weakref
+
+    rng = np.random.default_rng(9)
+    psis = [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))]
+    for i in range(50):  # each spec misses the cache and replaces the other array's entry
+        ObjectiveSpec(psi=psis[i % 2], lam=0.3)
+    assert all(weakref.getweakrefcount(psi) <= 1 for psi in psis)

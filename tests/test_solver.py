@@ -5,7 +5,6 @@ from csdesign.coherence import mutual_coherence
 from csdesign.objective import ObjectiveSpec, objective_value
 from csdesign.solver import (
     DesignResult,
-    RelaxedETFTarget,
     SolverConfig,
     _design,
     design,
@@ -186,10 +185,6 @@ class TestProjectToRelaxedEtf:
             project_to_relaxed_etf(np.eye(3), 1.0)
         with pytest.raises(ValueError):
             project_to_relaxed_etf(np.eye(3), -0.1)
-
-    def test_target_validation(self):
-        with pytest.raises(ValueError):
-            RelaxedETFTarget(np.array([[1.0, 0.6], [0.6, 1.0]]), 0.5)
 
 
 class TestAlternatingDesign:
