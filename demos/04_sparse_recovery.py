@@ -17,7 +17,6 @@ from csdesign import (
     mutual_coherence,
     omp,
     random_projection,
-    reconstruct,
     recoverable_sparsity,
     rho_mse,
     rho_psnr,
@@ -58,4 +57,4 @@ print(f"  rank-deficient refits: {int(rank_deficient.sum())}")
 print(f"  single-signal recovery matches the batch column: "
       f"{np.array_equal(omp(phi @ psi, y[:, 0], k).values, codes[:, 0])}")
 print(f"  single-signal reconstruction matches the batch: "
-      f"{np.allclose(reconstruct(psi, codes[:, 0]), x_hat[:, 0])}")
+      f"{np.allclose(psi @ codes[:, 0], x_hat[:, 0])}")

@@ -34,7 +34,7 @@ from .experiments import (
 )
 from .matio import read_matrix_csv, write_matrix_csv
 from .objective import ObjectiveSpec, objective_value, value_and_gradient
-from .recovery import SparseCode, batch_recover, omp, reconstruct
+from .recovery import SparseCode, batch_recover, omp
 from .solver import (
     DesignResult,
     RelaxedETFTarget,

@@ -46,7 +46,7 @@ from .experiments import (
     run_snr_sweep,
     write_records_csv,
 )
-from .matio import (check_csv_value, read_keyvalues, read_matrix_csv, render_value, write_csv,
+from .matio import (check_csv_value, read_keyvalues, read_matrix_csv, render_value,
                     write_keyvalues, write_matrix_csv)
 from .solver import random_projection, write_trace_csv
 from .synth import gen_dictionary, gen_signals, gen_sparse_codes, lemma1_check
@@ -101,8 +101,6 @@ def _parse_grid(text: str) -> list[float]:
         if not _is_float(token):
             raise CliError(EXIT_USAGE, f"malformed grid token {token.strip()!r}")
         values.append(float(token))
-    if not values:
-        raise CliError(EXIT_USAGE, "empty grid")
     return values
 
 
@@ -194,15 +192,15 @@ def _resolve(args: argparse.Namespace, params: tuple[Param, ...]) -> dict:
     return values
 
 
-def _load_design_dictionary(values: dict, seed: int) -> np.ndarray:
-    if values["dict"] is not None and values["synth"] is not None:
-        raise CliError(EXIT_USAGE, "give either --dict or --synth, not both")
-    if values["dict"] is not None:
-        return _read_matrix(values["dict"])
-    if values["synth"] is not None:
-        n, l = _parse_int_pair(values["synth"], "--synth")
-        return gen_dictionary(n, l, seed)
-    raise CliError(EXIT_USAGE, "a dictionary is required: --dict <path> or --synth N,L")
+def _matrix_input(values: dict, path: str, shape: str, draw, dims: str) -> np.ndarray:
+    """The matrix read from the CSV at ``--<path>``, or drawn by `draw` from ``--<shape>``."""
+    if values[path] is not None and values[shape] is not None:
+        raise CliError(EXIT_USAGE, f"give either --{path} or --{shape}, not both")
+    if values[path] is not None:
+        return _read_matrix(values[path])
+    if values[shape] is None:
+        raise CliError(EXIT_USAGE, f"a matrix is required: --{path} <path> or --{shape} {dims}")
+    return draw(*_parse_int_pair(values[shape], f"--{shape}"), values["seed"])
 
 
 def _resolve_xi(value: str) -> float | None:
@@ -255,7 +253,7 @@ DESIGN_PARAMS = (
 def cmd_design(values: dict) -> int:
     method, m, seed = values["method"], values["m"], values["seed"]
     _check_method(method)
-    psi = _load_design_dictionary(values, seed)
+    psi = _matrix_input(values, "dict", "synth", gen_dictionary, "N,L")
     n, l = psi.shape
     if m < 1:
         raise CliError(EXIT_USAGE, f"m must be positive, got {m}")
@@ -390,32 +388,20 @@ LEMMA1_PARAMS = (
     Param("sigma", float, 1.0, "noise standard deviation"),
     Param("p", int, 100000, "number of Monte-Carlo samples"),
     _SEED,
-    Param("csv", help="also write the report as a one-row CSV"),
     Param("out", help="optional output directory for report + manifest"),
 )
 
 def cmd_lemma1(values: dict) -> int:
-    if values["phi"] is not None and values["random"] is not None:
-        raise CliError(EXIT_USAGE, "give either --phi or --random, not both")
-    seed = values["seed"]
-    if values["phi"] is not None:
-        phi = _read_matrix(values["phi"])
-    elif values["random"] is not None:
-        m, n = _parse_int_pair(values["random"], "--random")
-        phi = random_projection(m, n, seed)
-    else:
-        raise CliError(EXIT_USAGE, "a matrix is required: --phi <path> or --random M,N")
-    report = lemma1_check(phi, values["sigma"], values["p"], seed)
+    phi = _matrix_input(values, "phi", "random", random_projection, "M,N")
+    report = lemma1_check(phi, values["sigma"], values["p"], values["seed"])
 
-    shown = {key: value for key, value in values.items() if key not in ("csv", "out")}
+    shown = {key: value for key, value in values.items() if key != "out"}
     report_values = asdict(report)
     lines = _manifest("lemma1", shown)
     lines.update(report_values)
     for key, value in lines.items():
         print(f"{key}={render_value(value)}")
 
-    if values["csv"] is not None:  # the report as a one-row CSV
-        write_csv(values["csv"], report_values, [report_values.values()])
     if values["out"] is not None:
         out_dir = _ensure_out_dir(values["out"])
         write_keyvalues(report_values, out_dir / "report.txt")

@@ -337,16 +337,22 @@ def run_snr_sweep(
 ) -> list[ExperimentRecord]:
     """Reconstruction error of several CS systems across noise levels.
 
-    The dictionary and the random starting matrix are drawn once per
-    seed; every (snr, seed) condition redraws the codes and the noise.
-    All methods at one condition share the dataset and the start, and
-    the SRE-regularized designs see only the training half of the noise.
+    The sweep runs one seed at a time, in the order seed, condition,
+    method, candidate weight.  The dictionary and the random starting
+    matrix are drawn once per seed, so a seed's designs share one
+    factorisation of the dictionary; every (snr, seed) condition
+    redraws the codes and the noise, and only one dataset is held at a
+    time.  All methods at one condition share the dataset and the
+    start, and the SRE-regularized designs see only the training half
+    of the noise.
 
     Each designed method picks its trade-off weight from `lambda_grid`
     (values on the method's own scale), keeping the candidate whose
     seed-averaged test error is lowest at that condition: one weight
-    per (method, condition), not per seed.  Pass ``lambda_grid=None``
-    to skip the search and use ``params.lam`` everywhere.
+    per (method, condition), not per seed.  The choice is made after
+    every seed has run, from the records kept by grid, method and
+    candidate position.  Pass ``lambda_grid=None`` to skip the search
+    and use ``params.lam`` everywhere.
 
     With ``pair_lambdas=True`` no search happens at all: at each
     condition both families run at one matched effective strength
@@ -364,51 +370,44 @@ def run_snr_sweep(
     if lambda_grid is not None and len(lambda_grid) == 0:
         raise ValueError("lambda_grid must not be empty; pass None to skip the search")
     seeds = _seed_list(seed)
-    systems = {
-        s: (
-            gen_dictionary(params.n, params.l, s),
-            random_projection(params.m, params.n, derive_seed(s, "phi0")),
-        )
-        for s in seeds
-    }
-    records: list[ExperimentRecord] = []
-    for snr in snr_grid:
-        point_params = replace(params, snr_db=float(snr))
-        datasets = {}
-        for s in seeds:
-            psi, _ = systems[s]
+    candidates = [
+        (params.lam,) if method == "randn" or pair_lambdas or lambda_grid is None
+        else tuple(float(lam) for lam in lambda_grid)
+        for method in methods
+    ]
+    # (grid index, method index, candidate index) -> one record per seed, in seed order
+    rows: dict[tuple[int, int, int], list[ExperimentRecord]] = {}
+    for s in seeds:
+        psi = gen_dictionary(params.n, params.l, s)
+        phi0 = random_projection(params.m, params.n, derive_seed(s, "phi0"))
+        for i, snr in enumerate(snr_grid):
+            point_params = replace(params, snr_db=float(snr))
             point_seed = derive_seed(s, f"snr={render_value(float(snr))}")
-            datasets[s] = make_dataset(point_params, point_seed, psi=psi)
-        for method in methods:
-            if method == "randn" or pair_lambdas or lambda_grid is None:
-                candidates = (params.lam,)
-            else:
-                candidates = tuple(float(lam) for lam in lambda_grid)
-            best: list[ExperimentRecord] | None = None
-            best_avg = math.inf
-            for lam in candidates:
-                rows = []
-                for s in seeds:
-                    phi0 = systems[s][1]
-                    dataset = datasets[s]
+            dataset = make_dataset(point_params, point_seed, psi=psi)
+            scale = dataset.sigma**2 * dataset.p
+            for j, method in enumerate(methods):
+                for c, lam in enumerate(candidates[j]):
                     run_lam = float(lam)
-                    scale = dataset.sigma**2 * dataset.p
                     if pair_lambdas and method != "randn" and scale > 0:
                         # at scale 0 (noiseless) the SRE is zero, so its weight changes nothing
                         run_lam = min(1.0, run_lam * scale)
                         if method in SRE_METHODS:
                             run_lam /= scale
-                    rows.append(
+                    rows.setdefault((i, j, c), []).append(
                         _design_and_score(
                             method, point_params, dataset, phi0, run_lam, "snr", snr, s, timing
                         )
                     )
-                avg = float(np.mean([r.rho_mse for r in rows]))
-                if avg < best_avg:
-                    best, best_avg = rows, avg
-            if best is None:
+            del dataset  # freed before the next point's is drawn
+    records: list[ExperimentRecord] = []
+    for i, snr in enumerate(snr_grid):
+        for j, method in enumerate(methods):
+            avgs = [float(np.mean([r.rho_mse for r in rows[i, j, c]]))
+                    for c in range(len(candidates[j]))]
+            finite = [c for c, avg in enumerate(avgs) if avg < math.inf]
+            if not finite:
                 raise ValueError(f"no finite mean rho_mse for method {method!r} at snr {snr:g}")
-            records.extend(best)
+            records.extend(rows[i, j, min(finite, key=avgs.__getitem__)])  # the first lowest
     return records
 
 

@@ -1,4 +1,4 @@
-"""Orthogonal matching pursuit and signal reconstruction.
+"""Orthogonal matching pursuit recovery of sparse codes.
 
 The solver greedily adds the atom whose normalized correlation with the
 current residual is largest (ties break toward the lowest column index,
@@ -46,7 +46,7 @@ import numpy as np
 
 from .coherence import normalize_columns
 
-__all__ = ["EARLY_STOP_RESIDUAL", "SparseCode", "omp", "reconstruct", "batch_recover"]
+__all__ = ["EARLY_STOP_RESIDUAL", "SparseCode", "omp", "batch_recover"]
 
 #: residual two-norm below which the greedy loop stops early
 EARLY_STOP_RESIDUAL = 1e-12
@@ -205,17 +205,6 @@ def omp(d, y, k: int) -> SparseCode:
         residual_norm=float(residual_norm[0]),
         rank_deficient=bool(rank_deficient[0]),
     )
-
-
-def reconstruct(psi, code) -> np.ndarray:
-    """Reconstruct a signal from its code: ``psi @ values``."""
-    psi = np.asarray(psi, dtype=float)
-    values = np.asarray(code.values if isinstance(code, SparseCode) else code, dtype=float)
-    if psi.ndim != 2 or values.shape[0] != psi.shape[1]:
-        raise ValueError(
-            f"code length {values.shape[0]} does not match {psi.shape[1]} atoms"
-        )
-    return psi @ values
 
 
 def batch_recover(d, y, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -113,7 +113,6 @@ class RelaxedETFTarget(NamedTuple):
     as :func:`project_to_relaxed_etf` builds it."""
 
     data: np.ndarray
-    xi: float
 
 
 class TracePoint(NamedTuple):
@@ -167,7 +166,7 @@ def project_to_relaxed_etf(gram, xi: float) -> RelaxedETFTarget:
     xi = check_xi(xi)
     clipped = np.clip(g, -xi, xi)
     np.fill_diagonal(clipped, 1.0)
-    return RelaxedETFTarget(data=(clipped + clipped.T) / 2.0, xi=xi)
+    return RelaxedETFTarget(data=(clipped + clipped.T) / 2.0)
 
 
 def _armijo(poly) -> tuple[float, float] | None:

@@ -38,14 +38,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SyntheticDataset:
-    """Paired train/test signals with known codes and known noise.
+    """Paired train/test signals with known noise.
 
     ``x = psi @ theta + delta`` exactly.  Columns ``[0, P)`` are the
     training half, ``[P, 2P)`` the test half.
     """
 
     psi: np.ndarray
-    theta: np.ndarray
     delta: np.ndarray
     x: np.ndarray
     sigma: float
@@ -54,7 +53,7 @@ class SyntheticDataset:
     @property
     def p(self) -> int:
         """Number of signals in each half."""
-        return self.theta.shape[1] // 2
+        return self.x.shape[1] // 2
 
     def train_sre(self) -> np.ndarray:
         """Noise of the training half (the representation-error matrix)."""
@@ -144,7 +143,6 @@ def gen_signals(psi, theta, snr_db: float, seed: int) -> SyntheticDataset:
     achieved = math.inf if noise_energy == 0.0 else 10.0 * math.log10(clean_energy / noise_energy)
     return SyntheticDataset(
         psi=psi,
-        theta=theta,
         delta=delta,
         x=x0 + delta,
         sigma=sigma,

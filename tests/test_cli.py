@@ -490,14 +490,6 @@ class TestLemma1Command:
         recomputed = sigma**2 * float(np.sum(read_matrix_csv(phi_path) ** 2))
         assert float(report["predicted_mean"]) == pytest.approx(recomputed, rel=1e-15)
 
-    def test_csv_row_written(self, tmp_path, capsys):
-        csv_path = tmp_path / "lemma.csv"
-        assert run("lemma1", "--random", "6,10", "--p", "500", "--seed", "3",
-                   "--csv", str(csv_path)) == 0
-        lines = csv_path.read_text().splitlines()
-        assert lines[0].startswith("trials,mean_estimate")
-        assert len(lines) == 2
-
     def test_out_writes_report_and_manifest_that_replays(self, tmp_path, capsys):
         first, replay = tmp_path / "a", tmp_path / "b"
         assert run("lemma1", "--random", "4,6", "--p", "50", "--seed", "3",
@@ -533,6 +525,28 @@ def test_library_value_error_is_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith(f"csdesign {argv[0]}: ")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("design", "--dict", "f.csv", "--synth", "20,30", "--m", "4"),
+        ("design", "--m", "4"),
+        ("lemma1", "--phi", "f.csv", "--random", "4,6"),
+        ("lemma1",),
+    ],
+    ids=["design-both", "design-neither", "lemma1-both", "lemma1-neither"],
+)
+def test_matrix_input_needs_exactly_one_source(tmp_path, capsys, argv):
+    # a command's matrix is read from a CSV path or drawn from a shape:
+    # giving both or neither is a usage error that names both flags
+    flags = ("--dict", "--synth") if argv[0] == "design" else ("--phi", "--random")
+    out = tmp_path / "x"
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"csdesign {argv[0]}: ")
+    assert all(flag in err for flag in flags)
+    assert not out.exists()
 
 
 class TestTopLevel:

@@ -284,6 +284,29 @@ class TestRunSnrSweep:
         for snr in (10.0, 30.0):
             assert np.mean(curve[("mt", snr)]) <= np.mean(curve[("randn", snr)])
 
+    def test_each_seed_dictionary_is_factored_once(self, monkeypatch):
+        # a seed's designs run back to back, so the one cached factorisation
+        # serves all of them; OMP's stacked SVDs of rank-deficient refits are
+        # 3-D and not counted
+        from csdesign import objective
+
+        svd, shapes = np.linalg.svd, []
+
+        def counting_svd(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(objective, "_factors", None)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        run_snr_sweep(SMALL, [10.0, 30.0], ("mt", "lh"), [1, 2], lambda_grid=None)
+        assert shapes == [(SMALL.n, SMALL.l)] * 2
+
+    def test_repeated_grid_values_and_methods_keep_their_records(self):
+        one = run_snr_sweep(SMALL, [10.0], ("mt",), [1, 2], lambda_grid=None)
+        repeated = run_snr_sweep(SMALL, [10.0, 10.0], ("mt", "mt"), [1, 2], lambda_grid=None)
+        assert repeated == one * 4
+
     def test_designed_beats_random_in_table_measures(self):
         recs = run_snr_sweep(SMALL, [15.0], ("randn", "mt"), [3])
         by_method = {r.method: r for r in recs}

@@ -3,7 +3,7 @@ import pytest
 
 from csdesign.coherence import mutual_coherence, recoverable_sparsity
 from csdesign import recovery
-from csdesign.recovery import batch_recover, omp, reconstruct
+from csdesign.recovery import batch_recover, omp
 
 
 class TestOmpBasics:
@@ -145,38 +145,6 @@ class TestOmpProperties:
         assert code.rank_deficient
         _, flags = batch_recover(d, np.stack([y, [0.0, 1.0, 0.0]], axis=1), 2)
         np.testing.assert_array_equal(flags, [True, False])
-
-
-class TestReconstruct:
-    def test_zero_code(self):
-        psi = np.arange(12.0).reshape(3, 4)
-        np.testing.assert_array_equal(reconstruct(psi, np.zeros(4)), np.zeros(3))
-
-    def test_unit_code_selects_atom(self):
-        rng = np.random.default_rng(4)
-        psi = rng.standard_normal((5, 7))
-        e2 = np.zeros(7)
-        e2[2] = 1.0
-        np.testing.assert_array_equal(reconstruct(psi, e2), psi[:, 2])
-
-    def test_matches_naive_product(self):
-        rng = np.random.default_rng(5)
-        psi = rng.standard_normal((4, 6))
-        theta = np.zeros(6)
-        theta[[1, 4]] = rng.standard_normal(2)
-        expected = np.zeros(4)
-        for i in range(4):
-            for j in range(6):
-                expected[i] += psi[i, j] * theta[j]
-        np.testing.assert_allclose(reconstruct(psi, theta), expected, rtol=1e-14)
-
-    def test_accepts_sparse_code(self):
-        code = omp(np.eye(3), np.array([0.0, 1.5, 0.0]), 1)
-        np.testing.assert_allclose(reconstruct(np.eye(3), code), [0.0, 1.5, 0.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            reconstruct(np.eye(3), np.zeros(4))
 
 
 def _reference_omp(d, y, k):
