@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -434,10 +435,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: a value argparse would take for a flag: '-' then a digit, '.', 'inf' or 'nan'
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)
+
+
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """`argv` with each negative number or grid glued to the value-taking flag before it.
+
+    argparse reads a '-'-prefixed token that is not a bare number, such
+    as ``-5,0,5``, ``-5:5:15``, ``-1e-3`` or ``-inf``, as a flag; glued
+    (``--grid=-5,0,5``) it is read as the flag's value.
+    """
+    takes_value = {"--config"} | {param.flag for _, params, _ in COMMANDS.values()
+                                  for param in params if param.type is not bool}
+    glued = []
+    for token in argv:
+        if glued and glued[-1] in takes_value and _NEGATIVE_VALUE.match(token):
+            glued[-1] += "=" + token
+        else:
+            glued.append(token)
+    return glued
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     _, params, handler = COMMANDS[args.command]

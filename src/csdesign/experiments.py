@@ -424,7 +424,7 @@ def run_dimension_sweeps(
     Every grid value must lie within 1e-9 of an integer.  `methods`
     defaults to ``SWEEP_METHODS[axis]``.  Grid points that break the
     feasibility chain ``K <= M <= N <= L`` are skipped with a logged
-    reason.
+    reason; a grid with no other point is a ValueError.
     """
     axis = axis.lower()
     if axis not in ("m", "k", "l"):
@@ -435,18 +435,24 @@ def run_dimension_sweeps(
     grid = [int(round(v)) for v in grid]
     if methods is None:
         methods = SWEEP_METHODS[axis]
+    points = []
+    for value in grid:
+        point_params = replace(base_params, **{axis: value})
+        k, m, n, l = point_params.k, point_params.m, point_params.n, point_params.l
+        if 1 <= k <= m <= n <= l:
+            points.append((value, point_params))
+        else:
+            logger.warning("skipping infeasible point %s=%d (need K <= M <= N <= L, have "
+                           "K=%d M=%d N=%d L=%d)", axis, value, k, m, n, l)
+    if not points:
+        raise ValueError(f"no point of the {axis!r} grid meets 1 <= K <= M <= N <= L")
     records: list[ExperimentRecord] = []
     for s in _seed_list(seed):
-        for value in grid:
-            point_params = replace(base_params, **{axis: value})
-            k, m, n, l = point_params.k, point_params.m, point_params.n, point_params.l
-            if not 1 <= k <= m <= n <= l:
-                logger.warning("skipping infeasible point %s=%d (need K <= M <= N <= L, have "
-                               "K=%d M=%d N=%d L=%d)", axis, value, k, m, n, l)
-                continue
+        for value, point_params in points:
             point_seed = derive_seed(s, f"{axis}={value}")
             dataset = make_dataset(point_params, point_seed)
-            phi0 = random_projection(m, n, derive_seed(point_seed, "phi0"))
+            phi0 = random_projection(point_params.m, point_params.n,
+                                     derive_seed(point_seed, "phi0"))
             records.extend(
                 _design_and_score(
                     method, point_params, dataset, phi0, point_params.lam, axis, value, s, timing

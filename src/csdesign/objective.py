@@ -37,13 +37,21 @@ evaluating the objective again.
 One CG iterate calls each of ``_evaluate``, ``_gradient`` and
 ``_step_polynomial`` once.  The target alone picks the residual: for an
 identity target (every ``mt`` and ``lh`` design) it is the M x M
-``I - d d^T``, and they form four M x k products (``d @ d.T``,
-``r @ d``, ``d @ b.T``, ``b @ b.T``: about 3 M^2 k multiply-adds);
-otherwise it is the k x k ``V^T G V - d^T d``, and they form three
+``I - d d^T``, otherwise the k x k ``V^T G V - d^T d``.  After an
+accepted step t along a direction the iterate's residual and SRE factor
+follow from the step's quartic products, so ``_evaluate`` takes them
+rather than forming them: an identity target's residual is
+``r - t*(p + p.T) - t**2*q`` and the SRE factor ``reg + t*dir_reg``
+(see ``_step_polynomial``).  A CG round evaluates its first iterate
+afresh, and the k x k residual is formed afresh at every iterate, as
+carrying it would take two k x k products.  So an identity-target
+iterate forms three M x k products (``r @ d``, ``d @ b.T``,
+``b @ b.T``: about 2.5 M^2 k multiply-adds); any other forms three
 k-wide products (``d.T @ d``, ``d @ r``, ``b @ r``) and three M x M
 Grams.  Either way they take three scalings by S and ten inner
-products, each one BLAS dot (``np.vdot``); an SRE regularizer adds two
-products by the rotated ``U^T E E^T U`` and one inner product.
+products, each one BLAS dot (``np.vdot``); an SRE regularizer adds one
+product by the rotated ``U^T E E^T U`` (two at a round's first iterate)
+and one inner product.
 These private functions trust their caller for `phi`'s shape, which
 the public functions check.  No matrix is ever inverted here; learned
 dictionaries can be ill-conditioned enough to make inversion of
@@ -242,7 +250,8 @@ def _check_phi(phi, spec: ObjectiveSpec) -> np.ndarray:
 
 
 def _evaluate(
-    phi: np.ndarray, spec: ObjectiveSpec
+    phi: np.ndarray, spec: ObjectiveSpec, r: np.ndarray | None = None,
+    reg: np.ndarray | None = None,
 ) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
     """The objective at the float M x N `phi` and the products its gradient reuses.
 
@@ -254,14 +263,20 @@ def _evaluate(
     ``d^T d`` and ``d d^T`` share their nonzero eigenvalues, so ``r`` is
     the M x M ``I - d @ d.T`` and the value adds ``k - M``, exact for
     every M.  At M <= k both terms are sums of squares, so a perfect
-    match reads zero.  The caller checks `phi`.
+    match reads zero.  A given `r` or `reg` is taken as that product at
+    `phi` (a CG iterate carries them along its step) and is not formed
+    again.  The caller checks `phi`.
     """
     d = phi[:, : spec.sigma.size] * spec.sigma
+    offset = spec.offset
     if spec.identity_target:
-        r, offset = np.eye(d.shape[0]) - d @ d.T, spec.offset + (d.shape[1] - d.shape[0])
-    else:  # a gemm on a copy: at small N it beats the syrk numpy picks for d.T @ d
-        r, offset = spec.target_r - d.T @ d.copy(), spec.offset
-    reg = phi if spec.sre_rotated is None else phi @ spec.sre_rotated
+        offset += d.shape[1] - d.shape[0]
+        if r is None:
+            r = np.eye(d.shape[0]) - d @ d.T
+    elif r is None:  # a gemm on a copy: at small N it beats the syrk numpy picks for d.T @ d
+        r = spec.target_r - d.T @ d.copy()
+    if reg is None:
+        reg = phi if spec.sre_rotated is None else phi @ spec.sre_rotated
     phi_sq = float(np.vdot(phi, phi))
     penalty = phi_sq if reg is phi else float(np.vdot(phi, reg))
     return float(np.vdot(r, r)) + offset + spec.lam * penalty, phi_sq, d, r, reg
@@ -276,8 +291,8 @@ def _gradient(spec: ObjectiveSpec, d, r, reg) -> np.ndarray:
 
 def _step_polynomial(
     spec: ObjectiveSpec, d, r, reg, direction: np.ndarray
-) -> tuple[float, float, float, float]:
-    """Coefficients of the objective's change along `direction`.
+) -> tuple[tuple[float, float, float, float], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Coefficients of the objective's change along `direction`, and the products behind them.
 
     At the point whose :func:`_evaluate` products are ``(d, r, reg)``,
     ``f(phi + t * direction) - f(phi)`` is exactly
@@ -298,7 +313,10 @@ def _step_polynomial(
     that of ``2|p|^2 + 2<p, p.T> - 2<r, q>``.  This holds for any
     symmetric Gram target (the gradient assumes one too); the constants
     of the value cancel from the change.  ``a1`` is the directional
-    derivative.
+    derivative.  Returns ``((a1, a2, a3, a4), (p, q, dir_reg))`` with
+    ``dir_reg = direction @ S``, so the regularizer's factor at step t
+    is ``reg + t*dir_reg``; for ``S`` the identity, `dir_reg` is
+    `direction` itself.
     """
     b = direction[:, : spec.sigma.size] * spec.sigma
     p = d @ b.T
@@ -314,7 +332,8 @@ def _step_polynomial(
         a2 = 2.0 * vdot(d @ d.T, q) + 2.0 * vdot(p, p.T) - 2.0 * vdot(br, b)
     a1 += 2.0 * lam * vdot(direction, reg)
     a2 += lam * vdot(direction, dir_reg)
-    return float(a1), float(a2), float(4.0 * vdot(p, q)), float(vdot(q, q))
+    poly = float(a1), float(a2), float(4.0 * vdot(p, q)), float(vdot(q, q))
+    return poly, (p, q, dir_reg)
 
 
 def objective_value(phi, spec: ObjectiveSpec) -> float:

@@ -252,6 +252,17 @@ class TestEvalCommand:
                    "--p", "10", "--out", str(tmp_path / "x")) == 2
         assert "-inf" in capsys.readouterr().err
 
+    def test_negative_infinite_snr_as_a_separate_token(self, tmp_path, capsys):
+        # argparse alone would read "-inf" as a flag and report "expected one argument"
+        psi_path = tmp_path / "psi.csv"
+        write_matrix_csv(gen_dictionary(20, 30, 5), psi_path)
+        phi_path = tmp_path / "phi.csv"
+        write_matrix_csv(np.ones((4, 20)), phi_path)
+        assert run("eval", "--phi", str(phi_path), "--dict", str(psi_path), "--snr", "-inf",
+                   "--p", "10", "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert "-inf" in err and "expected one argument" not in err
+
     def test_dimension_mismatch(self, tmp_path, capsys):
         psi_path = tmp_path / "psi.csv"
         write_matrix_csv(gen_dictionary(20, 30, 5), psi_path)
@@ -323,6 +334,23 @@ class TestSweepCommand:
         assert code == 0
         lines = (out / "records.csv").read_text().splitlines()
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("grid", ["-5,0,5", "-5:5:5"])
+    def test_negative_snr_grid(self, tmp_path, grid):
+        out = tmp_path / "sweep"
+        assert run("sweep", "--axis", "snr", "--grid", grid, "--methods", "randn",
+                   "--seeds", "1", "--m", "8", "--n", "20", "--l", "30", "--k", "2",
+                   "--p", "40", "--out", str(out)) == 0
+        rows = (out / "records.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["-5", "0", "5"]
+        assert read_keyvalues(out / "manifest.txt")["grid"] == grid
+
+    def test_no_feasible_dimension_point_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("sweep", "--axis", "m", "--grid", "4,6", "--k", "0", "--p", "10",
+                   "--out", str(out)) == 2
+        assert "K <= M <= N <= L" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
 
     def test_malformed_grid_usage_error(self, tmp_path, capsys):
         code = run("sweep", "--axis", "snr", "--grid", "5:ten:45",

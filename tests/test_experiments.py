@@ -396,6 +396,13 @@ class TestRunDimensionSweeps:
         assert [r.param_value for r in recs] == [12.0]
         assert sum("infeasible" in rec.message for rec in caplog.records) == 2
 
+    def test_no_feasible_point_raises(self, caplog):
+        base = ExperimentParams(m=10, n=20, l=30, k=2, p=20)
+        with caplog.at_level("WARNING"):
+            with pytest.raises(ValueError, match="K <= M <= N <= L"):
+                run_dimension_sweeps(base, "m", [1, 25], [1, 2], methods=("mt",))
+        assert sum("infeasible" in rec.message for rec in caplog.records) == 2
+
     def test_single_point_equals_single_run(self):
         base = ExperimentParams(m=10, n=20, l=30, k=2, p=20)
         recs = run_dimension_sweeps(base, "l", [30], [7], methods=("randn",))

@@ -272,7 +272,7 @@ class TestStepPolynomial:
         spec = specs[target]
         phi_u, direction_u = rotated(spec, phi, direction)
         _, _, *products = _evaluate(phi_u, spec)
-        a1, a2, a3, a4 = _step_polynomial(spec, *products, direction_u)
+        a1, a2, a3, a4 = _step_polynomial(spec, *products, direction_u)[0]
         delta = a1 * t + a2 * t**2 + a3 * t**3 + a4 * t**4
         direct = objective_value(phi + t * direction, spec) - objective_value(phi, spec)
         assert delta == pytest.approx(direct, rel=1e-9)
@@ -284,7 +284,7 @@ class TestStepPolynomial:
         phi_u, direction_u = rotated(spec, phi, direction)
         _, _, *products = _evaluate(phi_u, spec)
         _, g = value_and_gradient(phi, spec)
-        a1 = _step_polynomial(spec, *products, direction_u)[0]
+        a1 = _step_polynomial(spec, *products, direction_u)[0][0]
         assert a1 == pytest.approx(float(np.sum(g * direction)), rel=1e-12)
 
 
@@ -351,7 +351,7 @@ class TestRowSpaceReduction:
         np.testing.assert_allclose(value_and_gradient(phi, spec)[1], grad,
                                    rtol=0, atol=1e-10 * np.max(np.abs(grad)))
         expected = full_step_polynomial(phi, direction, psi, g, lam, sre)
-        got = np.array(_step_polynomial(spec, *products, direction_u))
+        got = np.array(_step_polynomial(spec, *products, direction_u)[0])
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.max(np.abs(expected)))
 
     @pytest.mark.parametrize("shape", sorted(ROW_SPACE_SHAPES))
@@ -385,7 +385,7 @@ class TestRowSpaceReduction:
         value, _, *products = _evaluate(phi_u, swapped)
         assert value == pytest.approx(elementwise_objective(phi, psi, g, 0.4), rel=1e-10)
         expected = full_step_polynomial(phi, direction, psi, g, 0.4)
-        got = np.array(_step_polynomial(swapped, *products, direction_u))
+        got = np.array(_step_polynomial(swapped, *products, direction_u)[0])
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.max(np.abs(expected)))
 
     def test_target_inside_the_row_space_leaves_no_offset(self):
@@ -441,7 +441,7 @@ class TestGramSideReduction:
         np.testing.assert_allclose(value_and_gradient(phi, spec)[1], grad,
                                    rtol=0, atol=1e-10 * np.max(np.abs(grad)))
         expected = full_step_polynomial(phi, direction, psi, g, lam, sre)
-        got = np.array(_step_polynomial(spec, d, r, reg, direction_u))
+        got = np.array(_step_polynomial(spec, d, r, reg, direction_u)[0])
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.max(np.abs(expected)))
 
     def test_perfect_identity_match_at_m_equals_k(self):

@@ -416,9 +416,9 @@ class TestQuarticLineSearch:
         evaluate = solver._evaluate
         calls = []
 
-        def counting(phi, spec):
+        def counting(phi, spec, *carried):
             calls.append(1)
-            return evaluate(phi, spec)
+            return evaluate(phi, spec, *carried)
 
         monkeypatch.setattr(solver, "objective_value", forbidden)
         monkeypatch.setattr(solver, "value_and_gradient", forbidden)
@@ -443,7 +443,9 @@ class TestQuarticLineSearch:
 
         inf = float("inf")
         assert solver._armijo((-1.0, 0.0, inf, inf)) is None
-        monkeypatch.setattr(solver, "_step_polynomial", lambda *args: (-1.0, 0.0, inf, inf))
+        step_polynomial = solver._step_polynomial
+        monkeypatch.setattr(solver, "_step_polynomial",
+                            lambda *args: ((-1.0, 0.0, inf, inf), step_polynomial(*args)[1]))
         phi0 = random_projection(3, 8, 32)
         result = design(gen_dictionary(8, 12, 32), 0.1, phi0)
         assert not result.converged
@@ -545,9 +547,9 @@ class TestWorkCounts:
         evaluate = solver._evaluate
         calls = []
 
-        def counting(phi, spec):
+        def counting(phi, spec, *carried):
             calls.append(1)
-            return evaluate(phi, spec)
+            return evaluate(phi, spec, *carried)
 
         monkeypatch.setattr(solver, "_evaluate", counting)
         sre = np.ones((12, 3))
@@ -566,14 +568,15 @@ class TestWorkCounts:
         # each fall back to steepest descent.
         import csdesign.solver as solver
 
-        signs = []
+        step_polynomial, signs = solver._step_polynomial, []
 
         def flipping(spec, d, r, reg):
             signs.append(-1.0 if signs[-1:] == [1.0] else 1.0)
             return signs[-1] * np.ones((5, 12))
 
         def linear(spec, d, r, reg, direction):  # a1 = <g, direction> at the last gradient
-            return signs[-1] * float(np.sum(direction)), 0.0, 0.0, 0.0
+            poly = signs[-1] * float(np.sum(direction)), 0.0, 0.0, 0.0
+            return poly, step_polynomial(spec, d, r, reg, direction)[1]
 
         monkeypatch.setattr(solver, "_gradient", flipping)
         monkeypatch.setattr(solver, "_step_polynomial", linear)
@@ -666,3 +669,124 @@ class TestWarmFactorisation:
         assert warm.phi.tobytes() == cold.phi.tobytes()
         assert warm.trace == cold.trace and len(warm.trace) > 1
         assert (warm.stop_reason, warm.n_sd_restarts) == (cold.stop_reason, cold.n_sd_restarts)
+
+
+class SreProducts(np.ndarray):
+    """``sre_rotated`` that counts the products ``x @ sre_rotated``."""
+
+    calls = 0
+
+    def __rmatmul__(self, other):
+        SreProducts.calls += 1
+        return np.asarray(other) @ np.asarray(self)
+
+
+class Grams(np.ndarray):
+    """``sigma`` whose scaled iterates count their Grams: ``x @ y`` with ``x``, ``y`` sharing memory."""
+
+    calls = 0
+
+    def __matmul__(self, other):
+        a, b = np.asarray(self), np.asarray(other)
+        Grams.calls += int(np.shares_memory(a, b))
+        return a @ b
+
+
+def counted_quartics(monkeypatch, uphill_at=None):
+    """Count ``_step_polynomial`` calls; the `uphill_at`-th one reports an uphill slope."""
+    import csdesign.solver as solver
+
+    step_polynomial, calls = solver._step_polynomial, []
+
+    def counting(spec, d, r, reg, direction):
+        poly, formed = step_polynomial(spec, d, r, reg, direction)
+        calls.append(1)
+        if len(calls) == uphill_at:  # the solve falls back to steepest descent here
+            poly = (1.0,) + poly[1:]
+        return poly, formed
+
+    monkeypatch.setattr(solver, "_step_polynomial", counting)
+    return calls
+
+
+class TestCarriedProducts:
+    """An iterate takes its residual and SRE factor from the step, not from fresh products.
+
+    Each round evaluates its first iterate afresh; every later one moves
+    ``r`` and ``reg`` by the accepted step's quartic products.  So a
+    design takes one product by ``U^T E E^T U`` per quartic formed plus
+    one per round, and an identity-target design one Gram (``b @ b.T``)
+    per quartic plus one ``d @ d.T`` per round.
+    """
+
+    psi = gen_dictionary(12, 20, 31)
+    phi0 = random_projection(5, 12, 31)
+    sre = np.random.default_rng(31).standard_normal((12, 40))
+    cfg = SolverConfig(max_cg_iterations=15)
+
+    def _counted(self, monkeypatch, spec, uphill_at=None, **rounds):
+        object.__setattr__(spec, "sigma", spec.sigma.view(Grams))
+        if spec.sre_rotated is not None:
+            object.__setattr__(spec, "sre_rotated", spec.sre_rotated.view(SreProducts))
+        monkeypatch.setattr(SreProducts, "calls", 0)
+        monkeypatch.setattr(Grams, "calls", 0)
+        quartics = counted_quartics(monkeypatch, uphill_at)
+        result = _design(spec, self.phi0, self.cfg, **rounds)
+        assert result.stop_reason == "iteration cap"
+        n_rounds = len({p.outer_iter for p in result.trace})
+        assert len(quartics) == len(result.trace) - n_rounds + result.n_sd_restarts
+        return result, len(quartics), n_rounds
+
+    def test_mt_forms_one_gram_per_quartic(self, monkeypatch):
+        spec = ObjectiveSpec(psi=self.psi, lam=0.3)
+        result, quartics, rounds = self._counted(monkeypatch, spec)
+        assert Grams.calls == quartics + rounds == 16
+
+    def test_lh_with_fallback_forms_one_sre_product_per_quartic(self, monkeypatch):
+        spec = ObjectiveSpec(psi=self.psi, lam=0.05, sre=self.sre)
+        result, quartics, rounds = self._counted(monkeypatch, spec, uphill_at=5)
+        assert result.n_sd_restarts == 1
+        assert SreProducts.calls == quartics + rounds == 17
+        assert Grams.calls == quartics + rounds
+        # the fallback's step moved the products by the quartic along -g, not the uphill one
+        assert result.trace[-1].f == pytest.approx(objective_value(result.phi, spec), rel=1e-12)
+
+    def test_lh_etf_rounds_each_start_fresh(self, monkeypatch):
+        spec = ObjectiveSpec(psi=self.psi, lam=0.05, sre=self.sre)
+        result, quartics, rounds = self._counted(monkeypatch, spec, xi=0.3, outer_iters=2)
+        assert result.method == "lh-etf" and rounds == 2
+        assert SreProducts.calls == quartics + rounds == 32
+
+
+def cli_sweep_point(method, max_cg_iterations):
+    """A design at the CLI SNR sweep's shape and 45 dB, and its spec.
+
+    ``mt`` runs at weight 0.05 and ``lh`` at its noise-law twin
+    ``0.05 / (sigma^2 P)``.
+    """
+    from csdesign.experiments import ExperimentParams, make_dataset
+
+    params = ExperimentParams(m=20, n=60, l=80, k=4, p=1000, snr_db=45.0)
+    ds = make_dataset(params, 1)
+    sre = ds.train_sre() if method == "lh" else None
+    lam = 0.05 if sre is None else 0.05 / (ds.sigma**2 * ds.p)
+    cfg = SolverConfig(max_cg_iterations=max_cg_iterations)
+    result = design(ds.psi, lam, random_projection(20, 60, 1), sre=sre, cfg=cfg)
+    return result, ObjectiveSpec(psi=ds.psi, lam=lam, sre=sre)
+
+
+class TestCarriedProductsRounding:
+    """A trace value carried along 500 steps equals a fresh evaluation at rounding level."""
+
+    @pytest.mark.parametrize("cap", [40, 500])
+    @pytest.mark.parametrize("method", ["mt", "lh"])
+    def test_last_trace_point_matches_fresh_evaluation(self, method, cap):
+        from csdesign.objective import value_and_gradient
+
+        result, spec = cli_sweep_point(method, cap)
+        assert len(result.trace) > min(cap, 100)
+        last = result.trace[-1]
+        f, g = value_and_gradient(result.phi, spec)
+        assert last.f == pytest.approx(objective_value(result.phi, spec), rel=1e-12, abs=0)
+        assert last.f == pytest.approx(f, rel=1e-12, abs=0)
+        assert last.grad_norm == pytest.approx(float(np.linalg.norm(g)), rel=1e-6, abs=0)
