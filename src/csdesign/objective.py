@@ -37,14 +37,11 @@ evaluating the objective again.
 One CG iterate calls each of ``_evaluate``, ``_gradient`` and
 ``_step_polynomial`` once.  The target alone picks the residual: for an
 identity target (every ``mt`` and ``lh`` design) it is the M x M
-``I - d d^T``, otherwise the k x k ``V^T G V - d^T d``.  After an
-accepted step t along a direction the iterate's residual and SRE factor
-follow from the step's quartic products, so ``_evaluate`` takes them
-rather than forming them: an identity target's residual is
-``r - t*(p + p.T) - t**2*q`` and the SRE factor ``reg + t*dir_reg``
-(see ``_step_polynomial``).  A CG round evaluates its first iterate
-afresh, and the k x k residual is formed afresh at every iterate, as
-carrying it would take two k x k products.  So an identity-target
+``I - d d^T``, otherwise the k x k ``V^T G V - d^T d``.  After a CG
+round's first iterate, ``_evaluate`` is handed the identity-target
+residual and the SRE factor that the accepted step's quartic products
+give (see ``_step_polynomial``); a k x k residual, whose update would
+take two k x k products, is formed afresh.  So an identity-target
 iterate forms three M x k products (``r @ d``, ``d @ b.T``,
 ``b @ b.T``: about 2.5 M^2 k multiply-adds); any other forms three
 k-wide products (``d.T @ d``, ``d @ r``, ``b @ r``) and three M x M
