@@ -14,8 +14,8 @@ defaults, the typed conversion, the required-parameter check and the
 manifest.
 
 Exit codes: 0 success, 2 usage error (including any value the library
-rejects with ``ValueError``), 3 I/O error, 4 design did not converge
-(artifacts are still written).
+rejects with ``ValueError``; it creates no directory), 3 I/O error, 4
+design did not converge (artifacts are still written).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .experiments import (
     SWEEP_METHODS,
     ExperimentParams,
     _check_method,
+    _check_shape,
     design_for_method,
     evaluate_system,
     run_dimension_sweeps,
@@ -75,17 +76,14 @@ def _read_matrix(path: str) -> np.ndarray:
         raise CliError(EXIT_IO, str(exc)) from exc
 
 
-def _parse_grid(text: str) -> list[float]:
-    """Parse ``a:step:b`` (inclusive when it divides evenly) or a comma list."""
+def _parse_grid(text: str, name: str = "grid") -> list[float]:
+    """Parse ``--<name>``: ``a:step:b`` (inclusive when it divides evenly) or a comma list."""
+    number = Param(name, float).convert
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise CliError(EXIT_USAGE, f"malformed grid {text!r}: expected a:step:b")
-        try:
-            a, step, b = (float(p) for p in parts)
-        except ValueError as exc:
-            bad = next(p for p in parts if not _is_float(p))
-            raise CliError(EXIT_USAGE, f"malformed grid token {bad!r} in {text!r}") from exc
+        a, step, b = (number(p) for p in parts)
         if not all(math.isfinite(v) for v in (a, step, b)):
             raise CliError(EXIT_USAGE, f"grid start, step and end must be finite in {text!r}")
         if step <= 0:
@@ -97,37 +95,14 @@ def _parse_grid(text: str) -> list[float]:
         if abs(a + count * step - b) <= 1e-9 * max(1.0, abs(b)):
             return list(np.linspace(a, b, count + 1)) if count > 0 else [a]
         return [a + i * step for i in range(count + 1)]
-    values = []
-    for token in text.split(","):
-        if not _is_float(token):
-            raise CliError(EXIT_USAGE, f"malformed grid token {token.strip()!r}")
-        values.append(float(token))
-    return values
+    return [number(token) for token in text.split(",")]
 
 
-def _is_float(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
-
-
-def _parse_int_pair(text: str, flag: str) -> tuple[int, int]:
+def _parse_int_pair(text: str, name: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise CliError(EXIT_USAGE, f"{flag} expects two comma-separated integers, got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, f"{flag} expects integers, got {text!r}") from exc
-
-
-def _parse_seeds(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, f"malformed seed list {text!r}") from exc
+        raise CliError(EXIT_USAGE, f"--{name} expects two comma-separated integers, got {text!r}")
+    return tuple(Param(name, int).convert(part) for part in parts)
 
 
 @dataclass(frozen=True)
@@ -201,7 +176,7 @@ def _matrix_input(values: dict, path: str, shape: str, draw, dims: str) -> np.nd
         return _read_matrix(values[path])
     if values[shape] is None:
         raise CliError(EXIT_USAGE, f"a matrix is required: --{path} <path> or --{shape} {dims}")
-    return draw(*_parse_int_pair(values[shape], f"--{shape}"), values["seed"])
+    return draw(*_parse_int_pair(values[shape], shape), values["seed"])
 
 
 def _resolve_xi(value: str) -> float | None:
@@ -221,14 +196,17 @@ def _manifest(command: str, values: dict, **extra) -> dict:
     return manifest
 
 
-def _write_manifest(out_dir: Path, command: str, values: dict, **extra) -> None:
-    manifest = _manifest(command, {**values, "out": str(out_dir)}, **extra)
-    write_keyvalues(manifest, out_dir / "manifest.txt")
+def _write_outputs(values: dict, command: str, artifacts, **extra) -> Path:
+    """Make ``--out``, write each ``(writer, data, file name)`` artifact, then the manifest.
 
-
-def _ensure_out_dir(path_text: str) -> Path:
-    out_dir = Path(path_text)
+    The one place a command creates its directory, called once its work is done.
+    """
+    out_dir = Path(values["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    for write, data, name in artifacts:
+        write(data, out_dir / name)
+    write_keyvalues(_manifest(command, {**values, "out": str(out_dir)}, **extra),
+                    out_dir / "manifest.txt")
     return out_dir
 
 
@@ -256,30 +234,26 @@ def cmd_design(values: dict) -> int:
     _check_method(method)
     psi = _matrix_input(values, "dict", "synth", gen_dictionary, "N,L")
     n, l = psi.shape
-    if m < 1:
-        raise CliError(EXIT_USAGE, f"m must be positive, got {m}")
-    if method != "randn" and m >= n:
-        raise CliError(EXIT_USAGE, f"designed matrices need m < n, got m={m}, n={n}")
-    params = ExperimentParams(m=m, n=n, l=l, lam=values["lambda"],
+    params = ExperimentParams(m=m, n=n, l=l, k=1, lam=values["lambda"],  # a design has no K
                               xi=_resolve_xi(values["xi"]), outer_iters=values["iter"])
+    _check_shape(params)
     values["xi"] = params.resolved_xi()
     sre = None
     if method in SRE_METHODS:
         if values["sre"] is None:
             raise CliError(EXIT_USAGE, f"method {method!r} requires --sre <path>")
         sre = _read_matrix(values["sre"])
-    out_dir = _ensure_out_dir(values["out"])
 
     phi0 = random_projection(m, n, seed)
     result = design_for_method(method, params, psi, phi0, params.lam, sre=sre)
 
-    write_matrix_csv(result.phi, out_dir / "phi.csv")
-    write_trace_csv(result.trace, out_dir / "trace.csv")
+    artifacts = [(write_matrix_csv, result.phi, "phi.csv"),
+                 (write_trace_csv, result.trace, "trace.csv")]
     if values["synth"] is not None:  # make the generated dictionary reusable
-        write_matrix_csv(psi, out_dir / "psi.csv")
-    _write_manifest(out_dir, "design", values, converged=result.converged,
-                    stop_reason=result.stop_reason, n_f_evals=result.n_f_evals,
-                    n_sd_restarts=result.n_sd_restarts)
+        artifacts.append((write_matrix_csv, psi, "psi.csv"))
+    out_dir = _write_outputs(values, "design", artifacts, converged=result.converged,
+                             stop_reason=result.stop_reason, n_f_evals=result.n_f_evals,
+                             n_sd_restarts=result.n_sd_restarts)
     if not result.converged:
         print(f"design did not converge ({result.stop_reason}); artifacts in {out_dir}",
               file=sys.stderr)
@@ -309,17 +283,17 @@ def cmd_eval(values: dict) -> int:
             f"phi columns ({phi.shape[1]}) do not match dictionary rows ({psi.shape[0]})",
         )
     snr, p, k, seed = values["snr"], values["p"], values["k"], values["seed"]
-    out_dir = _ensure_out_dir(values["out"])
+    (m, n), l = phi.shape, psi.shape[1]
+    _check_shape(ExperimentParams(m=m, n=n, l=l, k=k, p=p, snr_db=snr))
 
-    l = psi.shape[1]
     theta = gen_sparse_codes(l, k, 2 * p, seed)
     dataset = gen_signals(psi, theta, snr, seed)
     record = evaluate_system(
         phi, dataset, k, method=values["tag"], param_name="snr", param_value=snr, seed=seed
     )
 
-    write_records_csv([record], out_dir / "records.csv")
-    _write_manifest(out_dir, "eval", values, achieved_snr_db=dataset.snr_db)
+    _write_outputs(values, "eval", [(write_records_csv, [record], "records.csv")],
+                   achieved_snr_db=dataset.snr_db)
     return EXIT_OK
 
 
@@ -337,7 +311,7 @@ SWEEP_PARAMS = (
     Param("xi", default="welch", help="'welch' (each point's M x L) or a float"),
     Param("iter", int, _DEFAULTS.outer_iters),
     Param("snr", float, _DEFAULTS.snr_db, "fixed SNR for non-snr sweeps"),
-    Param("lambda_grid", help="candidate lambdas searched per method in an snr sweep"),
+    Param("lambda_grid", help="candidate lambdas searched per method (snr axis only)"),
     _OUT,
     Param("timing", bool, False, "record wall-clock design time (breaks byte reproducibility)"),
 )
@@ -347,14 +321,14 @@ def cmd_sweep(values: dict) -> int:
     axis = values["axis"] = values["axis"].lower()
     if axis not in SWEEP_METHODS:
         raise CliError(EXIT_USAGE, f"unknown sweep axis {axis!r}")
+    if values["lambda_grid"] is not None and axis != "snr":
+        raise CliError(EXIT_USAGE, f"--lambda-grid applies to the snr axis only, not {axis!r}")
     grid = _parse_grid(values["grid"])
-    seeds = _parse_seeds(values["seeds"])
+    seeds = [Param("seeds", int).convert(tok) for tok in values["seeds"].split(",")]
     if values["methods"] is None:
         methods = SWEEP_METHODS[axis]
-    else:
+    else:  # the sweep checks each method before its first dataset
         methods = tuple(tok.strip() for tok in values["methods"].split(","))
-        for method in methods:
-            _check_method(method)
     values["methods"] = ",".join(methods)
     values["seeds"] = ",".join(str(s) for s in seeds)
     xi = _resolve_xi(values["xi"])
@@ -364,22 +338,20 @@ def cmd_sweep(values: dict) -> int:
         m=values["m"], n=values["n"], l=values["l"], k=values["k"], p=values["p"],
         lam=values["lambda"], xi=xi, outer_iters=values["iter"], snr_db=values["snr"],
     )
-    out_dir = _ensure_out_dir(values["out"])
 
     if axis == "lambda":
         records = run_lambda_sweep(params, grid, seeds, methods=methods, timing=timing)
     elif axis == "snr":
         lambda_grid = None
         if values["lambda_grid"] is not None:
-            lambda_grid = _parse_grid(values["lambda_grid"])
+            lambda_grid = _parse_grid(values["lambda_grid"], "lambda_grid")
         records = run_snr_sweep(
             params, grid, methods, seeds, lambda_grid=lambda_grid, timing=timing
         )
     else:
         records = run_dimension_sweeps(params, axis, grid, seeds, methods=methods, timing=timing)
 
-    write_records_csv(records, out_dir / "records.csv")
-    _write_manifest(out_dir, "sweep", values)
+    _write_outputs(values, "sweep", [(write_records_csv, records, "records.csv")])
     return EXIT_OK
 
 
@@ -404,9 +376,7 @@ def cmd_lemma1(values: dict) -> int:
         print(f"{key}={render_value(value)}")
 
     if values["out"] is not None:
-        out_dir = _ensure_out_dir(values["out"])
-        write_keyvalues(report_values, out_dir / "report.txt")
-        _write_manifest(out_dir, "lemma1", values)
+        _write_outputs(values, "lemma1", [(write_keyvalues, report_values, "report.txt")])
     return EXIT_OK
 
 

@@ -36,6 +36,7 @@ from .coherence import (
     welch_bound,
 )
 from .matio import render_value, write_csv
+from .objective import check_lam
 from .recovery import batch_recover
 from .solver import (
     DesignResult,
@@ -46,7 +47,7 @@ from .solver import (
     random_projection,
 )
 from .streams import derive_seed
-from .synth import SyntheticDataset, gen_dictionary, gen_signals, gen_sparse_codes
+from .synth import SyntheticDataset, check_snr_db, gen_dictionary, gen_signals, gen_sparse_codes
 
 # one name per design tag, each bound to design: perfbench's traced run
 # wraps them by name, so design_for_method calls each tag by its own name
@@ -97,7 +98,7 @@ PSNR_PEAK = 2.0**8 - 1.0
 
 @dataclass(frozen=True)
 class ExperimentParams:
-    """Fixed parameters of one experiment family."""
+    """Fixed parameters of one experiment family; each scalar is checked by its rule when built."""
 
     m: int = 20
     n: int = 60
@@ -113,6 +114,9 @@ class ExperimentParams:
     def __post_init__(self):
         if self.xi is not None:
             check_xi(self.xi)
+        check_lam(self.lam)
+        check_snr_db(self.snr_db)
+        _check_count("p", self.p)
         _check_count("outer_iters", self.outer_iters)
 
     def resolved_xi(self) -> float:
@@ -176,10 +180,18 @@ def make_dataset(
     return gen_signals(psi, theta, params.snr_db, seed)
 
 
-def _check_method(method: str) -> None:
-    """Raise ValueError unless `method` is one of :data:`METHODS`."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+def _check_shape(params: ExperimentParams) -> None:
+    """Raise ValueError unless 1 <= K <= M <= N <= L, the sizes a CS system needs."""
+    k, m, n, l = params.k, params.m, params.n, params.l
+    if not 1 <= k <= m <= n <= l:
+        raise ValueError(f"need 1 <= K <= M <= N <= L, got K={k} M={m} N={n} L={l}")
+
+
+def _check_method(*methods: str) -> None:
+    """Raise ValueError unless each of `methods` is one of :data:`METHODS`."""
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def design_for_method(
@@ -288,13 +300,14 @@ def run_convergence(
     All traces start from the same random matrix.  Returns rows
     ``(lambda, iteration, f)``.
     """
+    lambdas = [check_lam(lam) for lam in lambdas]
     psi = gen_dictionary(params.n, params.l, seed)
     phi0 = random_projection(params.m, params.n, derive_seed(seed, "phi0"))
     cfg = SolverConfig(max_cg_iterations=max_iterations)
     rows: list[tuple[float, int, float]] = []
     for lam in lambdas:
-        result = design(psi, float(lam), phi0, cfg=cfg)
-        rows.extend((float(lam), point.cg_iter, point.f) for point in result.trace)
+        result = design(psi, lam, phi0, cfg=cfg)
+        rows.extend((lam, point.cg_iter, point.f) for point in result.trace)
     return rows
 
 
@@ -310,12 +323,15 @@ def run_lambda_sweep(
     One dataset and one starting matrix per seed, shared by every grid
     point, so the lambda axis is the only thing that varies.
     """
+    _check_shape(params)
+    _check_method(*methods)
+    lambda_grid = [check_lam(lam) for lam in lambda_grid]
     records: list[ExperimentRecord] = []
     for s in _seed_list(seed):
         dataset = make_dataset(params, s)
         phi0 = random_projection(params.m, params.n, derive_seed(s, "phi0"))
         records.extend(
-            _design_and_score(method, params, dataset, phi0, float(lam), "lambda", lam, s, timing)
+            _design_and_score(method, params, dataset, phi0, lam, "lambda", lam, s, timing)
             for lam in lambda_grid
             for method in methods
         )
@@ -365,14 +381,16 @@ def run_snr_sweep(
     drowned by selection noise.  The cap at 1 keeps the weight inside
     the recommended (0, 1] range when the noise is strong.
     """
-    for method in methods:
-        _check_method(method)
+    _check_shape(params)
+    _check_method(*methods)
+    points = [replace(params, snr_db=float(snr)) for snr in snr_grid]  # checks each SNR
     if lambda_grid is not None and len(lambda_grid) == 0:
         raise ValueError("lambda_grid must not be empty; pass None to skip the search")
+    lambda_grid = None if lambda_grid is None else tuple(check_lam(lam) for lam in lambda_grid)
     seeds = _seed_list(seed)
     candidates = [
         (params.lam,) if method == "randn" or pair_lambdas or lambda_grid is None
-        else tuple(float(lam) for lam in lambda_grid)
+        else lambda_grid
         for method in methods
     ]
     # (grid index, method index, candidate index) -> one record per seed, in seed order
@@ -380,8 +398,7 @@ def run_snr_sweep(
     for s in seeds:
         psi = gen_dictionary(params.n, params.l, s)
         phi0 = random_projection(params.m, params.n, derive_seed(s, "phi0"))
-        for i, snr in enumerate(snr_grid):
-            point_params = replace(params, snr_db=float(snr))
+        for i, (snr, point_params) in enumerate(zip(snr_grid, points)):
             point_seed = derive_seed(s, f"snr={render_value(float(snr))}")
             dataset = make_dataset(point_params, point_seed, psi=psi)
             scale = dataset.sigma**2 * dataset.p
@@ -422,9 +439,9 @@ def run_dimension_sweeps(
     """Sweep one of the size parameters M, K, or L, holding the rest fixed.
 
     Every grid value must lie within 1e-9 of an integer.  `methods`
-    defaults to ``SWEEP_METHODS[axis]``.  Grid points that break the
-    feasibility chain ``K <= M <= N <= L`` are skipped with a logged
-    reason; a grid with no other point is a ValueError.
+    defaults to ``SWEEP_METHODS[axis]``.  Grid points that break
+    :func:`_check_shape`'s ``1 <= K <= M <= N <= L`` are skipped with a
+    logged reason; a grid with no other point is a ValueError.
     """
     axis = axis.lower()
     if axis not in ("m", "k", "l"):
@@ -435,15 +452,15 @@ def run_dimension_sweeps(
     grid = [int(round(v)) for v in grid]
     if methods is None:
         methods = SWEEP_METHODS[axis]
+    _check_method(*methods)
     points = []
     for value in grid:
         point_params = replace(base_params, **{axis: value})
-        k, m, n, l = point_params.k, point_params.m, point_params.n, point_params.l
-        if 1 <= k <= m <= n <= l:
+        try:
+            _check_shape(point_params)
             points.append((value, point_params))
-        else:
-            logger.warning("skipping infeasible point %s=%d (need K <= M <= N <= L, have "
-                           "K=%d M=%d N=%d L=%d)", axis, value, k, m, n, l)
+        except ValueError as exc:
+            logger.warning("skipping infeasible point %s=%d: %s", axis, value, exc)
     if not points:
         raise ValueError(f"no point of the {axis!r} grid meets 1 <= K <= M <= N <= L")
     records: list[ExperimentRecord] = []

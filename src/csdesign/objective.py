@@ -65,7 +65,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ObjectiveSpec", "objective_value", "value_and_gradient"]
+__all__ = ["ObjectiveSpec", "check_lam", "objective_value", "value_and_gradient"]
+
+
+def check_lam(lam: float) -> float:
+    """`lam` as a float, or ValueError unless it is finite and nonnegative: the weight's rule."""
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
+    return float(lam)
 
 
 @dataclass(frozen=True)
@@ -116,9 +123,7 @@ class ObjectiveSpec:
             raise ValueError("psi must be a nonempty finite 2-D array")
         object.__setattr__(self, "psi", psi)
 
-        if not 0 <= self.lam < np.inf:
-            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", check_lam(self.lam))
 
         l = psi.shape[1]
         u, sigma, v = _factor(psi)

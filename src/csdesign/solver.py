@@ -22,9 +22,7 @@ round evaluates its first iterate from scratch.  Every later iterate
 takes its M x M identity-target residual and its SRE factor from the
 accepted step's quartic products, which the step moves by a quadratic
 and a linear term in t, so its trace value and gradient carry the
-rounding of the round's steps.  At M=20, N=60, L=80 the last of 500
-such iterates read the value of a fresh evaluation to 2e-16 relative
-and its gradient norm to 1e-8.  Each round solves in the spec's
+rounding of the round's steps.  Each round solves in the spec's
 singular basis ``Psi = U S V^T``, from ``phi @ U``, and rotates back.
 One iterate costs one objective evaluation and one quartic (products
 counted in :mod:`csdesign.objective`: on the M x M residual for an

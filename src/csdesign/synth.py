@@ -29,6 +29,7 @@ from .streams import stream
 __all__ = [
     "SyntheticDataset",
     "Lemma1Report",
+    "check_snr_db",
     "gen_dictionary",
     "gen_sparse_codes",
     "gen_signals",
@@ -105,6 +106,12 @@ def gen_sparse_codes(l: int, k: int, count: int, seed: int) -> np.ndarray:
     return theta
 
 
+def check_snr_db(snr_db: float) -> None:
+    """Raise ValueError if `snr_db` is NaN or -inf: the SNR's rule (+inf means noiseless)."""
+    if not snr_db > -math.inf:
+        raise ValueError(f"snr_db must not be NaN or -inf (+inf means noiseless), got {snr_db}")
+
+
 def gen_signals(psi, theta, snr_db: float, seed: int) -> SyntheticDataset:
     """Build noisy signals around ``psi @ theta`` at a target SNR.
 
@@ -124,10 +131,7 @@ def gen_signals(psi, theta, snr_db: float, seed: int) -> SyntheticDataset:
     count = theta.shape[1]
     if count % 2 != 0:
         raise ValueError(f"column count must be even for the train/test split, got {count}")
-    if math.isnan(snr_db):
-        raise ValueError("snr_db must not be NaN")
-    if snr_db == -math.inf:
-        raise ValueError("snr_db must not be -inf (+inf means noiseless)")
+    check_snr_db(snr_db)
     x0 = psi @ theta
     clean_energy = float(np.sum(x0 * x0))
     if clean_energy == 0.0:

@@ -17,7 +17,13 @@ Two more symmetries of the objective fix the design:
   the first one's factorisation;
 * atom order: permuting psi's columns permutes the Gram of ``phi psi``
   and leaves its distance to the identity, so an identity-target
-  design does not change.
+  design does not change;
+* scale: psi -> 2 psi, lam -> 4 lam, phi -> phi / 2 leaves ``phi psi``,
+  ``lam |phi|^2`` and ``lam |phi E|^2`` (E unchanged) as they were, so
+  the objective is the same and the design halves.  The stopping rule
+  reads the gradient relative to ``max(1, |phi|)``, which is not
+  scale-free, so the two solves take different iterates and only their
+  converged designs are compared (they agree to about 5e-6).
 
 The tolerance 1e-8 sits far above rounding on these well-conditioned
 instances (the designs agree to about 1e-12).  On an ill-conditioned
@@ -29,6 +35,7 @@ much as with the singular basis.
 import numpy as np
 import pytest
 
+from csdesign.objective import ObjectiveSpec, objective_value
 from csdesign.solver import SolverConfig, design, random_projection
 from csdesign.synth import gen_dictionary
 
@@ -95,3 +102,19 @@ def test_identity_target_design_ignores_the_atom_order(method):
     assert permuted.stop_reason == base.stop_reason
     np.testing.assert_allclose(permuted.phi, base.phi, rtol=0,
                                atol=1e-8 * np.max(np.abs(base.phi)))
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("method", ["mt", "lh"])
+def test_design_scales_with_the_dictionary(method, seed):
+    psi = gen_dictionary(30, 50, seed)
+    phi0 = random_projection(10, 30, seed)
+    sre = 0.2 * np.random.default_rng(seed).standard_normal((30, 100)) if method == "lh" else None
+    value = objective_value(phi0, ObjectiveSpec(psi, lam=0.3, sre=sre))
+    scaled_value = objective_value(phi0 / 2, ObjectiveSpec(2 * psi, lam=1.2, sre=sre))
+    assert scaled_value == pytest.approx(value, rel=1e-13)
+    base = design(psi, 0.3, phi0, sre=sre)
+    scaled = design(2 * psi, 1.2, phi0 / 2, sre=sre)
+    assert base.converged and scaled.converged
+    np.testing.assert_allclose(2 * scaled.phi, base.phi, rtol=0,
+                               atol=1e-4 * np.max(np.abs(base.phi)))

@@ -182,13 +182,20 @@ class TestDesignCommand:
         assert "outer_iters must be an integer >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("lam", ["nan", "inf"])
-    def test_non_finite_lambda_usage_error(self, tmp_path, capsys, lam):
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-1"])
+    def test_non_finite_lambda_usage_error(self, tmp_path, capsys, designs, lam):
         out = tmp_path / "x"
         assert run("design", "--synth", "20,30", "--m", "6", "--lambda", lam,
                    "--out", str(out)) == 2
         assert "lam must be finite" in capsys.readouterr().err
-        assert not (out / "phi.csv").exists()
+        assert not out.exists()
+        assert designs == []
+
+    def test_designed_m_equal_to_n_accepted(self, tmp_path):
+        # the shape rule is 1 <= M <= N <= L, for a design as for a sweep
+        out = tmp_path / "square"
+        assert run("design", "--synth", "12,20", "--m", "12", "--out", str(out)) == 0
+        assert read_matrix_csv(out / "phi.csv").shape == (12, 12)
 
 
 class TestEvalCommand:
@@ -251,6 +258,34 @@ class TestEvalCommand:
         assert run("eval", "--phi", str(phi_path), "--dict", str(psi_path), "--snr=-inf",
                    "--p", "10", "--out", str(tmp_path / "x")) == 2
         assert "-inf" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--snr", "nan"), "snr_db must not be NaN"),
+            (("--p", "0"), "p must be an integer >= 1, got 0"),
+            (("--k", "9"), "K <= M <= N <= L"),
+        ],
+        ids=["snr-nan", "p-zero", "k-above-m"],
+    )
+    def test_bad_value_usage_error_creates_no_directory(self, tmp_path, capsys, monkeypatch,
+                                                        flags, message):
+        import csdesign.cli as cli_mod
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a dataset was drawn before the values were checked")
+
+        monkeypatch.setattr(cli_mod, "gen_sparse_codes", must_not_run)
+        psi_path = tmp_path / "psi.csv"
+        write_matrix_csv(gen_dictionary(20, 30, 5), psi_path)
+        phi_path = tmp_path / "phi.csv"
+        write_matrix_csv(np.ones((8, 20)), phi_path)
+        out = tmp_path / "x"
+        assert run("eval", "--phi", str(phi_path), "--dict", str(psi_path), "--p", "10",
+                   *flags, "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_infinite_snr_as_a_separate_token(self, tmp_path, capsys):
         # argparse alone would read "-inf" as a flag and report "expected one argument"
@@ -345,12 +380,22 @@ class TestSweepCommand:
         assert [row.split(",")[2] for row in rows] == ["-5", "0", "5"]
         assert read_keyvalues(out / "manifest.txt")["grid"] == grid
 
-    def test_no_feasible_dimension_point_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--axis", "m", "--grid", "4,6", "--k", "0"),
+            ("--axis", "lambda", "--grid", "0.5", "--k", "9", "--m", "8"),
+            ("--axis", "lambda", "--grid", "0.5", "--m", "25", "--n", "20"),
+            ("--axis", "snr", "--grid", "5", "--n", "90"),
+        ],
+        ids=["m-axis-k-zero", "lambda-k-above-m", "lambda-m-above-n", "snr-n-above-l"],
+    )
+    def test_no_feasible_dimension_point_usage_error(self, tmp_path, capsys, designs, flags):
         out = tmp_path / "x"
-        assert run("sweep", "--axis", "m", "--grid", "4,6", "--k", "0", "--p", "10",
-                   "--out", str(out)) == 2
+        assert run("sweep", *flags, "--p", "10", "--out", str(out)) == 2
         assert "K <= M <= N <= L" in capsys.readouterr().err
-        assert not (out / "records.csv").exists()
+        assert not out.exists()
+        assert designs == []
 
     def test_malformed_grid_usage_error(self, tmp_path, capsys):
         code = run("sweep", "--axis", "snr", "--grid", "5:ten:45",
@@ -358,12 +403,34 @@ class TestSweepCommand:
         assert code == 2
         assert "ten" in capsys.readouterr().err
 
-    def test_non_finite_lambda_grid_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--axis", "lambda", "--grid", "nan"),
+            ("--axis", "lambda", "--grid", "-0.5,0.5"),
+            ("--axis", "snr", "--grid", "5", "--lambda-grid", "nan"),
+            ("--axis", "snr", "--grid", "5", "--lambda-grid", "-1"),
+        ],
+        ids=["lambda-nan", "lambda-negative", "snr-search-nan", "snr-search-negative"],
+    )
+    def test_non_finite_lambda_grid_usage_error(self, tmp_path, capsys, designs, flags):
         out = tmp_path / "x"
-        assert run("sweep", "--axis", "lambda", "--grid", "nan", "--m", "8", "--n", "20",
+        assert run("sweep", *flags, "--m", "8", "--n", "20",
                    "--l", "30", "--k", "2", "--p", "30", "--out", str(out)) == 2
         assert "lam must be finite" in capsys.readouterr().err
-        assert not (out / "records.csv").exists()
+        assert not out.exists()
+        assert designs == []
+
+    @pytest.mark.parametrize("axis, grid", [("lambda", "0.1"), ("m", "6")])
+    def test_lambda_grid_off_the_snr_axis_usage_error(self, tmp_path, capsys, designs,
+                                                      axis, grid):
+        # the candidates are searched on the snr axis only; elsewhere they would be ignored
+        out = tmp_path / "x"
+        assert run("sweep", "--axis", axis, "--grid", grid, "--lambda-grid", "0.1",
+                   "--out", str(out)) == 2
+        assert "--lambda-grid applies to the snr axis only" in capsys.readouterr().err
+        assert not out.exists()
+        assert designs == []
 
     def test_unknown_axis(self, tmp_path):
         assert run("sweep", "--axis", "q", "--grid", "1", "--out", str(tmp_path / "x")) == 2
@@ -540,19 +607,28 @@ class TestLemma1Command:
         ("lemma1", "--random", "0,5"),
         ("design", "--synth", "10,5", "--m", "8", "--method", "randn"),
         ("sweep", "--axis", "lambda", "--grid", "0.5", "--m", "90", "--l", "80"),
+        ("design", "--synth", "30,20", "--m", "8"),
+        ("design", "--synth", "20,30", "--m", "25", "--method", "randn"),
+        ("sweep", "--axis", "snr", "--grid", "nan"),
+        ("sweep", "--axis", "lambda", "--grid", "0.5", "--p", "0"),
+        ("sweep", "--axis", "k", "--grid", "2", "--p", "0"),
     ],
     ids=["design-empty-dictionary", "lemma1-empty-matrix", "design-m-above-l",
-         "sweep-m-above-l"],
+         "sweep-m-above-l", "design-l-below-n", "design-randn-m-above-n", "sweep-snr-nan",
+         "sweep-p-zero", "sweep-k-axis-p-zero"],
 )
-def test_library_value_error_is_usage_error(tmp_path, capsys, argv):
+def test_library_value_error_is_usage_error(tmp_path, capsys, designs, argv):
     # the library rejects these values with ValueError; the CLI reports
-    # them as one usage-error line, without a traceback
+    # them as one usage-error line, without a traceback, before any design
+    # runs or any directory is made
     if argv[0] != "lemma1":
         argv += ("--out", str(tmp_path / "x"))
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"csdesign {argv[0]}: ")
     assert len(err.splitlines()) == 1
+    assert not (tmp_path / "x").exists()
+    assert designs == []
 
 
 @pytest.mark.parametrize(

@@ -84,6 +84,30 @@ def test_every_harness_rejects_an_empty_seed_list(harness):
         harness([])
 
 
+@pytest.mark.parametrize(
+    "harness, message",
+    [
+        (lambda: run_lambda_sweep(replace(SMALL, k=9), [0.3], 1, methods=("mt",)),
+         "K <= M <= N <= L"),
+        (lambda: run_snr_sweep(SMALL, [10.0, math.nan], ("mt",), 1, lambda_grid=None),
+         "snr_db must not be NaN"),
+        (lambda: run_lambda_sweep(SMALL, [0.3, -1.0], 1, methods=("mt",)),
+         "lam must be finite and nonnegative"),
+        (lambda: run_snr_sweep(SMALL, [10.0], ("mt",), 1, lambda_grid=(0.1, math.nan)),
+         "lam must be finite and nonnegative"),
+        (lambda: run_lambda_sweep(SMALL, [0.3], 1, methods=("mt", "qr")), "unknown method 'qr'"),
+        (lambda: run_dimension_sweeps(SMALL, "m", [6], 1, methods=("mt", "qr")),
+         "unknown method 'qr'"),
+    ],
+    ids=["lambda-k-above-m", "snr-nan-point", "lambda-negative-point",
+         "snr-nan-candidate", "lambda-unknown-method", "dimension-unknown-method"],
+)
+def test_every_harness_checks_its_inputs_before_the_first_design(designs, harness, message):
+    with pytest.raises(ValueError, match=message):
+        harness()
+    assert designs == []
+
+
 class TestRhoMse:
     def test_identical_zero(self):
         x = np.arange(12.0).reshape(3, 4)
@@ -238,6 +262,22 @@ class TestRunLambdaSweep:
     def test_outer_iters_checked_at_construction(self, bad):
         with pytest.raises(ValueError, match="outer_iters must be an integer >= 1"):
             ExperimentParams(outer_iters=bad)
+
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("lam", -0.1, "lam must be finite and nonnegative"),
+            ("lam", math.inf, "lam must be finite and nonnegative"),
+            ("snr_db", math.nan, "snr_db must not be NaN"),
+            ("snr_db", -math.inf, "-inf"),
+            ("p", 0, "p must be an integer >= 1"),
+        ],
+        ids=["lam-negative", "lam-inf", "snr-nan", "snr-minus-inf", "p-zero"],
+    )
+    def test_scalars_checked_at_construction_by_the_library_rules(self, field, bad, message):
+        # the same rules reject the value in ObjectiveSpec, gen_signals and the counts
+        with pytest.raises(ValueError, match=message):
+            ExperimentParams(**{field: bad})
 
     def test_xi_in_unit_interval_and_welch_accepted(self):
         assert ExperimentParams(xi=0.0).resolved_xi() == 0.0

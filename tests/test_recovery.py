@@ -206,6 +206,19 @@ class TestBatchRecover:
         np.testing.assert_array_equal(permuted, base[:, perm])
         np.testing.assert_array_equal(permuted_flags, base_flags[perm])
 
+    def test_atom_permutation_permutes_codes(self):
+        # OMP reads atoms only through their correlations and refits, so relabelling
+        # the dictionary's columns relabels the code rows and changes nothing else;
+        # a Gaussian instance has no near-ties for the lowest-index rule to break
+        rng = np.random.default_rng(5)
+        d = rng.standard_normal((20, 80))
+        y = rng.standard_normal((20, 300))
+        order = rng.permutation(80)
+        base, base_flags = batch_recover(d, y, 4)
+        permuted, permuted_flags = batch_recover(d[:, order], y, 4)
+        np.testing.assert_array_equal(permuted, base[order])
+        np.testing.assert_array_equal(permuted_flags, base_flags)
+
     def test_codes_matrix(self):
         rng = np.random.default_rng(9)
         d = rng.standard_normal((6, 10))
