@@ -14,8 +14,11 @@ defaults, the typed conversion, the required-parameter check and the
 manifest.
 
 Exit codes: 0 success, 2 usage error (including any value the library
-rejects with ``ValueError``; it creates no directory), 3 I/O error, 4
-design did not converge (artifacts are still written).
+rejects with ``ValueError``; it creates no directory), 3 I/O error (an
+``--out`` whose nearest existing ancestor is not a directory is one,
+found before any work), 4 design did not converge (artifacts are still
+written).  Every matrix read from a CSV is held to
+:func:`~csdesign.matio.check_matrix` as it is read.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from .experiments import (
     run_snr_sweep,
     write_records_csv,
 )
-from .matio import (check_csv_value, read_keyvalues, read_matrix_csv, render_value,
-                    write_keyvalues, write_matrix_csv)
+from .matio import (check_csv_value, check_matrix, read_keyvalues, read_matrix_csv,
+                    render_value, write_keyvalues, write_matrix_csv)
 from .solver import random_projection, write_trace_csv
 from .synth import gen_dictionary, gen_signals, gen_sparse_codes, lemma1_check
 
@@ -69,11 +72,13 @@ class CliError(Exception):
         self.code = code
 
 
-def _read_matrix(path: str) -> np.ndarray:
+def _read_matrix(values: dict, key: str, **shape) -> np.ndarray:
+    """The matrix in the CSV at ``--<key>``, held to the library's matrix rule and `shape`."""
     try:
-        return read_matrix_csv(path)
+        matrix = read_matrix_csv(values[key])
     except ValueError as exc:
         raise CliError(EXIT_IO, str(exc)) from exc
+    return check_matrix(matrix, f"--{key}", **shape)
 
 
 def _parse_grid(text: str, name: str = "grid") -> list[float]:
@@ -173,7 +178,7 @@ def _matrix_input(values: dict, path: str, shape: str, draw, dims: str) -> np.nd
     if values[path] is not None and values[shape] is not None:
         raise CliError(EXIT_USAGE, f"give either --{path} or --{shape}, not both")
     if values[path] is not None:
-        return _read_matrix(values[path])
+        return _read_matrix(values, path)
     if values[shape] is None:
         raise CliError(EXIT_USAGE, f"a matrix is required: --{path} <path> or --{shape} {dims}")
     return draw(*_parse_int_pair(values[shape], shape), values["seed"])
@@ -232,17 +237,17 @@ DESIGN_PARAMS = (
 def cmd_design(values: dict) -> int:
     method, m, seed = values["method"], values["m"], values["seed"]
     _check_method(method)
+    sre_path = values["sre"]
+    if (sre_path is None) == (method in SRE_METHODS):  # lh methods need it; no other reads it
+        raise CliError(EXIT_USAGE, f"method {method!r} requires --sre <path>" if sre_path is None
+                       else f"--sre applies to {', '.join(SRE_METHODS)} only, not {method!r}")
     psi = _matrix_input(values, "dict", "synth", gen_dictionary, "N,L")
     n, l = psi.shape
     params = ExperimentParams(m=m, n=n, l=l, k=1, lam=values["lambda"],  # a design has no K
                               xi=_resolve_xi(values["xi"]), outer_iters=values["iter"])
     _check_shape(params)
     values["xi"] = params.resolved_xi()
-    sre = None
-    if method in SRE_METHODS:
-        if values["sre"] is None:
-            raise CliError(EXIT_USAGE, f"method {method!r} requires --sre <path>")
-        sre = _read_matrix(values["sre"])
+    sre = None if sre_path is None else _read_matrix(values, "sre", rows=n)
 
     phi0 = random_projection(m, n, seed)
     result = design_for_method(method, params, psi, phi0, params.lam, sre=sre)
@@ -275,13 +280,8 @@ EVAL_PARAMS = (
 
 def cmd_eval(values: dict) -> int:
     check_csv_value(values["tag"])  # the tag becomes a records.csv value
-    phi = _read_matrix(values["phi"])
-    psi = _read_matrix(values["dict"])
-    if phi.shape[1] != psi.shape[0]:
-        raise CliError(
-            EXIT_USAGE,
-            f"phi columns ({phi.shape[1]}) do not match dictionary rows ({psi.shape[0]})",
-        )
+    phi = _read_matrix(values, "phi")
+    psi = _read_matrix(values, "dict", rows=phi.shape[1])
     snr, p, k, seed = values["snr"], values["p"], values["k"], values["seed"]
     (m, n), l = phi.shape, psi.shape[1]
     _check_shape(ExperimentParams(m=m, n=n, l=l, k=k, p=p, snr_db=snr))
@@ -435,7 +435,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     _, params, handler = COMMANDS[args.command]
     try:
-        return handler(_resolve(args, params))
+        values = _resolve(args, params)
+        if values["out"] is not None:  # before any work: can --out be made where it points?
+            out = Path(values["out"]).absolute()
+            ancestor = next(path for path in (out, *out.parents) if path.exists())
+            if not ancestor.is_dir():
+                raise CliError(EXIT_IO, f"cannot make --out {out}: {ancestor} is not a directory")
+        return handler(values)
     except (CliError, ValueError) as exc:  # a ValueError is a value the library rejects
         print(f"csdesign {args.command}: {exc}", file=sys.stderr)
         return getattr(exc, "code", EXIT_USAGE)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matio import check_matrix
+
 __all__ = [
     "DEGENERATE_COL_TOL",
     "DEFAULT_MU_BAR",
@@ -56,15 +58,6 @@ class CoherenceReport:
     phi_energy: float
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
-    out = np.asarray(a, dtype=float)
-    if out.ndim != 2 or out.size == 0:
-        raise ValueError(f"{name} must be a nonempty 2-D array, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return out
-
-
 def normalize_columns(d) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Scale each column of `d` to unit Euclidean norm.
 
@@ -77,7 +70,7 @@ def normalize_columns(d) -> tuple[np.ndarray, np.ndarray, list[int]]:
     degenerate : list of int
         Indices of columns with norm below ``DEGENERATE_COL_TOL``.
     """
-    d = _as_matrix(d, "matrix")
+    d = check_matrix(d, "d")
     scales = np.linalg.norm(d, axis=0)
     degenerate = [int(j) for j in np.nonzero(scales < DEGENERATE_COL_TOL)[0]]
     safe = np.where(scales < DEGENERATE_COL_TOL, 1.0, scales)
@@ -175,18 +168,13 @@ def recoverable_sparsity(mu: float) -> int:
 
 def equivalent_dictionary(phi, psi) -> np.ndarray:
     """Equivalent dictionary ``phi @ psi`` seen by the sparse solver."""
-    phi = _as_matrix(phi, "phi")
-    psi = _as_matrix(psi, "psi")
-    if phi.shape[1] != psi.shape[0]:
-        raise ValueError(
-            f"phi columns ({phi.shape[1]}) must match psi rows ({psi.shape[0]})"
-        )
-    return phi @ psi
+    phi = check_matrix(phi, "phi")
+    return phi @ check_matrix(psi, "psi", rows=phi.shape[1])
 
 
 def coherence_report(phi, psi, mu_bar: float = DEFAULT_MU_BAR) -> CoherenceReport:
     """Coherence statistics of the CS system defined by `phi` and `psi`."""
-    phi = _as_matrix(phi, "phi")
+    phi = check_matrix(phi, "phi")
     d = equivalent_dictionary(phi, psi)
     m, l = d.shape
     g = gram(d)

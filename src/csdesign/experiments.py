@@ -35,7 +35,7 @@ from .coherence import (
     mutual_coherence,
     welch_bound,
 )
-from .matio import render_value, write_csv
+from .matio import check_matrix, render_value, write_csv
 from .objective import check_lam
 from .recovery import batch_recover
 from .solver import (
@@ -206,7 +206,7 @@ def design_for_method(
     """Produce the projection matrix of `method` from the shared start `phi0`."""
     _check_method(method)
     if method == "randn":
-        return DesignResult(np.array(phi0, dtype=float), (), "randn", "converged")
+        return DesignResult(check_matrix(phi0, "phi0").copy(), (), "randn", "converged")
     if method in SRE_METHODS and sre is None:
         raise ValueError(f"method {method!r} needs the training SRE matrix")
     if method == "mt":

@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "render_value",
     "check_csv_value",
+    "check_matrix",
     "write_csv",
     "write_matrix_csv",
     "read_matrix_csv",
@@ -55,6 +56,26 @@ def check_csv_value(value: object) -> str:
             "no line break and no non-ASCII character"
         )
     return text
+
+
+def check_matrix(a, name: str, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    """`a` as a float 2-D array: the library's one rule for a matrix from outside it.
+
+    ``ValueError`` naming `name` unless `a` is nonempty, finite, and
+    `rows` x `cols` where those are given.  The non-finite message counts
+    the columns holding a NaN or an inf: for measurements, the signals hit.
+    """
+    out = np.asarray(a, dtype=float)
+    if out.ndim != 2 or out.size == 0:
+        raise ValueError(f"{name} must be a nonempty 2-D array, got shape {out.shape}")
+    if rows not in (None, out.shape[0]) or cols not in (None, out.shape[1]):
+        need = " and ".join(f"{n} {what}" for n, what in ((rows, "rows"), (cols, "columns"))
+                            if n is not None)
+        raise ValueError(f"{name} must have {need}, got shape {out.shape}")
+    bad = np.count_nonzero(~np.isfinite(out).all(axis=0))
+    if bad:
+        raise ValueError(f"{name} has non-finite entries in {bad} of {out.shape[1]} columns")
+    return out
 
 
 def _csv_line(row: Iterable) -> str:

@@ -49,11 +49,11 @@ Grams.  Either way they take three scalings by S and ten inner
 products, each one BLAS dot (``np.vdot``); an SRE regularizer adds one
 product by the rotated ``U^T E E^T U`` (two at a round's first iterate)
 and one inner product.
-These private functions trust their caller for `phi`'s shape, which
-the public functions check.  No matrix is ever inverted here; learned
-dictionaries can be ill-conditioned enough to make inversion of
-``Psi @ Psi.T`` unsafe, and an orthogonal factorisation plus plain
-products are all the gradient needs.
+These private functions trust their caller for `phi`, which the public
+functions check by :func:`~csdesign.matio.check_matrix`.  No matrix is
+ever inverted here; learned dictionaries can be ill-conditioned enough
+to make inversion of ``Psi @ Psi.T`` unsafe, and an orthogonal
+factorisation plus plain products are all the gradient needs.
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .matio import check_matrix
 
 __all__ = ["ObjectiveSpec", "check_lam", "objective_value", "value_and_gradient"]
 
@@ -118,9 +120,7 @@ class ObjectiveSpec:
     identity_target: bool = field(init=False, default=False, repr=False)
 
     def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=float)
-        if psi.ndim != 2 or psi.size == 0 or not np.all(np.isfinite(psi)):
-            raise ValueError("psi must be a nonempty finite 2-D array")
+        psi = check_matrix(self.psi, "psi")
         object.__setattr__(self, "psi", psi)
 
         object.__setattr__(self, "lam", check_lam(self.lam))
@@ -134,25 +134,15 @@ class ObjectiveSpec:
         if self.gram_target is None:
             g = np.eye(l)
         else:
-            g = np.asarray(self.gram_target, dtype=float)
-            if g.shape != (l, l):
-                raise ValueError(f"gram target must be {l} x {l}, got {g.shape}")
-            if not np.all(np.isfinite(g)):
-                raise ValueError("gram target contains non-finite entries")
+            g = check_matrix(self.gram_target, "gram_target", l, l)
             # the gradient and the line-search quartic hold for a symmetric target only
             if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
-                raise ValueError("gram target is not symmetric")
+                raise ValueError("gram_target is not symmetric")
         _set_reduced_target(self, g)
         object.__setattr__(self, "gram_target", g)
 
         if self.sre is not None:
-            e = np.asarray(self.sre, dtype=float)
-            if e.ndim != 2 or e.shape[0] != psi.shape[0]:
-                raise ValueError(
-                    f"sre must have {psi.shape[0]} rows to match psi, got shape {e.shape}"
-                )
-            if not np.all(np.isfinite(e)):
-                raise ValueError("sre contains non-finite entries")
+            e = check_matrix(self.sre, "sre", rows=psi.shape[0])
             object.__setattr__(self, "sre", e)
             rotated = u.T @ (e @ e.T) @ u
             object.__setattr__(self, "sre_rotated", (rotated + rotated.T) / 2.0)
@@ -240,15 +230,6 @@ def _with_target(spec: ObjectiveSpec, gram_target: np.ndarray) -> ObjectiveSpec:
     object.__setattr__(swapped, "gram_target", gram_target)
     _set_reduced_target(swapped, gram_target)
     return swapped
-
-
-def _check_phi(phi, spec: ObjectiveSpec) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 2 or phi.shape[1] != spec.n:
-        raise ValueError(
-            f"phi must have {spec.n} columns to match psi rows, got shape {phi.shape}"
-        )
-    return phi
 
 
 def _evaluate(
@@ -340,10 +321,10 @@ def _step_polynomial(
 
 def objective_value(phi, spec: ObjectiveSpec) -> float:
     """Evaluate the design objective at `phi`."""
-    return _evaluate(_check_phi(phi, spec) @ spec.basis, spec)[0]
+    return _evaluate(check_matrix(phi, "phi", cols=spec.n) @ spec.basis, spec)[0]
 
 
 def value_and_gradient(phi, spec: ObjectiveSpec) -> tuple[float, np.ndarray]:
     """Objective value and gradient sharing the intermediate products."""
-    value, _, *products = _evaluate(_check_phi(phi, spec) @ spec.basis, spec)
+    value, _, *products = _evaluate(check_matrix(phi, "phi", cols=spec.n) @ spec.basis, spec)
     return value, _gradient(spec, *products) @ spec.basis.T

@@ -31,7 +31,7 @@ do not depend on the batch around it; its correlations can, in the last
 bit, because BLAS uses a matrix-vector kernel for one signal and a
 matrix-matrix kernel for several.  So :func:`omp` and a column of
 :func:`batch_recover` can part only where two atoms tie to within about
-1e-16 relative.  Measurements holding NaN or inf are rejected.
+1e-16 relative.  Both hold `d` and `y` to :func:`~csdesign.matio.check_matrix`.
 
 :func:`batch_recover` gives the L x P coefficient matrix, one column
 per signal, and a length-P boolean array flagging the signals whose
@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import normalize_columns
+from .matio import check_matrix
 
 __all__ = ["EARLY_STOP_RESIDUAL", "SparseCode", "omp", "batch_recover"]
 
@@ -83,20 +84,14 @@ def _omp_batch(d, y, k: int):
     in selection order (the first ``n_selected[i]`` of row i are used),
     and per-signal final residual norms and rank-deficiency flags.
     """
-    d = np.asarray(d, dtype=float)
-    if d.ndim != 2 or d.size == 0:
-        raise ValueError(f"dictionary must be a nonempty 2-D array, got shape {d.shape}")
+    d = check_matrix(d, "d")
     m, l = d.shape
-    if y.shape[0] != m:
-        raise ValueError(f"measurement length {y.shape[0]} does not match {m} rows")
+    y = check_matrix(y, "y", rows=m)
     if not 1 <= k <= min(m, l):
         raise ValueError(f"k must satisfy 1 <= k <= min(M, L) = {min(m, l)}, got {k}")
-    bad = np.count_nonzero(~np.isfinite(y).all(axis=0))
-    if bad:
-        raise ValueError(f"measurements contain non-finite entries in {bad} of {y.shape[1]} columns")
 
     # selection correlates against unit-norm atoms; coefficients use the originals
-    d_unit, atom_norm, degenerate = normalize_columns(d)  # rejects non-finite entries
+    d_unit, atom_norm, degenerate = normalize_columns(d)
     if len(degenerate) == l:
         raise ValueError("all dictionary columns are (near) zero")
     if k > l - len(degenerate):  # a signal would run out of atoms to select
@@ -214,8 +209,5 @@ def batch_recover(d, y, k: int) -> tuple[np.ndarray, np.ndarray]:
     column j recovered from ``y[:, j]`` as :func:`omp` recovers it, and
     a length-P boolean array of the ``rank_deficient`` flags.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2:
-        raise ValueError(f"expected an M x P matrix of measurements, got shape {y.shape}")
     codes, _, _, _, rank_deficient = _omp_batch(d, y, k)
     return codes, rank_deficient

@@ -48,12 +48,11 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .matio import write_csv
+from .matio import check_matrix, write_csv
 # objective_value and value_and_gradient are not called here; they stay
 # bound in this namespace because perfbench's traced run wraps them by name
 from .objective import (
     ObjectiveSpec,
-    _check_phi,
     _evaluate,
     _gradient,
     _step_polynomial,
@@ -163,9 +162,7 @@ def project_to_relaxed_etf(gram, xi: float) -> RelaxedETFTarget:
     floating-point asymmetry of the input.  Idempotent: projecting a
     member of the set returns it unchanged, entry for entry.
     """
-    g = np.asarray(gram, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {g.shape}")
+    g = check_matrix(gram, "gram", cols=np.shape(gram)[0] if np.ndim(gram) else None)  # square
     xi = check_xi(xi)
     clipped = np.clip(g, -xi, xi)
     np.fill_diagonal(clipped, 1.0)
@@ -277,9 +274,7 @@ def _design(spec, phi0, cfg=None, xi=None, outer_iters=1) -> DesignResult:
     ``mt``, with ``-etf`` appended when `xi` is set.
     """
     cfg = cfg or SolverConfig()
-    phi = _check_phi(np.array(phi0, dtype=float), spec)
-    if not np.all(np.isfinite(phi)):
-        raise ValueError("phi0 contains non-finite entries")
+    phi = check_matrix(phi0, "phi0", cols=spec.n).copy()
     _check_count("outer_iters", outer_iters)
     method = ("mt" if spec.sre is None else "lh") + ("" if xi is None else "-etf")
     trace: list[TracePoint] = []

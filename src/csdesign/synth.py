@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matio import check_matrix
 from .streams import stream
 
 __all__ = [
@@ -122,12 +123,8 @@ def gen_signals(psi, theta, snr_db: float, seed: int) -> SyntheticDataset:
     rejected, since no finite noise level reaches it.  The column count
     must be even (the dataset is split into equal halves).
     """
-    psi = np.asarray(psi, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if psi.ndim != 2 or theta.ndim != 2 or psi.shape[1] != theta.shape[0]:
-        raise ValueError(
-            f"incompatible shapes psi {psi.shape}, theta {theta.shape}"
-        )
+    psi = check_matrix(psi, "psi")
+    theta = check_matrix(theta, "theta", rows=psi.shape[1])
     count = theta.shape[1]
     if count % 2 != 0:
         raise ValueError(f"column count must be even for the train/test split, got {count}")
@@ -162,21 +159,20 @@ def lemma1_check(phi, sigma: float, p: int, seed: int) -> Lemma1Report:
     their predicted values; the z-score is the CLT-normalized deviation
     of the mean.
     """
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 2 or phi.size == 0:
-        raise ValueError(f"phi must be a nonempty 2-D array, got shape {phi.shape}")
+    phi = check_matrix(phi, "phi")
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if p < 2:
         raise ValueError(f"p must be >= 2 for a sample variance, got {p}")
-    n = phi.shape[1]
-    e = sigma * stream(seed, "lemma1").standard_normal((n, p))
+    gram_rows = phi @ phi.T
+    predicted_variance = 2.0 * sigma**4 * float(np.sum(gram_rows * gram_rows))
+    if predicted_variance == 0.0:  # the z-score divides by it
+        raise ValueError("the predicted variance is 0 (phi all zero, or sigma too small)")
+    e = sigma * stream(seed, "lemma1").standard_normal((phi.shape[1], p))
     energies = np.sum((phi @ e) ** 2, axis=0)
     mean_estimate = float(energies.mean())
     predicted_mean = sigma**2 * float(np.sum(phi * phi))
     variance_estimate = float(energies.var(ddof=1))
-    gram_rows = phi @ phi.T
-    predicted_variance = 2.0 * sigma**4 * float(np.sum(gram_rows * gram_rows))
     z_score = (
         math.sqrt(p) * (mean_estimate - predicted_mean) / math.sqrt(predicted_variance)
     )

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from csdesign.objective import ObjectiveSpec, _check_phi, objective_value, value_and_gradient
+from csdesign.matio import check_matrix
+from csdesign.objective import ObjectiveSpec, objective_value, value_and_gradient
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ def gradient_check(
     """
     if step <= 0 or tol <= 0:
         raise ValueError("step and tol must be positive")
-    phi = _check_phi(phi, spec)
+    phi = check_matrix(phi, "phi", cols=spec.n)
     analytic = value_and_gradient(phi, spec)[1] if gradient is None else np.asarray(gradient)
     numeric = np.empty_like(phi)
     work = phi.copy()

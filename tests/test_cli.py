@@ -198,6 +198,19 @@ class TestDesignCommand:
         assert read_matrix_csv(out / "phi.csv").shape == (12, 12)
 
 
+    @pytest.mark.parametrize("method", ["mt", "mt-etf", "randn"])
+    def test_sre_with_a_method_that_reads_none_usage_error(self, tmp_path, capsys, designs,
+                                                           method):
+        # only the lh methods read --sre; elsewhere the manifest would record a file
+        # that nothing read, here one that does not even exist
+        out = tmp_path / "x"
+        assert run("design", "--synth", "20,30", "--m", "6", "--method", method,
+                   "--sre", str(tmp_path / "absent.csv"), "--out", str(out)) == 2
+        assert f"--sre applies to lh, lh-etf only, not {method!r}" in capsys.readouterr().err
+        assert not out.exists()
+        assert designs == []
+
+
 class TestEvalCommand:
     def test_noiseless_feasible_recovery(self, tmp_path):
         psi_path = tmp_path / "psi.csv"
@@ -348,6 +361,27 @@ class TestEvalCommand:
         assert not (out / "manifest.txt").exists()
 
 
+    @pytest.mark.parametrize("flag", ["--phi", "--dict"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_matrix_rejected_before_a_dataset(self, tmp_path, capsys, monkeypatch,
+                                                         flag, bad):
+        import csdesign.cli as cli_mod
+
+        drawn = []
+        monkeypatch.setattr(cli_mod, "gen_signals", lambda *args: drawn.append(args))
+        paths = {"--phi": tmp_path / "phi.csv", "--dict": tmp_path / "psi.csv"}
+        matrices = {"--phi": np.ones((8, 20)), "--dict": gen_dictionary(20, 30, 5)}
+        matrices[flag][1, 3] = float(bad)
+        for name, path in paths.items():
+            write_matrix_csv(matrices[name], path)
+        out = tmp_path / "x"
+        assert run("eval", "--phi", str(paths["--phi"]), "--dict", str(paths["--dict"]),
+                   "--p", "10", "--out", str(out)) == 2
+        assert f"{flag} has non-finite entries in 1 of" in capsys.readouterr().err
+        assert drawn == []
+        assert not out.exists()
+
+
 class TestSweepCommand:
     def test_small_snr_sweep(self, tmp_path):
         out = tmp_path / "sweep"
@@ -490,6 +524,20 @@ class TestSweepCommand:
 
         assert fixed_lines((replay / "manifest.txt").read_text()) == fixed_lines(SWEEP_MANIFEST)
 
+    def test_out_that_cannot_be_made_is_io_error_before_any_design(self, tmp_path, capsys,
+                                                                   designs):
+        # the nearest existing ancestor of --out is a regular file, so no directory
+        # can be made there: the run stops before its first design
+        blocker = tmp_path / "blocker.txt"
+        blocker.write_text("not a directory\n")
+        out = blocker / "sub" / "run"
+        assert run("sweep", "--axis", "lambda", "--grid", "0.1,0.5", "--m", "8", "--n", "20",
+                   "--l", "30", "--p", "200", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert str(out) in err and f"{blocker} is not a directory" in err
+        assert designs == []
+        assert blocker.read_text() == "not a directory\n"
+
 
 # written by ``sweep --axis snr --grid 10,20 --methods randn,mt --seeds 1 --m 8
 # --n 20 --l 30 --k 2 --p 40 --lambda 0.3 --out orig``
@@ -598,6 +646,25 @@ class TestLemma1Command:
         assert manifest["command"] == "lemma1" and manifest["random"] == "4,6"
         assert run("lemma1", "--config", str(first / "manifest.txt"), "--out", str(replay)) == 0
         assert (replay / "report.txt").read_bytes() == (first / "report.txt").read_bytes()
+
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [("nan", "--phi has non-finite entries in 1 of 9 columns"),
+         ("inf", "--phi has non-finite entries in 1 of 9 columns"),
+         ("0", "the predicted variance is 0")],
+        ids=["nan", "inf", "all-zero"],
+    )
+    def test_bad_phi_usage_error_prints_no_report(self, tmp_path, capsys, entry, message):
+        phi = np.zeros((5, 9)) if entry == "0" else np.ones((5, 9))
+        phi[2, 4] = float(entry)
+        phi_path = tmp_path / "phi.csv"
+        write_matrix_csv(phi, phi_path)
+        assert run("lemma1", "--phi", str(phi_path), "--p", "10") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"csdesign lemma1: {message}")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize(

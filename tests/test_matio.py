@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from csdesign.experiments import ExperimentRecord, write_convergence_csv, write_records_csv
+from csdesign.coherence import coherence_report, equivalent_dictionary, normalize_columns
+from csdesign.experiments import (ExperimentParams, ExperimentRecord, design_for_method,
+                                  write_convergence_csv, write_records_csv)
 from csdesign.matio import (
     check_csv_value,
+    check_matrix,
     read_keyvalues,
     read_matrix_csv,
     render_value,
@@ -13,7 +16,10 @@ from csdesign.matio import (
     write_keyvalues,
     write_matrix_csv,
 )
-from csdesign.solver import TracePoint, write_trace_csv
+from csdesign.objective import ObjectiveSpec, objective_value, value_and_gradient
+from csdesign.recovery import batch_recover, omp
+from csdesign.solver import TracePoint, design, project_to_relaxed_etf, write_trace_csv
+from csdesign.synth import gen_dictionary, gen_signals, gen_sparse_codes, lemma1_check
 
 
 class TestMatrixCsv:
@@ -187,3 +193,96 @@ class TestKeyValues:
         back = read_keyvalues(path)
         assert back["grid"] == "0:0.1:1"
         assert back["note"] == "a=b"
+
+
+class TestCheckMatrix:
+    def test_returns_a_float_matrix(self):
+        out = check_matrix([[1, 2], [3, 4]], "a", rows=2, cols=2)
+        assert out.dtype == float
+        np.testing.assert_array_equal(out, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_float_array_passes_through(self):
+        a = np.ones((2, 3))
+        assert check_matrix(a, "a") is a
+
+    @pytest.mark.parametrize(
+        "a, shape, message",
+        [
+            (np.ones(3), {}, "a must be a nonempty 2-D array, got shape (3,)"),
+            (np.ones((2, 0)), {}, "a must be a nonempty 2-D array, got shape (2, 0)"),
+            (np.ones((2, 3)), {"rows": 3}, "a must have 3 rows, got shape (2, 3)"),
+            (np.ones((2, 3)), {"cols": 2}, "a must have 2 columns, got shape (2, 3)"),
+            (np.ones((2, 3)), {"rows": 3, "cols": 3},
+             "a must have 3 rows and 3 columns, got shape (2, 3)"),
+            (np.array([[1.0, np.nan, np.inf], [0.0, 1.0, -np.inf]]), {},
+             "a has non-finite entries in 2 of 3 columns"),
+        ],
+        ids=["1-d", "empty", "rows", "cols", "square", "non-finite"],
+    )
+    def test_messages(self, a, shape, message):
+        with pytest.raises(ValueError) as err:
+            check_matrix(a, "a", **shape)
+        assert str(err.value) == message
+
+
+def _matrix_entries():
+    """(id, argument name, valid matrix, call taking that matrix, a wrong shape or None)."""
+    rng = np.random.default_rng(4)
+    psi = gen_dictionary(6, 10, 1)
+    phi = rng.standard_normal((3, 6))
+    spec = ObjectiveSpec(psi=psi, lam=0.1)
+    theta = gen_sparse_codes(10, 2, 4, 1)
+    d = rng.standard_normal((3, 8))
+    y = rng.standard_normal((3, 4))
+    gram = np.eye(4) + 0.1
+    return [
+        ("spec-psi", "psi", psi, lambda a: ObjectiveSpec(psi=a), None),
+        ("spec-gram-target", "gram_target", np.eye(10),
+         lambda a: ObjectiveSpec(psi=psi, gram_target=a), (9, 9)),
+        ("spec-sre", "sre", 0.1 * rng.standard_normal((6, 20)),
+         lambda a: ObjectiveSpec(psi=psi, lam=0.1, sre=a), (5, 20)),
+        ("design-phi0", "phi0", phi, lambda a: design(psi, 0.1, a), (3, 5)),
+        ("randn-phi0", "phi0", phi,
+         lambda a: design_for_method("randn", ExperimentParams(), psi, a, 0.1), None),
+        ("objective-value", "phi", phi, lambda a: objective_value(a, spec), (3, 5)),
+        ("value-and-gradient", "phi", phi, lambda a: value_and_gradient(a, spec), (3, 5)),
+        ("equivalent-dictionary-phi", "phi", phi, lambda a: equivalent_dictionary(a, psi),
+         None),
+        ("equivalent-dictionary-psi", "psi", psi, lambda a: equivalent_dictionary(phi, a),
+         (5, 10)),
+        ("coherence-report", "phi", phi, lambda a: coherence_report(a, psi), None),
+        ("normalize-columns", "d", d, normalize_columns, None),
+        ("omp", "d", d, lambda a: omp(a, y[:, 0], 1), None),
+        ("batch-recover-d", "d", d, lambda a: batch_recover(a, y, 1), None),
+        ("batch-recover-y", "y", y, lambda a: batch_recover(d, a, 1), (4, 4)),
+        ("gen-signals-psi", "psi", psi, lambda a: gen_signals(a, theta, 10.0, 1), None),
+        ("gen-signals-theta", "theta", theta, lambda a: gen_signals(psi, a, 10.0, 1), (9, 4)),
+        ("lemma1-check", "phi", phi, lambda a: lemma1_check(a, 1.0, 10, 1), None),
+        ("relaxed-etf", "gram", gram, lambda a: project_to_relaxed_etf(a, 0.3), (3, 4)),
+    ]
+
+
+def _bad_matrices(valid, wrong_shape):
+    nan, inf = valid.copy(), valid.copy()
+    nan[0, 1] = np.nan
+    inf[-1, -1] = -np.inf
+    cases = {"nan": nan, "inf": inf, "empty": valid[:, :0], "1-d": valid[0]}
+    if wrong_shape is not None:
+        cases["shape"] = np.ones(wrong_shape)
+    return cases
+
+
+@pytest.mark.parametrize(
+    "name, valid, call, case, bad",
+    [
+        pytest.param(name, valid, call, case, bad, id=f"{entry}-{case}")
+        for entry, name, valid, call, wrong in _matrix_entries()
+        for case, bad in _bad_matrices(valid, wrong).items()
+    ],
+)
+def test_every_public_matrix_entry_holds_to_the_rule(name, valid, call, case, bad):
+    # each entry takes its valid matrix, and rejects a NaN, an inf, an empty
+    # matrix, a 1-D array and a wrong shape with a ValueError naming the argument
+    call(valid)
+    with pytest.raises(ValueError, match=rf"^{name} (must|has) "):
+        call(bad)

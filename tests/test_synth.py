@@ -167,6 +167,11 @@ class TestLemma1Check:
         with pytest.raises(ValueError):
             lemma1_check(np.eye(3), 1.0, 1, 0)
 
+    def test_zero_phi_rejected(self):
+        # the predicted variance is 0, and the z-score would divide by it
+        with pytest.raises(ValueError, match="the predicted variance is 0"):
+            lemma1_check(np.zeros((3, 5)), 1.0, 10, 0)
+
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_non_finite_sigma_rejected(self, sigma):
         with pytest.raises(ValueError, match="sigma"):
