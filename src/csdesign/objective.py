@@ -11,54 +11,33 @@ Two families share one quadratic Gram-matching term
 ``E @ E.T`` is formed, and an unset Gram target resolved to the
 identity, once when the spec is built, so an SRE-mode evaluation costs
 the same as a training-free one regardless of how many training samples
-fed ``E``.
+fed ``E``.  The public functions, and ``_value_and_gradient`` for any
+symmetric target (a relaxed-ETF round's), evaluate that plain formula.
 
-The objective sees the N x L dictionary only through its singular
-basis ``Psi = U S V^T`` (U is N x N orthogonal, S holds the
-``k = min(N, L)`` singular values, V is L x k).  Specs on the same bytes
-of Psi share one factorisation: the module keeps the last one, keyed by
-Psi's shape and a digest of its bytes, for as long as the array it was
-taken from lives, and its arrays are read-only (see ``_factor``).  With
-``Phi' = Phi U`` the Gram term splits into
-``|| V^T G V - S Phi'^T Phi' S ||_F^2`` plus a constant that does not
-depend on Phi (Li, Zhu et al., "On projection matrix optimization for
-compressive sensing systems", IEEE TSP 2013, use the same basis for
-their closed form).  The private functions below work on ``Phi'``, where
-a product by Psi's factor is a per-column scaling and no L x L matrix is
-formed; the public ones rotate at the boundary (``phi @ U`` in,
-``grad @ U.T`` out), as the orthogonal change keeps every norm.
-
-The value and the gradient come from one evaluation, ``_evaluate``, so
-the value is computed one way.  The objective is a quartic in the step
+The private CG kernel serves the identity target only.  It sees the
+N x L dictionary through its singular basis ``Psi = U S V^T`` (U is
+N x N orthogonal, S holds the ``k = min(N, L)`` singular values, V is
+L x k), which specs on the same bytes of Psi share (see ``_factor``),
+and works on ``Phi' = Phi U``, where a product by Psi's factor is a
+per-column scaling, ``d = Phi' S``.  ``d^T d`` and ``d d^T`` share
+their nonzero eigenvalues, so the Gram term is ``|I - d d^T|^2 + L - M``
+on the M x M Gram, for every M (Li, Zhu et al., "On projection matrix
+optimization for compressive sensing systems", IEEE TSP 2013, use the
+same basis for their closed form).  The value and gradient come from
+one evaluation, ``_evaluate``; the objective is a quartic in the step
 along any direction, and ``_step_polynomial`` gives its coefficients
 from ``_evaluate``'s products, so a line search tries steps without
-evaluating the objective again.
-
-One CG iterate calls each of ``_evaluate``, ``_gradient`` and
-``_step_polynomial`` once.  The target alone picks the residual: for an
-identity target (every ``mt`` and ``lh`` design) it is the M x M
-``I - d d^T``, otherwise the k x k ``V^T G V - d^T d``.  After a CG
-round's first iterate, ``_evaluate`` is handed the identity-target
-residual and the SRE factor that the accepted step's quartic products
-give (see ``_step_polynomial``); a k x k residual, whose update would
-take two k x k products, is formed afresh.  So an identity-target
-iterate forms three M x k products (``r @ d``, ``d @ b.T``,
-``b @ b.T``: about 2.5 M^2 k multiply-adds); any other forms three
-k-wide products (``d.T @ d``, ``d @ r``, ``b @ r``) and three M x M
-Grams.  Either way they take three scalings by S and ten inner
-products, each one BLAS dot (``np.vdot``); an SRE regularizer adds one
-product by the rotated ``U^T E E^T U`` (two at a round's first iterate)
-and one inner product.
-These private functions trust their caller for `phi`, which the public
-functions check by :func:`~csdesign.matio.check_matrix`.  No matrix is
-ever inverted here; learned dictionaries can be ill-conditioned enough
-to make inversion of ``Psi @ Psi.T`` unsafe, and an orthogonal
-factorisation plus plain products are all the gradient needs.
+evaluating the objective again.  After a CG solve's first iterate,
+``_evaluate`` is handed the residual and the SRE factor that the
+accepted step's quartic products give.  These private functions trust
+their caller for `phi`, which the public functions check by
+:func:`~csdesign.matio.check_matrix`.  No matrix is ever inverted here;
+learned dictionaries can be ill-conditioned enough to make inversion of
+``Psi @ Psi.T`` unsafe.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import weakref
 from dataclasses import dataclass, field
@@ -100,11 +79,7 @@ class ObjectiveSpec:
     basis of the module docstring is ``basis`` (U, N x N), ``sigma``
     (length k) and ``row_basis`` (V, L x k), read-only arrays shared by
     every spec built on the same bytes of `psi` while the array the
-    first of them factored lives; the reduced problem is
-    ``target_r`` (``V^T G V``, k x k) and ``offset``, the constant the
-    reduction leaves, ``2|(I - VV^T) G V|^2 + |(I - VV^T) G (I - VV^T)|^2``.
-    ``identity_target`` says the target is ``np.eye(L)`` entry for entry
-    (as an unset one is); then an iterate runs on the M x M Gram.
+    first of them factored lives.
     """
 
     psi: np.ndarray
@@ -115,9 +90,6 @@ class ObjectiveSpec:
     basis: np.ndarray = field(init=False, default=None, repr=False)
     sigma: np.ndarray = field(init=False, default=None, repr=False)
     row_basis: np.ndarray = field(init=False, default=None, repr=False)
-    target_r: np.ndarray = field(init=False, default=None, repr=False)
-    offset: float = field(init=False, default=0.0, repr=False)
-    identity_target: bool = field(init=False, default=False, repr=False)
 
     def __post_init__(self):
         psi = check_matrix(self.psi, "psi")
@@ -138,7 +110,6 @@ class ObjectiveSpec:
             # the gradient and the line-search quartic hold for a symmetric target only
             if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
                 raise ValueError("gram_target is not symmetric")
-        _set_reduced_target(self, g)
         object.__setattr__(self, "gram_target", g)
 
         if self.sre is not None:
@@ -191,84 +162,37 @@ def _drop_factors(ref: weakref.ref) -> None:
         _factors = None
 
 
-def _set_reduced_target(spec: ObjectiveSpec, g: np.ndarray) -> None:
-    """Store the reduced target ``V^T G V`` and the offset of the symmetric `g` on `spec`.
-
-    The offset is taken as ``|(I - VV^T) G V|^2 + |(I - VV^T) G|^2``,
-    which equals the docstring's form for symmetric G; both are sums of
-    squares, so nothing cancels and a target inside the row space gives
-    an offset at rounding level.  The identity is reduced with no
-    product, so an explicit ``np.eye(L)`` gives an unset target's bits.
-    """
-    n, l = spec.psi.shape
-    identity = np.array_equal(g, np.eye(l))
-    if identity:  # V^T I V = I and |(I - VV^T)|^2 = L - N
-        target_r, offset = np.eye(min(n, l)), float(max(l - n, 0))
-    else:
-        v = spec.row_basis
-        gv = g @ v
-        target_r = v.T @ gv
-        target_r = (target_r + target_r.T) / 2.0
-        side = gv - v @ target_r  # (I - VV^T) G V
-        rest = g - v @ gv.T  # (I - VV^T) G
-        offset = float(np.vdot(side, side)) + float(np.vdot(rest, rest))
-    object.__setattr__(spec, "identity_target", identity)
-    object.__setattr__(spec, "target_r", target_r)
-    object.__setattr__(spec, "offset", offset)
-
-
-def _with_target(spec: ObjectiveSpec, gram_target: np.ndarray) -> ObjectiveSpec:
-    """`spec` with its Gram target swapped for the L x L `gram_target`.
-
-    The copy skips ``__post_init__``, so neither ``E @ E.T`` nor the
-    factorisation is looked up again: the copy holds `spec`'s read-only
-    singular basis, shared with every spec on the same bytes of Psi, and
-    only the new target is reduced to it.
-    The caller owns the target's shape, finiteness and symmetry.
-    """
-    swapped = copy.copy(spec)
-    object.__setattr__(swapped, "gram_target", gram_target)
-    _set_reduced_target(swapped, gram_target)
-    return swapped
-
-
 def _evaluate(
     phi: np.ndarray, spec: ObjectiveSpec, r: np.ndarray | None = None,
     reg: np.ndarray | None = None,
 ) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
-    """The objective at the float M x N `phi` and the products its gradient reuses.
+    """The identity-target objective at the float M x N `phi` and the products its gradient reuses.
 
     `phi` is in the singular basis (``Phi @ U``).  Returns
     ``(value, phi_sq, d, r, reg)``: ``phi_sq = |phi|^2``, ``d = phi S``,
-    the residual ``r = target_r - d.T @ d``, and the regularizer's factor
+    the M x M residual ``r = I - d @ d.T``, and the regularizer's factor
     ``reg``, which is ``phi`` or ``phi @ U^T E E^T U``, so the value is
-    ``|r|^2 + offset + lam * <phi, reg>``.  For an identity target
-    ``d^T d`` and ``d d^T`` share their nonzero eigenvalues, so ``r`` is
-    the M x M ``I - d @ d.T`` and the value adds ``k - M``, exact for
-    every M.  At M <= k both terms are sums of squares, so a perfect
-    match reads zero.  A given `r` or `reg` is taken as that product at
-    `phi` (a CG iterate carries them along its step) and is not formed
-    again.  The caller checks `phi`.
+    ``|r|^2 + L - M + lam * <phi, reg>``, exact for every M.  At M <= k
+    both terms are sums of squares, so a perfect match reads zero.  A
+    given `r` or `reg` is taken as that product at `phi` (a CG iterate
+    carries them along its step) and is not formed again.  The caller
+    checks `phi`.
     """
     d = phi[:, : spec.sigma.size] * spec.sigma
-    offset = spec.offset
-    if spec.identity_target:
-        offset += d.shape[1] - d.shape[0]
-        if r is None:
-            r = np.eye(d.shape[0]) - d @ d.T
-    elif r is None:  # a gemm on a copy: at small N it beats the syrk numpy picks for d.T @ d
-        r = spec.target_r - d.T @ d.copy()
+    if r is None:
+        r = np.eye(d.shape[0]) - d @ d.T
     if reg is None:
         reg = phi if spec.sre_rotated is None else phi @ spec.sre_rotated
     phi_sq = float(np.vdot(phi, phi))
     penalty = phi_sq if reg is phi else float(np.vdot(phi, reg))
-    return float(np.vdot(r, r)) + offset + spec.lam * penalty, phi_sq, d, r, reg
+    gram_term = float(np.vdot(r, r)) + (spec.psi.shape[1] - d.shape[0])
+    return gram_term + spec.lam * penalty, phi_sq, d, r, reg
 
 
 def _gradient(spec: ObjectiveSpec, d, r, reg) -> np.ndarray:
-    """The gradient ``-4 (d r) S^T + 2 lam reg`` from :func:`_evaluate` (``r d`` at identity)."""
+    """The gradient ``-4 (r d) S^T + 2 lam reg`` from :func:`_evaluate`."""
     g = 2.0 * spec.lam * reg
-    g[:, : d.shape[1]] -= (r @ d if spec.identity_target else d @ r) * (4.0 * spec.sigma)
+    g[:, : d.shape[1]] -= (r @ d) * (4.0 * spec.sigma)
     return g
 
 
@@ -281,7 +205,7 @@ def _step_polynomial(
     ``f(phi + t * direction) - f(phi)`` is exactly
     ``a1*t + a2*t**2 + a3*t**3 + a4*t**4``.  With ``b = direction S``,
     the M x M ``p = d @ b.T`` and ``q = b @ b.T``, and ``S`` the identity
-    or ``U^T E E^T U``, an identity target's residual at step t is
+    or ``U^T E E^T U``, the residual at step t is
     ``r - t*(p + p.T) - t**2*q``, so
 
     * ``a1 = -4<r, p> + 2 lam <direction, reg>``
@@ -289,42 +213,44 @@ def _step_polynomial(
     * ``a3 = 4<p, q>``
     * ``a4 = |q|^2``
 
-    Otherwise the k x k residual is ``r - t*s1 - t**2*s2``, with
-    ``s1 = d.T @ b + b.T @ d`` and ``s2 = b.T @ b``; through ``b @ r``
-    (M x k), ``-2<r, s1> = -4<b @ r, d>`` takes the place of ``-4<r, p>``
-    and ``|s1|^2 - 2<r, s2> = 2<d @ d.T, q> + 2<p, p.T> - 2<b @ r, b>``
-    that of ``2|p|^2 + 2<p, p.T> - 2<r, q>``.  This holds for any
-    symmetric Gram target (the gradient assumes one too); the constants
-    of the value cancel from the change.  ``a1`` is the directional
-    derivative.  Returns ``((a1, a2, a3, a4), (p, q, dir_reg))`` with
-    ``dir_reg = direction @ S``, so the regularizer's factor at step t
-    is ``reg + t*dir_reg``; for ``S`` the identity, `dir_reg` is
-    `direction` itself.
+    ``a1`` is the directional derivative.  Returns
+    ``((a1, a2, a3, a4), (p, q, dir_reg))`` with ``dir_reg = direction @ S``,
+    so the regularizer's factor at step t is ``reg + t*dir_reg``; for
+    ``S`` the identity, `dir_reg` is `direction` itself.
     """
     b = direction[:, : spec.sigma.size] * spec.sigma
     p = d @ b.T
     q = b @ b.T
     dir_reg = direction if spec.sre_rotated is None else direction @ spec.sre_rotated
     vdot, lam = np.vdot, spec.lam
-    if spec.identity_target:
-        a1 = -4.0 * vdot(r, p)
-        a2 = 2.0 * vdot(p, p) + 2.0 * vdot(p, p.T) - 2.0 * vdot(r, q)
-    else:
-        br = b @ r
-        a1 = -4.0 * vdot(br, d)
-        a2 = 2.0 * vdot(d @ d.T, q) + 2.0 * vdot(p, p.T) - 2.0 * vdot(br, b)
-    a1 += 2.0 * lam * vdot(direction, reg)
-    a2 += lam * vdot(direction, dir_reg)
+    a1 = -4.0 * vdot(r, p) + 2.0 * lam * vdot(direction, reg)
+    a2 = (2.0 * vdot(p, p) + 2.0 * vdot(p, p.T) - 2.0 * vdot(r, q)
+          + lam * vdot(direction, dir_reg))
     poly = float(a1), float(a2), float(4.0 * vdot(p, q)), float(vdot(q, q))
     return poly, (p, q, dir_reg)
 
 
+def _value_and_gradient(phi: np.ndarray, spec: ObjectiveSpec,
+                        target: np.ndarray) -> tuple[float, np.ndarray]:
+    """The objective at the float M x N `phi` for the symmetric L x L Gram `target`, and its gradient.
+
+    The plain formula: with ``D = phi @ psi`` and ``R = target - D^T D``,
+    the value is ``|R|^2 + lam <phi, phi E E^T>`` and the gradient
+    ``-4 D R psi^T + 2 lam phi E E^T``, where ``E E^T`` is the identity
+    or ``U (U^T E E^T U) U^T``.  The caller checks `phi` and `target`.
+    """
+    d = phi @ spec.psi
+    r = target - d.T @ d
+    reg = phi if spec.sre_rotated is None else phi @ spec.basis @ spec.sre_rotated @ spec.basis.T
+    value = float(np.vdot(r, r)) + spec.lam * float(np.vdot(phi, reg))
+    return value, 2.0 * spec.lam * reg - 4.0 * (d @ r) @ spec.psi.T
+
+
 def objective_value(phi, spec: ObjectiveSpec) -> float:
     """Evaluate the design objective at `phi`."""
-    return _evaluate(check_matrix(phi, "phi", cols=spec.n) @ spec.basis, spec)[0]
+    return value_and_gradient(phi, spec)[0]
 
 
 def value_and_gradient(phi, spec: ObjectiveSpec) -> tuple[float, np.ndarray]:
     """Objective value and gradient sharing the intermediate products."""
-    value, _, *products = _evaluate(check_matrix(phi, "phi", cols=spec.n) @ spec.basis, spec)
-    return value, _gradient(spec, *products) @ spec.basis.T
+    return _value_and_gradient(check_matrix(phi, "phi", cols=spec.n), spec, spec.gram_target)

@@ -1,15 +1,30 @@
-"""Projection-matrix design by nonlinear conjugate gradient.
+"""Projection-matrix design: conjugate gradient, and exact relaxed-ETF rounds.
 
 One public function, ``design``, poses the paper's one problem: Gram
 matching regularized by ``|Phi|^2``, or by ``|Phi E|^2`` given an SRE
-matrix ``sre``.  The Gram target is the identity; given a relaxed-ETF
-level ``xi``, each of ``outer_iters`` rounds instead sets it to the
-relaxed-ETF projection of the current equivalent dictionary's Gram and
-re-solves, warm-started at the last round.  The result is named by its
-inputs: ``lh`` with an SRE matrix, else ``mt``, plus ``-etf`` when
-``xi`` is set.  Every design runs one loop, ``_design``, on an
-:class:`~csdesign.objective.ObjectiveSpec`.
-``random_projection`` draws the i.i.d. standard normal baseline.
+matrix ``sre``.  The Gram target is the identity, and one CG solve
+designs for it.  Given a relaxed-ETF level ``xi``, each of
+``outer_iters`` rounds instead sets the target to the relaxed-ETF
+projection of the current equivalent dictionary's Gram and solves for
+it exactly.  The result is named by its inputs: ``lh`` with an SRE
+matrix, else ``mt``, plus ``-etf`` when ``xi`` is set.  Every design
+runs ``_design`` on an identity-target
+:class:`~csdesign.objective.ObjectiveSpec`.  ``random_projection``
+draws the i.i.d. standard normal baseline.
+
+An exact round (``_exact_round``) works in Psi's singular basis
+``Psi = U S V^T``, with ``R`` the identity or ``U^T E E^T U``.  The Gram
+term reads only the columns of ``Phi U`` on the singular directions
+above an lstsq-style cutoff; the regularizer is minimised out of the
+others, which leaves its Schur complement ``R'`` on the kept ones.  By
+Eckart-Young the optimum keeps the top-M positive eigenpairs
+``(c_i, q_i)`` of ``K = V^T T V - (lam/2) S^-1 R' S^-1``, with rows
+``sqrt(c_i) q_i^T S^-1`` (for T = I the closed form of Li, Zhu et al.,
+"On projection matrix optimization for compressive sensing systems",
+IEEE TSP 2013).  Every ``Q Phi`` with Q orthogonal is as good, so the
+round returns the one nearest its start (orthogonal Procrustes), which
+no eigenvector sign or singular basis moves.  A tie at the M-th
+eigenvalue leaves the optimum's subspace to LAPACK's order.
 
 The CG flavor is Polak-Ribiere+ (beta clamped at zero) with a periodic
 restart and a backtracking Armijo line search.  Along a search direction
@@ -17,25 +32,21 @@ the objective is a quartic in the step (Nocedal & Wright, *Numerical
 Optimization*, ch. 3): each iteration forms its four coefficients once,
 from the products of the one objective evaluation at the current
 iterate, and the line search tests its trial steps on the quartic.  The
-quartic only evaluates trial steps; it does not choose them.  Each
-round evaluates its first iterate from scratch.  Every later iterate
-takes its M x M identity-target residual and its SRE factor from the
-accepted step's quartic products, which the step moves by a quadratic
-and a linear term in t, so its trace value and gradient carry the
-rounding of the round's steps.  Each round solves in the spec's
-singular basis ``Psi = U S V^T``, from ``phi @ U``, and rotates back.
-One iterate costs one objective evaluation and one quartic (products
-counted in :mod:`csdesign.objective`: on the M x M residual for an
-identity target, the k x k one otherwise), plus two dot reductions:
-``|g|^2`` and the Polak-Ribiere numerator ``|g_new|^2 - <g_new, g>``.
-The first direction, and every M*N-th, is ``-g``.  The quartic's
-``a1`` is ``<g, d>``; when it is not negative the iterate restarts
-along ``-g`` with that direction's quartic.  The stopping rule reads
-``||phi||_F`` from the evaluation.  A failed line search ends the
-solve: it returns its current iterate with ``converged=False`` rather
-than raising.  ``DesignResult.stop_reason`` says why a design stopped,
-and ``n_f_evals`` and ``n_sd_restarts`` how much work it did.
-Identical inputs, config, and seed reproduce a bitwise-identical result.
+quartic only evaluates trial steps; it does not choose them.  The
+solve evaluates its first iterate from scratch; every later iterate
+takes its M x M residual and its SRE factor from the accepted step's
+quartic products, so its trace value and gradient carry the rounding of
+the steps.  The solve works on ``phi @ U`` and rotates back.  An
+iterate also takes two dot reductions: ``|g|^2`` and the Polak-Ribiere
+numerator ``|g_new|^2 - <g_new, g>``.  The first direction, and every
+M*N-th, is ``-g``.  The quartic's ``a1`` is ``<g, d>``; when it is not
+negative the iterate restarts along ``-g`` with that direction's
+quartic.  The stopping rule reads ``||phi||_F`` from the evaluation.  A
+failed line search ends the solve: it returns its current iterate with
+``converged=False`` rather than raising.  ``DesignResult.stop_reason``
+says why a design stopped, and ``n_f_evals`` and ``n_sd_restarts`` how
+much work it did.  Identical inputs, config, and seed reproduce a
+bitwise-identical result.
 """
 
 from __future__ import annotations
@@ -56,7 +67,7 @@ from .objective import (
     _evaluate,
     _gradient,
     _step_polynomial,
-    _with_target,
+    _value_and_gradient,
     objective_value,
     value_and_gradient,
 )
@@ -87,7 +98,8 @@ class SolverConfig:
     """Iteration budget of one CG solve.
 
     A solve converges once the gradient norm relative to
-    ``max(1, ||phi||_F)`` is at most ``grad_tol``, a constant.
+    ``max(1, ||phi||_F)`` is at most ``grad_tol``, a constant; an exact
+    relaxed-ETF round is held to the same rule.
     """
 
     max_cg_iterations: int = 500
@@ -128,11 +140,14 @@ class TracePoint(NamedTuple):
 class DesignResult:
     """Designed projection matrix plus the full optimization trace.
 
-    ``stop_reason`` is ``converged`` when every CG solve of the design
-    converged.  Otherwise it says why the last unconverged solve
-    stopped: ``line-search stall`` (no step passed the line search) or
-    ``iteration cap`` (``max_cg_iterations`` ran out).  The work done,
-    summed over rounds: ``n_f_evals`` objective evaluations, and
+    ``stop_reason`` is ``converged`` when the design met the gradient
+    tolerance: its CG solve, or every exact round of an ``-etf`` design
+    at that round's target.  Otherwise it says why not: for the CG solve
+    ``line-search stall`` (no step passed the line search) or
+    ``iteration cap`` (``max_cg_iterations`` ran out); for an exact round
+    ``rounding`` (the exact minimiser, as computed, leaves a larger
+    gradient, as an ill-conditioned Psi can).  The work done:
+    ``n_f_evals`` objective evaluations (one per exact round), and
     ``n_sd_restarts`` fallbacks to steepest descent, one for each search
     direction that was not downhill.
     """
@@ -149,7 +164,7 @@ class DesignResult:
 
     @property
     def n_f_evals(self) -> int:
-        """Objective evaluations, summed over rounds: each adds one trace point."""
+        """Objective evaluations: each adds one trace point."""
         return len(self.trace)
 
 
@@ -217,13 +232,9 @@ def _armijo(poly) -> tuple[float, float] | None:
 
 
 def _cg_solve(
-    spec: ObjectiveSpec,
-    phi: np.ndarray,
-    cfg: SolverConfig,
-    outer_iter: int,
-    trace: list[TracePoint],
+    spec: ObjectiveSpec, phi: np.ndarray, cfg: SolverConfig, trace: list[TracePoint]
 ) -> tuple[np.ndarray, str, int]:
-    """Run one CG solve, appending to `trace`.
+    """Run one CG solve, appending to `trace` as round 1.
 
     Returns the iterate, its stop reason and the number of steepest-descent
     restarts.  Evaluates the objective once per iterate, the first from
@@ -243,16 +254,16 @@ def _cg_solve(
                 return phi, "line-search stall", restarts  # below line-search resolution
             t = accepted[0]
             phi += t * d
-            # the step's products give the new iterate's: an identity target's residual
-            # moves by a quadratic in t, an SRE factor linearly (mt's factor is phi itself,
-            # which the step has moved); a k x k residual is formed afresh
+            # the step's products give the new iterate's: the residual moves by a
+            # quadratic in t, an SRE factor linearly (mt's factor is phi itself,
+            # which the step has moved)
             _, r, reg = products
-            carried = (r - t * (p + p.T) - (t * t) * q if spec.identity_target else None,
+            carried = (r - t * (p + p.T) - (t * t) * q,
                        None if spec.sre_rotated is None else reg + t * dir_reg)
         f, phi_sq, *products = _evaluate(phi, spec, *carried)
         g_new = _gradient(spec, *products)
         g_dot_new = float(np.vdot(g_new, g_new))
-        trace.append(TracePoint(outer_iter, it, f, math.sqrt(g_dot_new)))
+        trace.append(TracePoint(1, it, f, math.sqrt(g_dot_new)))
         if math.sqrt(g_dot_new) / max(1.0, math.sqrt(phi_sq)) <= cfg.grad_tol:
             return phi, "converged", restarts
         if it % phi.size == 0:  # the first direction, and a restart every M*N iterations
@@ -264,34 +275,67 @@ def _cg_solve(
     return phi, "iteration cap", restarts
 
 
-def _design(spec, phi0, cfg=None, xi=None, outer_iters=1) -> DesignResult:
-    """Run `outer_iters` CG solves of `spec`, each warm-started at the last.
+def _exact_round(spec: ObjectiveSpec, target: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The minimiser of `spec`'s objective for the symmetric L x L Gram `target` nearest `phi`.
 
-    With `xi` set, each round first replaces the Gram target by the
-    relaxed-ETF projection of the Gram at the current matrix.  Each
-    solve works on ``phi @ U``; `phi0` is never written or returned.
-    The result is tagged ``lh`` if `spec` holds an SRE matrix, else
-    ``mt``, with ``-etf`` appended when `xi` is set.
+    See the module docstring; `phi` (M x N) is the round's start.
     """
-    cfg = cfg or SolverConfig()
+    n, l = spec.psi.shape
+    sigma, u = spec.sigma, spec.basis
+    kept = int(np.count_nonzero(sigma > np.finfo(float).eps * max(n, l) * sigma[0]))
+    s, v = sigma[:kept], spec.row_basis[:, :kept]
+    r = spec.sre_rotated
+    # given the kept columns A of phi @ U, the others -A @ other.T minimise the regularizer
+    if r is None:
+        schur, other = np.eye(kept), np.zeros((n - kept, kept))
+    else:
+        other = np.linalg.lstsq(r[kept:, kept:], r[kept:, :kept], rcond=None)[0]
+        schur = r[:kept, :kept] - r[:kept, kept:] @ other
+    k = v.T @ target @ v - (0.5 * spec.lam) * schur / np.outer(s, s)
+    c, q = np.linalg.eigh((k + k.T) / 2.0)
+    m = phi.shape[0]
+    top = np.argsort(c)[::-1][:m]
+    x = np.zeros((m, kept))
+    x[: top.size] = np.sqrt(np.maximum(c[top], 0.0))[:, None] * q[:, top].T / s
+    x = np.hstack([x, -x @ other.T]) @ u.T
+    w, _, zt = np.linalg.svd(phi @ x.T)
+    return (w @ zt) @ x
+
+
+def _design(spec, phi0, cfg=None, xi=None, outer_iters=1) -> DesignResult:
+    """Design from `phi0` for `spec`, whose Gram target must be the identity.
+
+    Without `xi`, one CG solve, on ``phi @ U``.  With it,
+    `outer_iters` exact rounds, each for the relaxed-ETF projection of
+    the Gram at the current matrix, each adding one trace point
+    ``(round, 0, f, |g|)`` at its own target.  `phi0` is never written
+    or returned.  The result is tagged ``lh`` if `spec` holds an SRE
+    matrix, else ``mt``, with ``-etf`` appended when `xi` is set.
+    """
     phi = check_matrix(phi0, "phi0", cols=spec.n).copy()
     _check_count("outer_iters", outer_iters)
+    if not np.array_equal(spec.gram_target, np.eye(spec.psi.shape[1])):
+        raise ValueError("a design's spec must hold the identity Gram target; "
+                         "relaxed-ETF rounds set their own")
     method = ("mt" if spec.sre is None else "lh") + ("" if xi is None else "-etf")
     trace: list[TracePoint] = []
-    stop_reason = "converged"
-    restarts = 0
-    for k in range(1, outer_iters + 1):
-        if xi is not None:
-            d = phi @ spec.psi
-            spec = _with_target(spec, project_to_relaxed_etf(d.T @ d, xi).data)
-        rotated, reason, round_restarts = _cg_solve(spec, phi @ spec.basis, cfg, k, trace)
-        if trace[-1].cg_iter > 0:  # a round that took no step keeps its start bit for bit
+    if xi is None:
+        rotated, reason, restarts = _cg_solve(spec, phi @ spec.basis, cfg or SolverConfig(), trace)
+        if trace[-1].cg_iter > 0:  # a solve that took no step keeps its start bit for bit
             phi = rotated @ spec.basis.T
-        restarts += round_restarts
-        if reason != "converged":
-            stop_reason = reason
-    return DesignResult(phi=phi, trace=tuple(trace), method=method, stop_reason=stop_reason,
-                        n_sd_restarts=restarts)
+        return DesignResult(phi=phi, trace=tuple(trace), method=method, stop_reason=reason,
+                            n_sd_restarts=restarts)
+    stop_reason = "converged"
+    for k in range(1, outer_iters + 1):
+        d = phi @ spec.psi
+        target = project_to_relaxed_etf(d.T @ d, xi).data
+        phi = _exact_round(spec, target, phi)
+        f, g = _value_and_gradient(phi, spec, target)
+        g_norm = math.sqrt(float(np.vdot(g, g)))
+        trace.append(TracePoint(k, 0, f, g_norm))
+        if g_norm / max(1.0, math.sqrt(float(np.vdot(phi, phi)))) > SolverConfig.grad_tol:
+            stop_reason = "rounding"
+    return DesignResult(phi=phi, trace=tuple(trace), method=method, stop_reason=stop_reason)
 
 
 def design(psi, lam: float, phi0, *, sre=None, xi: float | None = None, outer_iters: int = 1,
@@ -300,8 +344,9 @@ def design(psi, lam: float, phi0, *, sre=None, xi: float | None = None, outer_it
 
     `lam` weighs the regularizer: ``|Phi|^2``, or ``|Phi E|^2`` given the
     SRE matrix `sre`.  Given `xi`, the Gram target alternates with its
-    relaxed-ETF projection over `outer_iters` rounds; otherwise it is
-    the identity and `outer_iters` must be 1.
+    relaxed-ETF projection over `outer_iters` exact rounds; otherwise it
+    is the identity, one CG solve budgeted by `cfg` designs for it, and
+    `outer_iters` must be 1.
     """
     if xi is None and outer_iters != 1:
         raise ValueError(f"outer_iters={outer_iters!r} needs xi, or each round solves one problem")

@@ -157,7 +157,11 @@ def lemma1_check(phi, sigma: float, p: int, seed: int) -> Lemma1Report:
     Draws `p` residual vectors ``e ~ N(0, sigma^2 I)``, forms the mean
     of ``||phi @ e||_2^2`` and its sample variance, and compares both to
     their predicted values; the z-score is the CLT-normalized deviation
-    of the mean.
+    of the mean.  The law scales the means by ``sigma^2`` and the
+    variances by ``sigma^4``, and leaves the z-score as it is, so the
+    check runs on unit-variance draws and only the reported means and
+    variances are scaled (by float products, which saturate to inf or 0
+    at an extreme `sigma` rather than raise).
     """
     phi = check_matrix(phi, "phi")
     if not 0 < sigma < math.inf:
@@ -165,22 +169,22 @@ def lemma1_check(phi, sigma: float, p: int, seed: int) -> Lemma1Report:
     if p < 2:
         raise ValueError(f"p must be >= 2 for a sample variance, got {p}")
     gram_rows = phi @ phi.T
-    predicted_variance = 2.0 * sigma**4 * float(np.sum(gram_rows * gram_rows))
+    predicted_variance = 2.0 * float(np.sum(gram_rows * gram_rows))
     if predicted_variance == 0.0:  # the z-score divides by it
-        raise ValueError("the predicted variance is 0 (phi all zero, or sigma too small)")
-    e = sigma * stream(seed, "lemma1").standard_normal((phi.shape[1], p))
-    energies = np.sum((phi @ e) ** 2, axis=0)
+        raise ValueError("the predicted variance is 0 (phi all zero, or too small)")
+    energies = np.sum((phi @ stream(seed, "lemma1").standard_normal((phi.shape[1], p))) ** 2,
+                      axis=0)
     mean_estimate = float(energies.mean())
-    predicted_mean = sigma**2 * float(np.sum(phi * phi))
-    variance_estimate = float(energies.var(ddof=1))
+    predicted_mean = float(np.sum(phi * phi))
     z_score = (
         math.sqrt(p) * (mean_estimate - predicted_mean) / math.sqrt(predicted_variance)
     )
+    s2 = sigma * sigma
     return Lemma1Report(
         trials=int(p),
-        mean_estimate=mean_estimate,
-        predicted_mean=predicted_mean,
-        variance_estimate=variance_estimate,
-        predicted_variance=predicted_variance,
+        mean_estimate=mean_estimate * s2,
+        predicted_mean=predicted_mean * s2,
+        variance_estimate=float(energies.var(ddof=1)) * s2 * s2,
+        predicted_variance=predicted_variance * s2 * s2,
         z_score=z_score,
     )

@@ -6,14 +6,17 @@ E) at every iterate, so its design times W must be the design on
 (psi, phi0, E).  The solver works in the spec's singular basis, which
 LAPACK picks afresh for W psi; the check holds only if nothing depends
 on that choice.  The dictionaries cover a rank-deficient psi and one
-whose singular values are all tied.
+whose singular values are all tied.  An exact relaxed-ETF round has a
+whole orbit ``Q X`` of optima and returns the one nearest its start, so
+it commutes too; with an SRE matrix and a rank-deficient psi it also
+minimises the regularizer over the directions that meet no atom.
 
 Two more symmetries of the objective fix the design:
 
 * measurement rotation: for an orthogonal M x M Q, ``Q phi`` has the
-  Gram and the norms of ``phi``, and every CG inner product is
-  unchanged, so the design from ``Q phi0`` is Q times the design from
-  ``phi0``.  The second design runs on the same psi, so it also reuses
+  Gram and the norms of ``phi``, and every CG inner product, and the
+  distance from an exact round's start to each optimum, is unchanged,
+  so the design from ``Q phi0`` is Q times the design from ``phi0``.  The second design runs on the same psi, so it also reuses
   the first one's factorisation;
 * atom order: permuting psi's columns permutes the Gram of ``phi psi``
   and leaves its distance to the identity, so an identity-target
@@ -58,6 +61,8 @@ DESIGNS = {
     "mt": lambda psi, phi0, sre: design(psi, 0.3, phi0, cfg=CFG),
     "lh": lambda psi, phi0, sre: design(psi, 0.3, phi0, sre=sre, cfg=CFG),
     "mt-etf": lambda psi, phi0, sre: design(psi, 0.3, phi0, xi=0.35, outer_iters=3, cfg=CFG),
+    "lh-etf": lambda psi, phi0, sre: design(psi, 0.3, phi0, sre=sre, xi=0.35, outer_iters=3,
+                                            cfg=CFG),
 }
 
 

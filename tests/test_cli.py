@@ -612,6 +612,22 @@ class TestLemma1Command:
     def test_minimum_p_runs(self, capsys):
         assert run("lemma1", "--random", "4,6", "--sigma", "0.5", "--p", "2") == 0
 
+    @pytest.mark.parametrize("sigma", ["1e80", "1e-90"])
+    def test_extreme_sigma_reads_the_unit_z_score(self, capsys, sigma):
+        # the z-score is scale-free; only the reported means and variances
+        # scale, saturating to inf or 0 where sigma^4 leaves the float range
+        def report(sigma):
+            assert run("lemma1", "--random", "4,6", "--sigma", sigma, "--p", "1000") == 0
+            out = capsys.readouterr().out
+            return dict(line.split("=", 1) for line in out.splitlines() if "=" in line)
+
+        unit, extreme = report("1"), report(sigma)
+        assert np.isfinite(float(extreme["z_score"]))
+        assert extreme["z_score"] == unit["z_score"]
+        scale = float(sigma) ** 2
+        assert float(extreme["predicted_mean"]) == pytest.approx(
+            scale * float(unit["predicted_mean"]), rel=1e-15)
+
     def test_p_below_two_usage_error(self, capsys):
         assert run("lemma1", "--random", "4,6", "--p", "1") == 2
 

@@ -10,7 +10,6 @@ from csdesign.objective import (
     objective_value,
     value_and_gradient,
 )
-from csdesign.solver import project_to_relaxed_etf
 from oracles import gradient_check
 
 
@@ -244,16 +243,13 @@ class TestRegularizerIdentities:
 
 
 def _step_specs():
-    """Identity-target, relaxed-ETF-target and SRE specs on one random instance."""
+    """Training-free and SRE specs on one random instance (the kernel's identity target)."""
     rng = np.random.default_rng(15)
     psi = rng.standard_normal((6, 9))
     phi = rng.standard_normal((4, 6))
-    d = phi @ psi
-    etf = project_to_relaxed_etf(d.T @ d / np.max(np.diag(d.T @ d)), 0.3).data
     sre = rng.standard_normal((6, 20))
     specs = {
         "identity": ObjectiveSpec(psi=psi, lam=0.4),
-        "relaxed-etf": ObjectiveSpec(psi=psi, gram_target=etf, lam=0.4),
         "sre": ObjectiveSpec(psi=psi, lam=0.02, sre=sre),
     }
     return phi, rng.standard_normal(phi.shape), specs
@@ -265,7 +261,7 @@ def rotated(spec, *matrices):
 
 
 class TestStepPolynomial:
-    @pytest.mark.parametrize("target", ["identity", "relaxed-etf", "sre"])
+    @pytest.mark.parametrize("target", ["identity", "sre"])
     @pytest.mark.parametrize("t", [1e-3, 0.5, 1.0, 4.0])
     def test_matches_direct_difference(self, target, t):
         phi, direction, specs = _step_specs()
@@ -277,7 +273,7 @@ class TestStepPolynomial:
         direct = objective_value(phi + t * direction, spec) - objective_value(phi, spec)
         assert delta == pytest.approx(direct, rel=1e-9)
 
-    @pytest.mark.parametrize("target", ["identity", "relaxed-etf", "sre"])
+    @pytest.mark.parametrize("target", ["identity", "sre"])
     def test_linear_coefficient_is_directional_derivative(self, target):
         phi, direction, specs = _step_specs()
         spec = specs[target]
@@ -308,7 +304,7 @@ def full_step_polynomial(phi, direction, psi, g, lam, sre=None):
 
 
 def _row_space_instance(shape, target, rank_deficient=False):
-    """(phi, direction, psi, target, sre) for an N x L dictionary of the given `shape`."""
+    """(phi, direction, psi, sre) for an N x L dictionary of the given `shape`."""
     n, l = shape
     rng = np.random.default_rng(100 + 7 * n + l)
     if rank_deficient:  # rank min(N, L) - 2: with L > N, Psi^T's R factor is singular
@@ -319,12 +315,7 @@ def _row_space_instance(shape, target, rank_deficient=False):
     phi = rng.standard_normal((3, n))
     direction = rng.standard_normal((3, n))
     sre = rng.standard_normal((n, 15)) if target == "sre" else None
-    if target == "relaxed-etf":
-        gram = (phi @ psi).T @ (phi @ psi)
-        g = project_to_relaxed_etf(gram / np.max(np.diag(gram)), 0.3).data
-    else:
-        g = None
-    return phi, direction, psi, g, sre
+    return phi, direction, psi, sre
 
 
 ROW_SPACE_SHAPES = {"L>N": (6, 10), "L=N": (6, 6), "L<N": (6, 4)}
@@ -333,15 +324,15 @@ ROW_SPACE_SHAPES = {"L>N": (6, 10), "L=N": (6, 6), "L<N": (6, 4)}
 class TestRowSpaceReduction:
     """The reduced objective equals the full one in value, gradient and step quartic."""
 
-    @pytest.mark.parametrize("target", ["identity", "sre", "relaxed-etf"])
+    @pytest.mark.parametrize("target", ["identity", "sre"])
     @pytest.mark.parametrize("shape", sorted(ROW_SPACE_SHAPES))
     @pytest.mark.parametrize("rank_deficient", [False, True])
     def test_matches_full_space_oracles(self, shape, target, rank_deficient):
-        phi, direction, psi, g, sre = _row_space_instance(
+        phi, direction, psi, sre = _row_space_instance(
             ROW_SPACE_SHAPES[shape], target, rank_deficient
         )
         lam = 0.02 if sre is not None else 0.4
-        spec = ObjectiveSpec(psi=psi, gram_target=g, lam=lam, sre=sre)
+        spec = ObjectiveSpec(psi=psi, lam=lam, sre=sre)
         g = spec.gram_target
         phi_u, direction_u = rotated(spec, phi, direction)
         value, phi_sq, *products = _evaluate(phi_u, spec)
@@ -363,40 +354,6 @@ class TestRowSpaceReduction:
         np.testing.assert_allclose(spec.basis.T @ spec.basis, np.eye(n), rtol=0, atol=1e-14)
         assert spec.sigma.shape == (k,)
         assert spec.row_basis.shape == (l, k)
-        assert spec.target_r.shape == (k, k)
-
-    def test_identity_shortcut_equals_generic_reduction(self):
-        psi = np.random.default_rng(1).standard_normal((6, 10))
-        unset = ObjectiveSpec(psi=psi, lam=0.1)
-        explicit = ObjectiveSpec(psi=psi, gram_target=np.eye(10), lam=0.1)
-        assert unset.offset == 4.0
-        assert explicit.offset == pytest.approx(4.0, rel=1e-13)
-        np.testing.assert_allclose(unset.target_r, explicit.target_r, rtol=0, atol=1e-14)
-
-    def test_with_target_swap_reduces_the_new_target(self):
-        from csdesign.objective import _with_target
-
-        phi, direction, psi, g, _ = _row_space_instance((6, 10), "relaxed-etf")
-        swapped = _with_target(ObjectiveSpec(psi=psi, lam=0.4), g)
-        fresh = ObjectiveSpec(psi=psi, gram_target=g, lam=0.4)
-        assert swapped.offset == fresh.offset
-        np.testing.assert_array_equal(swapped.target_r, fresh.target_r)
-        phi_u, direction_u = rotated(swapped, phi, direction)
-        value, _, *products = _evaluate(phi_u, swapped)
-        assert value == pytest.approx(elementwise_objective(phi, psi, g, 0.4), rel=1e-10)
-        expected = full_step_polynomial(phi, direction, psi, g, 0.4)
-        got = np.array(_step_polynomial(swapped, *products, direction_u)[0])
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.max(np.abs(expected)))
-
-    def test_target_inside_the_row_space_leaves_no_offset(self):
-        # target = the achieved Gram, which lies in Psi's row space
-        rng = np.random.default_rng(2)
-        psi = rng.standard_normal((5, 9))
-        phi = rng.standard_normal((3, 5))
-        d = phi @ psi
-        spec = ObjectiveSpec(psi=psi, gram_target=d.T @ d, lam=0.0)
-        assert spec.offset == pytest.approx(0.0, abs=1e-24)
-        assert objective_value(phi, spec) == pytest.approx(0.0, abs=1e-24)
 
 
 #: (N, L, M) of the Gram-side instances, k = min(N, L)
@@ -430,7 +387,6 @@ class TestGramSideReduction:
         lam = 0.02 if sre is not None else 0.4
         spec = ObjectiveSpec(psi=psi, gram_target=np.eye(l) if explicit else None,
                              lam=lam, sre=sre)
-        assert spec.identity_target
         phi_u, direction_u = rotated(spec, phi, direction)
         value, _, d, r, reg = _evaluate(phi_u, spec)
         assert d.shape == (m, k) and r.shape == (m, m)  # M x M, also where M > k
@@ -454,46 +410,33 @@ class TestGramSideReduction:
 
 
 class TestIdentityTargetByContent:
-    """A target equal to the identity takes the unset target's path, bit for bit."""
+    """A design takes a target equal to the identity as the unset one, and refuses any other."""
 
     psi = np.random.default_rng(6).standard_normal((8, 12))
     phi0 = np.random.default_rng(7).standard_normal((3, 8))
 
-    def _solve(self, spec):
+    def _solve(self, spec, **rounds):
         from csdesign.solver import SolverConfig, _design
 
-        return _design(spec, self.phi0, SolverConfig(max_cg_iterations=40))
+        return _design(spec, self.phi0, SolverConfig(max_cg_iterations=40), **rounds)
 
-    def test_explicit_and_swapped_identity_match_unset(self):
-        from csdesign.objective import _with_target
+    def test_explicit_identity_matches_unset(self):
+        reference = self._solve(ObjectiveSpec(psi=self.psi, lam=0.3))
+        result = self._solve(ObjectiveSpec(psi=self.psi, gram_target=np.eye(12), lam=0.3))
+        np.testing.assert_array_equal(result.phi, reference.phi)
+        assert result.trace == reference.trace
+        assert result.stop_reason == reference.stop_reason
 
-        unset = ObjectiveSpec(psi=self.psi, lam=0.3)
-        etf = ObjectiveSpec(psi=self.psi, gram_target=np.full((12, 12), 0.1) + 0.9 * np.eye(12),
-                            lam=0.3)
-        reference = self._solve(unset)
-        for spec in (ObjectiveSpec(psi=self.psi, gram_target=np.eye(12), lam=0.3),
-                     _with_target(etf, np.eye(12))):
-            assert spec.identity_target and spec.offset == unset.offset
-            result = self._solve(spec)
-            np.testing.assert_array_equal(result.phi, reference.phi)
-            assert result.trace == reference.trace
-            assert result.stop_reason == reference.stop_reason
-
-    def test_one_ulp_off_takes_the_dictionary_side(self):
-        from csdesign.objective import _with_target
-
+    @pytest.mark.parametrize("rounds", [{}, {"xi": 0.3, "outer_iters": 2}], ids=["cg", "etf"])
+    def test_one_ulp_off_is_refused(self, rounds):
         g = np.eye(12)
         g[4, 4] = np.nextafter(1.0, 2.0)
-        unset = ObjectiveSpec(psi=self.psi, lam=0.3)
-        for spec in (ObjectiveSpec(psi=self.psi, gram_target=g, lam=0.3), _with_target(unset, g)):
-            assert not spec.identity_target
-            # the generic reduction of a near-identity agrees with the identity's
-            assert spec.offset == pytest.approx(unset.offset, rel=1e-13)
-            np.testing.assert_allclose(spec.target_r, unset.target_r, rtol=0, atol=1e-14)
-            _, _, d, r, _ = _evaluate(self.phi0 @ spec.basis, spec)
-            assert r.shape == (8, 8)  # k x k, where the Gram side is 3 x 3
-            assert objective_value(self.phi0, spec) == pytest.approx(
-                elementwise_objective(self.phi0, self.psi, g, 0.3), rel=1e-10)
+        spec = ObjectiveSpec(psi=self.psi, gram_target=g, lam=0.3)
+        with pytest.raises(ValueError, match="identity Gram target"):
+            self._solve(spec, **rounds)
+        # the public evaluation reads any symmetric target
+        assert objective_value(self.phi0, spec) == pytest.approx(
+            elementwise_objective(self.phi0, self.psi, g, 0.3), rel=1e-10)
 
 
 class TestSharedFactorisation:

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from csdesign.coherence import mutual_coherence
-from csdesign.objective import ObjectiveSpec, objective_value
+from csdesign.objective import ObjectiveSpec, objective_value, value_and_gradient
 from csdesign.solver import (
     DesignResult,
     SolverConfig,
+    TracePoint,
     _design,
+    _exact_round,
     design,
     project_to_relaxed_etf,
     random_projection,
@@ -56,8 +58,6 @@ class TestCgMinimize:
         assert result.trace[-1].f == pytest.approx(TINY_MT_ORACLE_MIN, abs=1e-6)
 
     def test_stationarity_at_convergence(self):
-        from csdesign.objective import value_and_gradient
-
         psi = gen_dictionary(12, 18, 5)
         phi0 = random_projection(5, 12, 5)
         cfg = SolverConfig()
@@ -107,6 +107,15 @@ class TestCgMinimize:
         spec = ObjectiveSpec(psi=np.eye(4), lam=0.1)
         with pytest.raises(ValueError):
             _design(spec, np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("rounds", [{}, {"xi": 0.3, "outer_iters": 2}], ids=["cg", "etf"])
+    def test_non_identity_target_refused(self, rounds):
+        psi = gen_dictionary(4, 6, 12)
+        d = random_projection(2, 4, 12) @ psi
+        spec = ObjectiveSpec(psi=psi, gram_target=project_to_relaxed_etf(d.T @ d, 0.3).data,
+                             lam=0.1)
+        with pytest.raises(ValueError, match="identity Gram target"):
+            _design(spec, random_projection(2, 4, 12), **rounds)
 
 
 class TestSolverConfigValidation:
@@ -190,20 +199,27 @@ class TestProjectToRelaxedEtf:
 class TestAlternatingDesign:
     def test_xi_zero_identity_psi_matches_mt(self):
         # Step I clips everything to the identity target, so each round
-        # solves the same problem as the identity-target design
+        # reaches the identity-target optimum.  With psi = I every M-dim
+        # subspace is optimal (K = (1 - lam/2) I), so the Gram is compared
+        # by its spectrum: (1 - lam/2) on M directions, 0 on the rest
         psi = np.eye(6)
         phi0 = random_projection(3, 6, 11)
         alt = design(psi, 0.2, phi0, xi=0.0, outer_iters=3)
-        mt = design(psi, 0.2, phi0)
-        np.testing.assert_array_equal(alt.phi, mt.phi)
+        spec = ObjectiveSpec(psi=psi, lam=0.2)
+        optimum = closed_form_optimum(spec, 3)
+        assert objective_value(alt.phi, spec) == pytest.approx(
+            objective_value(optimum, spec), rel=1e-14)
+        np.testing.assert_allclose(np.linalg.eigvalsh(alt.phi.T @ alt.phi),
+                                   np.linalg.eigvalsh(optimum.T @ optimum), rtol=0, atol=1e-14)
 
     def test_zero_start_is_single_solve(self):
-        # the Gram of a zero matrix projects to the identity target, and
-        # zero is a stationary point, so one round returns immediately
+        # the Gram of a zero matrix projects to the identity target, so one
+        # round gives the identity-target optimum
         psi = gen_dictionary(5, 8, 12)
         alt = design(psi, 0.1, np.zeros((2, 5)), xi=0.3, outer_iters=1)
-        single = _design(ObjectiveSpec(psi=psi, lam=0.1), np.zeros((2, 5)))
-        np.testing.assert_array_equal(alt.phi, single.phi)
+        optimum = closed_form_optimum(ObjectiveSpec(psi=psi, lam=0.1), 2)
+        assert alt.converged and len(alt.trace) == 1
+        np.testing.assert_allclose(alt.phi.T @ alt.phi, optimum.T @ optimum, rtol=0, atol=1e-13)
 
     def test_coherence_improves(self):
         psi = gen_dictionary(60, 80, 13)
@@ -222,7 +238,7 @@ class TestAlternatingDesign:
             assert monotone(fs)
 
     def test_spec_built_once_across_rounds(self, monkeypatch):
-        # each round swaps the Gram target only; E @ E.T is not rebuilt
+        # each round passes its Gram target to the exact solve; E @ E.T is not rebuilt
         built = []
         post_init = ObjectiveSpec.__post_init__
 
@@ -265,34 +281,53 @@ ALTERNATING = {
 
 @pytest.mark.parametrize("method", sorted(ALTERNATING))
 class TestAlternatingRounds:
-    """Round k is one CG solve on the relaxed-ETF target of round k-1's Gram."""
+    """Round k is the exact solve for the relaxed-ETF target of round k-1's Gram."""
 
     psi = gen_dictionary(6, 9, 14)
     phi0 = random_projection(3, 6, 14)
 
     def _third_round_alone(self, method):
+        """Two rounds, then the third round's matrix and its target's spec."""
         design, sre = ALTERNATING[method]
         two = design(self.psi, 2, self.phi0)
         d = two.phi @ self.psi
-        target = project_to_relaxed_etf(d.T @ d, 0.3)
-        spec = ObjectiveSpec(psi=self.psi, gram_target=target.data, lam=0.2, sre=sre)
-        return two, _design(spec, two.phi)
+        target = project_to_relaxed_etf(d.T @ d, 0.3).data
+        phi = _exact_round(ObjectiveSpec(psi=self.psi, lam=0.2, sre=sre), target, two.phi)
+        return two, phi, ObjectiveSpec(psi=self.psi, gram_target=target, lam=0.2, sre=sre)
 
     def test_last_round_is_a_warm_started_solve(self, method):
         three = ALTERNATING[method][0](self.psi, 3, self.phi0)
-        _, alone = self._third_round_alone(method)
-        np.testing.assert_array_equal(three.phi, alone.phi)
+        _, alone, _ = self._third_round_alone(method)
+        np.testing.assert_array_equal(three.phi, alone)
 
     def test_trace_appends_the_round(self, method):
         three = ALTERNATING[method][0](self.psi, 3, self.phi0)
-        two, alone = self._third_round_alone(method)
-        assert three.trace == two.trace + tuple(p._replace(outer_iter=3) for p in alone.trace)
+        two, alone, spec = self._third_round_alone(method)
+        f, g = value_and_gradient(alone, spec)
+        assert three.trace == two.trace + (TracePoint(3, 0, f, float(np.sqrt(np.vdot(g, g)))),)
 
-    def test_iteration_cap_applies_per_round(self, method):
-        capped = ALTERNATING[method][0](self.psi, 3, self.phi0, SolverConfig(max_cg_iterations=2))
-        assert sorted({p.outer_iter for p in capped.trace}) == [1, 2, 3]
-        assert max(p.cg_iter for p in capped.trace) <= 2
-        assert not capped.converged and capped.stop_reason == "iteration cap"
+    def test_one_point_per_round_whatever_the_cg_cap(self, method, monkeypatch):
+        import csdesign.solver as solver
+
+        def forbidden(*args):
+            raise AssertionError("an exact round ran a CG iterate")
+
+        free = ALTERNATING[method][0](self.psi, 3, self.phi0)
+        monkeypatch.setattr(solver, "_evaluate", forbidden)
+        capped = ALTERNATING[method][0](self.psi, 3, self.phi0, SolverConfig(max_cg_iterations=1))
+        assert [(p.outer_iter, p.cg_iter) for p in capped.trace] == [(1, 0), (2, 0), (3, 0)]
+        assert capped.n_f_evals == 3 and capped.n_sd_restarts == 0
+        assert capped.converged and capped.stop_reason == "converged"
+        np.testing.assert_array_equal(capped.phi, free.phi)
+        assert capped.trace == free.trace
+
+    def test_round_above_the_tolerance_stops_as_rounding(self, method, monkeypatch):
+        # an exact round's gradient is rounding error, which no tolerance of 0 admits
+        exact = ALTERNATING[method][0](self.psi, 3, self.phi0)
+        monkeypatch.setattr(SolverConfig, "grad_tol", 0.0)
+        result = ALTERNATING[method][0](self.psi, 3, self.phi0)
+        assert exact.converged and not result.converged and result.stop_reason == "rounding"
+        np.testing.assert_array_equal(result.phi, exact.phi)
 
 
 class TestDesignLh:
@@ -465,6 +500,7 @@ class TestStopReason:
     # convergence and of the iteration cap above
     @pytest.mark.parametrize("reason, converged", [
         ("converged", True), ("line-search stall", False), ("iteration cap", False),
+        ("rounding", False),
     ])
     def test_converged_follows_stop_reason(self, reason, converged):
         result = DesignResult(phi=np.eye(2), trace=(), method="mt", stop_reason=reason)
@@ -540,8 +576,7 @@ class TestWorkCounts:
     phi0 = random_projection(5, 12, 31)
     cfg = SolverConfig(max_cg_iterations=15)
 
-    @pytest.mark.parametrize("rounds", [1, 3])
-    def test_evaluations_counted(self, monkeypatch, rounds):
+    def test_evaluations_counted(self, monkeypatch):
         import csdesign.solver as solver
 
         evaluate = solver._evaluate
@@ -552,12 +587,9 @@ class TestWorkCounts:
             return evaluate(phi, spec, *carried)
 
         monkeypatch.setattr(solver, "_evaluate", counting)
-        sre = np.ones((12, 3))
-        result = (design(self.psi, 0.05, self.phi0, sre=sre, cfg=self.cfg) if rounds == 1 else
-                  design(self.psi, 0.05, self.phi0, sre=sre, xi=0.3, outer_iters=rounds,
-                         cfg=self.cfg))
+        result = design(self.psi, 0.05, self.phi0, sre=np.ones((12, 3)), cfg=self.cfg)
         assert result.stop_reason == "iteration cap"
-        assert result.n_f_evals == len(calls) == 16 * rounds  # every round hits the cap
+        assert result.n_f_evals == len(calls) == 16
         assert result.n_sd_restarts == 0
 
     def test_steepest_descent_fallbacks_counted(self, monkeypatch):
@@ -604,8 +636,15 @@ def closed_form_optimum(spec, m):
     return (np.sqrt(np.maximum(c[top], 0.0))[:, None] * q[:, top].T / s) @ u.T
 
 
+def etf_target(phi, psi):
+    """The relaxed-ETF target (xi 0.3) of the Gram of ``phi @ psi`` with unit columns."""
+    d = phi @ psi
+    d = d / np.linalg.norm(d, axis=0)
+    return project_to_relaxed_etf(d.T @ d, 0.3).data
+
+
 class TestClosedFormOracle:
-    """Converged CG reaches the exact optimum on random instances."""
+    """Converged CG, and every exact round, reach the exact optimum on random instances."""
 
     @staticmethod
     def _instance(target, seed):
@@ -618,14 +657,9 @@ class TestClosedFormOracle:
         if target == "sre":
             return ObjectiveSpec(psi=psi, lam=lam,
                                  sre=0.2 * rng.standard_normal((n, 3 * n))), phi0
-        if target == "etf":
-            d = phi0 @ psi
-            d = d / np.linalg.norm(d, axis=0)
-            g = project_to_relaxed_etf(d.T @ d, 0.3).data
-            return ObjectiveSpec(psi=psi, gram_target=g, lam=lam), phi0
         return ObjectiveSpec(psi=psi, lam=lam), phi0
 
-    @pytest.mark.parametrize("target", ["identity", "sre", "etf"])
+    @pytest.mark.parametrize("target", ["identity", "sre"])
     def test_converged_cg_matches_closed_form(self, target):
         converged = 0
         for seed in range(10):
@@ -638,6 +672,44 @@ class TestClosedFormOracle:
                 converged += 1
                 assert result.trace[-1].f == pytest.approx(f_star, rel=1e-8)
         assert converged >= 9
+
+    @pytest.mark.parametrize("method", ["mt-etf", "lh-etf"])
+    def test_exact_round_matches_closed_form(self, method):
+        # L >= N with psi of full row rank, where the oracle applies
+        for seed in range(10):
+            spec, phi0 = self._instance("sre" if method == "lh-etf" else "identity", seed)
+            target = etf_target(phi0, spec.psi)
+            phi = _exact_round(spec, target, phi0)
+            at_target = ObjectiveSpec(psi=spec.psi, gram_target=target, lam=spec.lam, sre=spec.sre)
+            optimum = closed_form_optimum(at_target, phi0.shape[0])
+            f_star = objective_value(optimum, at_target)
+            assert objective_value(phi, at_target) == pytest.approx(f_star, rel=1e-12)
+            # the optimum is unique up to a left rotation, which keeps the Gram
+            gram = optimum.T @ optimum
+            np.testing.assert_allclose(phi.T @ phi, gram, rtol=0, atol=1e-12 * np.max(gram))
+
+    @pytest.mark.parametrize("method", ["mt-etf", "lh-etf"])
+    @pytest.mark.parametrize("shape", ["L<N", "rank-deficient"])
+    def test_exact_round_is_stationary_where_the_oracle_does_not_apply(self, method, shape):
+        # at L < N, and with rank(psi) = N - 2 < L, some columns of phi U meet no
+        # atom: an SRE regularizer is minimised out of them by its Schur complement
+        rng = np.random.default_rng(40)
+        n, l, m = (10, 6, 4) if shape == "L<N" else (10, 14, 4)
+        psi = gen_dictionary(n, l, 40)
+        if shape == "rank-deficient":
+            u, s, vt = np.linalg.svd(psi, full_matrices=False)
+            s[-2:] = 0.0
+            psi = (u * s) @ vt
+        sre = 0.2 * rng.standard_normal((n, 3 * n)) if method == "lh-etf" else None
+        phi0 = random_projection(m, n, 40)
+        target = etf_target(phi0, psi)
+        phi = _exact_round(ObjectiveSpec(psi=psi, lam=0.3, sre=sre), target, phi0)
+        at_target = ObjectiveSpec(psi=psi, gram_target=target, lam=0.3, sre=sre)
+        f, g = value_and_gradient(phi, at_target)
+        assert np.linalg.norm(g) <= 1e-12 * max(1.0, np.linalg.norm(phi))
+        for _ in range(20):  # and no nearby matrix is lower
+            step = 1e-4 * rng.standard_normal(phi.shape)
+            assert objective_value(phi + step, at_target) >= f
 
 
 class TestWarmFactorisation:
@@ -712,11 +784,11 @@ def counted_quartics(monkeypatch, uphill_at=None):
 class TestCarriedProducts:
     """An iterate takes its residual and SRE factor from the step, not from fresh products.
 
-    Each round evaluates its first iterate afresh; every later one moves
+    A solve evaluates its first iterate afresh; every later one moves
     ``r`` and ``reg`` by the accepted step's quartic products.  So a
     design takes one product by ``U^T E E^T U`` per quartic formed plus
-    one per round, and an identity-target design one Gram (``b @ b.T``)
-    per quartic plus one ``d @ d.T`` per round.
+    one for the first iterate, and one Gram (``b @ b.T``) per quartic
+    plus one ``d @ d.T`` for the first iterate.
     """
 
     psi = gen_dictionary(12, 20, 31)
@@ -751,12 +823,6 @@ class TestCarriedProducts:
         # the fallback's step moved the products by the quartic along -g, not the uphill one
         assert result.trace[-1].f == pytest.approx(objective_value(result.phi, spec), rel=1e-12)
 
-    def test_lh_etf_rounds_each_start_fresh(self, monkeypatch):
-        spec = ObjectiveSpec(psi=self.psi, lam=0.05, sre=self.sre)
-        result, quartics, rounds = self._counted(monkeypatch, spec, xi=0.3, outer_iters=2)
-        assert result.method == "lh-etf" and rounds == 2
-        assert SreProducts.calls == quartics + rounds == 32
-
 
 def cli_sweep_point(method, max_cg_iterations):
     """A design at the CLI SNR sweep's shape and 45 dB, and its spec.
@@ -781,8 +847,6 @@ class TestCarriedProductsRounding:
     @pytest.mark.parametrize("cap", [40, 500])
     @pytest.mark.parametrize("method", ["mt", "lh"])
     def test_last_trace_point_matches_fresh_evaluation(self, method, cap):
-        from csdesign.objective import value_and_gradient
-
         result, spec = cli_sweep_point(method, cap)
         assert len(result.trace) > min(cap, 100)
         last = result.trace[-1]
