@@ -4,9 +4,10 @@ Every command resolves its parameters from flags, optionally backed by
 a flat ``key=value`` config file (flags win), writes a run manifest
 alongside its artifacts, and derives all randomness from one ``--seed``
 expanded into named sub-streams.  Replaying a manifest with
-``--config <manifest>`` reproduces the artifacts byte for byte; for the
-same reason the ``wall_time_ms`` column stays at zero unless
-``--timing`` is given.
+``--config <manifest>`` reproduces the artifacts byte for byte: every
+value is first held to :func:`~csdesign.matio.check_keyvalue`, so the
+manifest reads it back as given, and the ``wall_time_ms`` column stays
+at zero unless ``--timing`` is given.
 
 Each command declares its parameters once, as a table of :class:`Param`
 records; the table alone drives the flags, the config keys, the
@@ -51,8 +52,8 @@ from .experiments import (
     run_snr_sweep,
     write_records_csv,
 )
-from .matio import (check_csv_value, check_matrix, read_keyvalues, read_matrix_csv,
-                    render_value, write_keyvalues, write_matrix_csv)
+from .matio import (check_csv_value, check_keyvalue, check_matrix, read_keyvalues,
+                    read_matrix_csv, write_keyvalues, write_matrix_csv)
 from .solver import random_projection, write_trace_csv
 from .synth import gen_dictionary, gen_signals, gen_sparse_codes, lemma1_check
 
@@ -192,13 +193,9 @@ def _resolve_xi(value: str) -> float | None:
 
 
 def _manifest(command: str, values: dict, **extra) -> dict:
-    """The command, its parameters (unset ones empty), `extra`, version, timestamp."""
-    manifest = {"command": command}
-    manifest.update((key, "" if value is None else value) for key, value in values.items())
-    manifest.update(extra)
-    manifest["version"] = __version__
-    manifest["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return manifest
+    """The command, its parameters (unset ones ``None``), `extra`, version, timestamp."""
+    return {"command": command, **values, **extra, "version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds")}
 
 
 def _write_outputs(values: dict, command: str, artifacts, **extra) -> Path:
@@ -373,7 +370,7 @@ def cmd_lemma1(values: dict) -> int:
     lines = _manifest("lemma1", shown)
     lines.update(report_values)
     for key, value in lines.items():
-        print(f"{key}={render_value(value)}")
+        print(f"{key}={check_keyvalue(value, key)}")
 
     if values["out"] is not None:
         _write_outputs(values, "lemma1", [(write_keyvalues, report_values, "report.txt")])
@@ -436,6 +433,8 @@ def main(argv=None) -> int:
     _, params, handler = COMMANDS[args.command]
     try:
         values = _resolve(args, params)
+        for param in params:  # before any work: will the manifest replay each value as given?
+            check_keyvalue(values[param.name], param.flag)
         if values["out"] is not None:  # before any work: can --out be made where it points?
             out = Path(values["out"]).absolute()
             ancestor = next(path for path in (out, *out.parents) if path.exists())

@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "render_value",
     "check_csv_value",
+    "check_keyvalue",
     "check_matrix",
     "write_csv",
     "write_matrix_csv",
@@ -55,6 +56,20 @@ def check_csv_value(value: object) -> str:
             f"cannot write {text!r} to a CSV table: a value may hold no comma, "
             "no line break and no non-ASCII character"
         )
+    return text
+
+
+def check_keyvalue(value: object, name: str) -> str:
+    """`value` rendered for the ``key=value`` line of `name`, ``None`` (unset) as empty.
+
+    :func:`read_keyvalues` strips a value and reads an empty one as
+    unset, so ``ValueError`` naming `name` unless a set value renders
+    nonempty, with no line break and no leading or trailing whitespace.
+    """
+    text = "" if value is None else render_value(value)
+    if value is not None and (text != text.strip() or not text or "\n" in text or "\r" in text):
+        raise ValueError(f"{name}: cannot write {text!r} to a key=value line: a value must be "
+                         "nonempty, with no line break and no leading or trailing whitespace")
     return text
 
 
@@ -141,10 +156,11 @@ def read_matrix_csv(path: str | os.PathLike) -> np.ndarray:
 
 
 def write_keyvalues(pairs: Mapping[str, object], path: str | os.PathLike) -> None:
-    """Write a mapping as flat ``key=value`` lines (floats at 17 digits)."""
+    """Write a mapping as flat ``key=value`` lines, every value checked by
+    :func:`check_keyvalue` before the file is opened."""
+    lines = [f"{key}={check_keyvalue(value, key)}\n" for key, value in pairs.items()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in pairs.items():
-            fh.write(f"{key}={render_value(value)}\n")
+        fh.writelines(lines)
 
 
 def read_keyvalues(path: str | os.PathLike) -> dict[str, str]:

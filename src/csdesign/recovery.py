@@ -8,19 +8,20 @@ exactly K atoms, or earlier only when the residual is numerically zero.
 
 All signals are recovered together (Batch-OMP, after Rubinstein,
 Zibulevsky and Elad, CS Technion TR 2008): each greedy step is one
-correlation product over the residuals of the signals still running, a
-row-wise ``argmax``, and one column of a progressive QR factorisation
-of each signal's selected atoms, vectorised over signals.  The new atom
-is orthogonalised against the signal's orthonormal directions by
-classical Gram-Schmidt applied twice, which keeps them orthogonal to
-working precision (Giraud, Langou and Rozloznik, 2005); the residual is
-then deflated along the new direction.  No LAPACK call is made per
-signal inside the greedy loop.
+correlation product over every signal's residual, a row-wise
+``argmax``, and one column of a progressive QR factorisation of each
+signal's selected atoms, vectorised over signals.  The new atom is
+orthogonalised against the signal's orthonormal directions by classical
+Gram-Schmidt applied twice, which keeps them orthogonal to working
+precision (Giraud, Langou and Rozloznik, 2005); the residual is then
+deflated along the new direction.  No LAPACK call is made per signal
+inside the greedy loop.  A stopped signal takes a zero step: it selects
+nothing, adds a zero direction and keeps its residual's bits.
 
 An atom whose orthogonal remainder is at or below ``eps * max(M, j)``
 times the largest selected atom norm is numerically dependent: this is
 ``np.linalg.lstsq``'s ``rcond=None`` cutoff, read on the triangular
-factor.  It flags the signal ``rank_deficient`` and adds no direction,
+factor.  It flags the signal ``rank_deficient`` and takes a zero step,
 so the residual stays the projection onto the span of the selected
 atoms.  Full-rank fits take their coefficients from one vectorised
 back-substitution on R.  Flagged fits keep ``lstsq``'s minimum-norm
@@ -97,8 +98,6 @@ def _omp_batch(d, y, k: int):
     if k > l - len(degenerate):  # a signal would run out of atoms to select
         raise ValueError(f"k={k} exceeds the {l - len(degenerate)} usable (non-degenerate) "
                          f"dictionary columns")
-    usable = np.ones(l, dtype=bool)
-    usable[degenerate] = False
     atoms = np.ascontiguousarray(d.T)  # L x M, row i is atom i
 
     # one row per signal: norms, gathers and updates then see each signal alone
@@ -109,59 +108,55 @@ def _omp_batch(d, y, k: int):
     support = np.zeros((p, k), dtype=np.intp)
     n_selected = np.zeros(p, dtype=np.intp)
     rank_deficient = np.zeros(p, dtype=bool)
-    available = np.tile(usable, (p, 1))
     # progressive QR of each signal's selected atoms: D_S = Q^T R, Q's rows
-    # orthonormal (a zero row for a dependent atom) and qty = Q y
+    # orthonormal (zero, with R_jj = 1, for a zero step) and qty = Q y
     q = np.zeros((p, k, m))
-    r = np.zeros((p, k, k))
+    r = np.tile(np.eye(k), (p, 1, 1))
     qty = np.zeros((p, k))
-    largest = np.zeros(p)
-    active = np.flatnonzero(residual_norm > EARLY_STOP_RESIDUAL)
+    running = residual_norm > EARLY_STOP_RESIDUAL
     eps = np.finfo(float).eps
 
     for j in range(k):
-        if active.size == 0:
+        if not running.any():
             break
-        corr = np.abs(residual[active] @ d_unit)  # row i is |d_unit.T @ r_i|
-        corr[~available[active]] = -1.0
+        corr = np.abs(residual @ d_unit)  # row i is |d_unit.T @ r_i|
+        corr[:, degenerate] = -1.0
+        np.put_along_axis(corr, support[:, :j], -1.0, axis=1)
         atom = np.argmax(corr, axis=1)  # argmax takes the lowest index on ties
-        support[active, j] = atom
-        available[active, atom] = False
-        n_selected[active] = j + 1
+        support[:, j] = np.where(running, atom, 0)
+        n_selected += running
 
         # classical Gram-Schmidt applied twice keeps Q orthonormal to working precision
         new = atoms[atom]
-        basis = q[active, :j]
+        basis = q[:, :j]
         h = np.einsum("ajm,am->aj", basis, new)
         w = new - np.einsum("aj,ajm->am", h, basis)
         h2 = np.einsum("ajm,am->aj", basis, w)
         w -= np.einsum("aj,ajm->am", h2, basis)
-        r[active, :j, j] = h + h2
+        r[:, :j, j] = h + h2
         rjj = np.linalg.norm(w, axis=1)
-        largest[active] = np.maximum(largest[active], atom_norm[atom])
         # lstsq's rcond=None cutoff, read on the triangular factor
-        independent = rjj > eps * max(m, j + 1) * largest[active]
-        rank_deficient[active[~independent]] = True
-        grow = active[independent]
-        qj = w[independent] / rjj[independent, None]
-        q[grow, j] = qj
-        r[grow, j, j] = rjj[independent]
+        independent = rjj > eps * max(m, j + 1) * atom_norm[support[:, :j + 1]].max(axis=1)
+        rank_deficient |= running & ~independent
+        # a stopped signal, or a dependent atom, takes a zero step: Q's row is zero
+        grow = running & independent
+        qj = np.divide(w, rjj[:, None], out=np.zeros_like(w), where=grow[:, None])
+        q[:, j] = qj
+        r[:, j, j] = np.where(grow, rjj, 1.0)
         # deflate: the residual is y minus its projection onto span(Q)
-        along = np.einsum("am,am->a", qj, residual[grow])
-        qty[grow, j] = along
-        residual[grow] -= along[:, None] * qj
-        residual_norm[grow] = np.linalg.norm(residual[grow], axis=1)
-        active = active[residual_norm[active] > EARLY_STOP_RESIDUAL]
+        along = np.einsum("am,am->a", qj, residual)
+        qty[:, j] = along
+        residual -= along[:, None] * qj
+        residual_norm = np.linalg.norm(residual, axis=1)
+        running = residual_norm > EARLY_STOP_RESIDUAL
 
     # full-rank fits: back-substitute R c = Q y; unused steps have R_ii = 1, (Q y)_i = 0
     coef = np.zeros((p, k))
     full = ~rank_deficient
     r_full, c = r[full], qty[full]
-    diag = np.where(np.arange(k) < n_selected[full, None],
-                    np.diagonal(r_full, axis1=1, axis2=2), 1.0)
     for i in range(k - 1, -1, -1):
         c[:, i] -= np.einsum("ak,ak->a", r_full[:, i, i + 1:], c[:, i + 1:])
-        c[:, i] /= diag[:, i]
+        c[:, i] /= r_full[:, i, i]
     coef[full] = c
     # flagged fits keep lstsq's minimum-norm answer: one stacked SVD per support size
     for j in np.unique(n_selected[rank_deficient]):

@@ -8,9 +8,9 @@ designs for it.  Given a relaxed-ETF level ``xi``, each of
 projection of the current equivalent dictionary's Gram and solves for
 it exactly.  The result is named by its inputs: ``lh`` with an SRE
 matrix, else ``mt``, plus ``-etf`` when ``xi`` is set.  Every design
-runs ``_design`` on an identity-target
-:class:`~csdesign.objective.ObjectiveSpec`.  ``random_projection``
-draws the i.i.d. standard normal baseline.
+builds one :class:`~csdesign.objective.ObjectiveSpec`, whose Gram
+target is the identity; an exact round takes its own target beside it.
+``random_projection`` draws the i.i.d. standard normal baseline.
 
 An exact round (``_exact_round``) works in Psi's singular basis
 ``Psi = U S V^T``, with ``R`` the identity or ``U^T E E^T U``.  The Gram
@@ -302,21 +302,23 @@ def _exact_round(spec: ObjectiveSpec, target: np.ndarray, phi: np.ndarray) -> np
     return (w @ zt) @ x
 
 
-def _design(spec, phi0, cfg=None, xi=None, outer_iters=1) -> DesignResult:
-    """Design from `phi0` for `spec`, whose Gram target must be the identity.
+def design(psi, lam: float, phi0, *, sre=None, xi: float | None = None, outer_iters: int = 1,
+           cfg: SolverConfig | None = None) -> DesignResult:
+    """Design a projection matrix for dictionary `psi` from the start `phi0`.
 
-    Without `xi`, one CG solve, on ``phi @ U``.  With it,
-    `outer_iters` exact rounds, each for the relaxed-ETF projection of
-    the Gram at the current matrix, each adding one trace point
-    ``(round, 0, f, |g|)`` at its own target.  `phi0` is never written
-    or returned.  The result is tagged ``lh`` if `spec` holds an SRE
-    matrix, else ``mt``, with ``-etf`` appended when `xi` is set.
+    `lam` weighs the regularizer: ``|Phi|^2``, or ``|Phi E|^2`` given the
+    SRE matrix `sre`.  Given `xi`, the Gram target alternates with its
+    relaxed-ETF projection over `outer_iters` exact rounds, each adding
+    one trace point ``(round, 0, f, |g|)`` at its own target; otherwise
+    it is the identity, one CG solve on ``phi @ U`` budgeted by `cfg`
+    designs for it, and `outer_iters` must be 1.  `phi0` is never
+    written or returned.
     """
+    if xi is None and outer_iters != 1:
+        raise ValueError(f"outer_iters={outer_iters!r} needs xi, or each round solves one problem")
+    spec = ObjectiveSpec(psi=psi, lam=lam, sre=sre)
     phi = check_matrix(phi0, "phi0", cols=spec.n).copy()
     _check_count("outer_iters", outer_iters)
-    if not np.array_equal(spec.gram_target, np.eye(spec.psi.shape[1])):
-        raise ValueError("a design's spec must hold the identity Gram target; "
-                         "relaxed-ETF rounds set their own")
     method = ("mt" if spec.sre is None else "lh") + ("" if xi is None else "-etf")
     trace: list[TracePoint] = []
     if xi is None:
@@ -336,21 +338,6 @@ def _design(spec, phi0, cfg=None, xi=None, outer_iters=1) -> DesignResult:
         if g_norm / max(1.0, math.sqrt(float(np.vdot(phi, phi)))) > SolverConfig.grad_tol:
             stop_reason = "rounding"
     return DesignResult(phi=phi, trace=tuple(trace), method=method, stop_reason=stop_reason)
-
-
-def design(psi, lam: float, phi0, *, sre=None, xi: float | None = None, outer_iters: int = 1,
-           cfg: SolverConfig | None = None) -> DesignResult:
-    """Design a projection matrix for dictionary `psi` from the start `phi0`.
-
-    `lam` weighs the regularizer: ``|Phi|^2``, or ``|Phi E|^2`` given the
-    SRE matrix `sre`.  Given `xi`, the Gram target alternates with its
-    relaxed-ETF projection over `outer_iters` exact rounds; otherwise it
-    is the identity, one CG solve budgeted by `cfg` designs for it, and
-    `outer_iters` must be 1.
-    """
-    if xi is None and outer_iters != 1:
-        raise ValueError(f"outer_iters={outer_iters!r} needs xi, or each round solves one problem")
-    return _design(ObjectiveSpec(psi=psi, lam=lam, sre=sre), phi0, cfg, xi, outer_iters)
 
 
 def random_projection(m: int, n: int, rng_seed: int) -> np.ndarray:

@@ -736,6 +736,79 @@ def test_matrix_input_needs_exactly_one_source(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("eval", "--tag", " mt "), "--tag"),
+        (("eval", "--tag", ""), "--tag"),
+        (("design", "--synth", "20,30", "--m", "4", "--out", "x\ny"), "--out"),
+    ],
+    ids=["eval-padded-tag", "eval-empty-tag", "design-out-line-break"],
+)
+def test_value_a_manifest_would_not_replay_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                           designs, argv, flag):
+    # a manifest strips each value and reads an empty one as unset, so a
+    # replay would not see these values as given: exit 2 before any work
+    import csdesign.cli as cli_mod
+
+    evaluated = []
+    monkeypatch.setattr(cli_mod, "evaluate_system", lambda *args, **kw: evaluated.append(args))
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "eval":
+        write_matrix_csv(gen_dictionary(20, 30, 5), "psi.csv")
+        write_matrix_csv(np.ones((8, 20)), "phi.csv")
+        argv += ("--phi", "phi.csv", "--dict", "psi.csv", "--p", "10", "--out", "x")
+    before = sorted(tmp_path.iterdir())
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"csdesign {argv[0]}: {flag}: cannot write")
+    assert sorted(tmp_path.iterdir()) == before
+    assert designs == [] and evaluated == []
+
+
+class TestUsageAndInputErrors:
+    """Error branches of parameter resolution and matrix reading; none makes a directory."""
+
+    def _run(self, tmp_path, capsys, *argv):
+        out = tmp_path / "x"
+        code = run(*argv, "--out", str(out))
+        assert not out.exists()
+        return code, capsys.readouterr().err
+
+    def test_missing_required_parameter(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, "design", "--synth", "20,30")
+        assert code == 2
+        assert "missing required parameter --m" in err
+
+    def test_shape_that_is_not_a_pair(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, "design", "--synth", "20", "--m", "4")
+        assert code == 2
+        assert "--synth expects two comma-separated integers" in err
+
+    def test_config_of_another_command(self, tmp_path, capsys):
+        config = tmp_path / "manifest.txt"
+        config.write_text("command=eval\np=10\n")
+        code, err = self._run(tmp_path, capsys, "design", "--synth", "20,30", "--m", "4",
+                              "--config", str(config))
+        assert code == 2
+        assert "config was written by command 'eval', not 'design'" in err
+
+    def test_config_line_without_equals(self, tmp_path, capsys):
+        config = tmp_path / "config.txt"
+        config.write_text("m=4\nseed 3\n")
+        code, err = self._run(tmp_path, capsys, "design", "--synth", "20,30",
+                              "--config", str(config))
+        assert code == 3
+        assert f"{config}:2: expected key=value" in err
+
+    def test_matrix_header_with_negative_dimensions(self, tmp_path, capsys):
+        path = tmp_path / "psi.csv"
+        path.write_text("-2,3\n")
+        code, err = self._run(tmp_path, capsys, "design", "--dict", str(path), "--m", "1")
+        assert code == 3
+        assert "negative dimensions" in err and "psi.csv" in err
+
+
 class TestTopLevel:
     def test_no_command_usage_error(self, capsys):
         assert run() == 2

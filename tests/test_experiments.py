@@ -58,6 +58,11 @@ class TestDesignForMethod:
         assert given.phi.tobytes() == plain.phi.tobytes()
         assert given.trace == plain.trace and given.method == plain.method == method
 
+    @pytest.mark.parametrize("method", ["lh", "lh-etf"])
+    def test_sre_method_without_the_sre_rejected(self, method):
+        with pytest.raises(ValueError, match=f"method '{method}' needs the training SRE matrix"):
+            design_for_method(method, self.params, self.dataset.psi, self.phi0, 0.3, sre=None)
+
     @pytest.mark.parametrize("method", DESIGN_ALIASES)
     def test_each_tag_calls_its_traced_name(self, monkeypatch, method):
         calls = collections.Counter()

@@ -8,6 +8,7 @@ from csdesign.experiments import (ExperimentParams, ExperimentRecord, design_for
                                   write_convergence_csv, write_records_csv)
 from csdesign.matio import (
     check_csv_value,
+    check_keyvalue,
     check_matrix,
     read_keyvalues,
     read_matrix_csv,
@@ -186,6 +187,25 @@ class TestKeyValues:
         path.write_text("keyvalue\n")
         with pytest.raises(ValueError):
             read_keyvalues(path)
+
+    @pytest.mark.parametrize("value", [" mt ", "mt\t", "", "a\nb", "a\rb"],
+                             ids=["padded", "trailing-tab", "empty", "newline", "return"])
+    def test_value_that_would_not_read_back_rejected(self, tmp_path, value):
+        with pytest.raises(ValueError, match="cannot write"):
+            check_keyvalue(value, "tag")
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"old\n")
+        with pytest.raises(ValueError, match="^tag: cannot write"):
+            write_keyvalues({"alpha": 1, "tag": value}, path)
+        assert path.read_bytes() == b"old\n"
+
+    def test_unset_value_written_empty(self, tmp_path):
+        assert check_keyvalue(None, "sre") == ""
+        assert check_keyvalue(0.1, "lambda") == render_value(0.1)
+        path = tmp_path / "m.txt"
+        write_keyvalues({"sre": None, "tag": "a b"}, path)
+        assert path.read_text() == "sre=\ntag=a b\n"
+        assert read_keyvalues(path) == {"sre": "", "tag": "a b"}
 
     def test_value_may_contain_equals(self, tmp_path):
         path = tmp_path / "p.txt"

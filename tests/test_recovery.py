@@ -246,6 +246,31 @@ class TestBatchRecover:
             np.testing.assert_array_equal(codes[:, j], omp(d, y[:, j], 4).values)
         assert not flags.any()
 
+    def test_stopped_signal_takes_zero_steps(self):
+        # once its residual is below the early-stop level a signal adds no
+        # direction, so the steps the running signal still takes leave its code
+        # with the bits it had after its one step
+        rng = np.random.default_rng(12)
+        d = rng.standard_normal((8, 16))
+        y = rng.standard_normal((8, 2))
+        y[:, 0] = 2.5 * d[:, 6] + 1e-14 * rng.standard_normal(8)
+        assert omp(d, y[:, 0], 4).support == (6,)
+        codes, _ = batch_recover(d, y, 4)
+        one_step, _ = batch_recover(d, y, 1)
+        assert np.count_nonzero(codes[:, 1]) == 4
+        np.testing.assert_array_equal(codes[:, 0], one_step[:, 0])
+
+    def test_stopped_signal_not_flagged_by_later_steps(self):
+        # y[:, 0] stops after e1; the next atom its correlations would pick is
+        # 2 * e1, which depends on e1, but a stopped signal takes no step
+        e = np.eye(4)
+        d = np.column_stack([e[0], 2.0 * e[0], e[1], e[2], e[3], e[1] + e[2]])
+        y = np.column_stack([2.5 * e[0], [1.0, 0.2, 0.1, 3.0]])
+        codes, flags = batch_recover(d, y, 3)
+        assert omp(d, y[:, 1], 3).support == (4, 0, 5)
+        assert not flags[0]
+        np.testing.assert_array_equal(codes[:, 0], [2.5, 0, 0, 0, 0, 0])
+
     def test_rejects_vector(self):
         with pytest.raises(ValueError):
             batch_recover(np.eye(3), np.ones(3), 1)

@@ -7,7 +7,6 @@ from csdesign.solver import (
     DesignResult,
     SolverConfig,
     TracePoint,
-    _design,
     _exact_round,
     design,
     project_to_relaxed_etf,
@@ -33,9 +32,8 @@ class TestCgMinimize:
     def test_orthogonal_minimum_reached(self):
         # lam=0, psi=I, G=I, M=N: the minimum f=0 is attainable at any
         # orthogonal phi
-        spec = ObjectiveSpec(psi=np.eye(5), lam=0.0)
         phi0 = random_projection(5, 5, 3)
-        result = _design(spec, phi0)
+        result = design(np.eye(5), 0.0, phi0)
         assert result.converged and result.stop_reason == "converged"
         assert result.trace[-1].f <= 1e-8
         np.testing.assert_allclose(result.phi.T @ result.phi, np.eye(5), atol=1e-4)
@@ -53,8 +51,7 @@ class TestCgMinimize:
 
     def test_tiny_instance_matches_restart_oracle(self):
         psi = gen_dictionary(3, 4, 42)
-        spec = ObjectiveSpec(psi=psi, lam=0.3)
-        result = _design(spec, random_projection(2, 3, 7))
+        result = design(psi, 0.3, random_projection(2, 3, 7))
         assert result.trace[-1].f == pytest.approx(TINY_MT_ORACLE_MIN, abs=1e-6)
 
     def test_stationarity_at_convergence(self):
@@ -104,18 +101,8 @@ class TestCgMinimize:
         assert float(np.sum(reg.phi**2)) <= 0.2 * float(np.sum(free.phi**2))
 
     def test_dimension_mismatch(self):
-        spec = ObjectiveSpec(psi=np.eye(4), lam=0.1)
         with pytest.raises(ValueError):
-            _design(spec, np.zeros((2, 5)))
-
-    @pytest.mark.parametrize("rounds", [{}, {"xi": 0.3, "outer_iters": 2}], ids=["cg", "etf"])
-    def test_non_identity_target_refused(self, rounds):
-        psi = gen_dictionary(4, 6, 12)
-        d = random_projection(2, 4, 12) @ psi
-        spec = ObjectiveSpec(psi=psi, gram_target=project_to_relaxed_etf(d.T @ d, 0.3).data,
-                             lam=0.1)
-        with pytest.raises(ValueError, match="identity Gram target"):
-            _design(spec, random_projection(2, 4, 12), **rounds)
+            design(np.eye(4), 0.1, np.zeros((2, 5)))
 
 
 class TestSolverConfigValidation:
@@ -143,8 +130,7 @@ class TestPeriodicRestart:
 
         monkeypatch.setattr(solver, "_step_polynomial", recording)
         # the tiny oracle instance: M*N = 6 unknowns, 19 iterates, no steepest-descent fallback
-        result = _design(ObjectiveSpec(psi=gen_dictionary(3, 4, 42), lam=0.3),
-                         random_projection(2, 3, 7))
+        result = design(gen_dictionary(3, 4, 42), 0.3, random_projection(2, 3, 7))
         assert result.converged and result.n_sd_restarts == 0
         assert len(calls) == len(result.trace) - 1 > 12
         for it in (0, 6, 12):
@@ -436,8 +422,9 @@ class TestDesignResultShape:
     def test_given_spec_is_tagged_by_its_sre(self):
         spec = ObjectiveSpec(psi=gen_dictionary(5, 8, 23), lam=0.1, sre=np.zeros((5, 4)))
         phi0 = random_projection(2, 5, 23)
-        assert _design(spec, phi0).method == "lh"
-        assert _design(spec, phi0, xi=0.3, outer_iters=2).method == "lh-etf"
+        assert design(spec.psi, spec.lam, phi0, sre=spec.sre).method == "lh"
+        assert design(spec.psi, spec.lam, phi0, sre=spec.sre, xi=0.3,
+                      outer_iters=2).method == "lh-etf"
 
 
 class TestQuarticLineSearch:
@@ -460,8 +447,8 @@ class TestQuarticLineSearch:
         monkeypatch.setattr(solver, "_evaluate", counting)
         psi = gen_dictionary(12, 20, 31)
         e = np.random.default_rng(31).standard_normal((12, 40)) if sre else None
-        spec = ObjectiveSpec(psi=psi, lam=0.05 if sre else 0.3, sre=e)
-        result = _design(spec, random_projection(5, 12, 31), SolverConfig(max_cg_iterations=15))
+        result = design(psi, 0.05 if sre else 0.3, random_projection(5, 12, 31), sre=e,
+                        cfg=SolverConfig(max_cg_iterations=15))
         assert result.stop_reason == "iteration cap"
         assert len(calls) == result.trace[-1].cg_iter + 1 == 16
 
@@ -612,7 +599,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(solver, "_gradient", flipping)
         monkeypatch.setattr(solver, "_step_polynomial", linear)
-        result = _design(ObjectiveSpec(psi=self.psi, lam=0.3), self.phi0, self.cfg)
+        result = design(self.psi, 0.3, self.phi0, cfg=self.cfg)
         assert result.stop_reason == "iteration cap"
         assert result.n_f_evals == 16
         assert result.n_sd_restarts == 14
@@ -665,7 +652,7 @@ class TestClosedFormOracle:
         for seed in range(10):
             spec, phi0 = self._instance(target, seed)
             f_star = objective_value(closed_form_optimum(spec, phi0.shape[0]), spec)
-            result = _design(spec, phi0)
+            result = design(spec.psi, spec.lam, phi0, sre=spec.sre)
             # a global minimum: no iterate goes below it beyond rounding
             assert f_star <= min(p.f for p in result.trace) * (1.0 + 1e-12)
             if result.converged:
@@ -796,14 +783,20 @@ class TestCarriedProducts:
     sre = np.random.default_rng(31).standard_normal((12, 40))
     cfg = SolverConfig(max_cg_iterations=15)
 
-    def _counted(self, monkeypatch, spec, uphill_at=None, **rounds):
-        object.__setattr__(spec, "sigma", spec.sigma.view(Grams))
-        if spec.sre_rotated is not None:
-            object.__setattr__(spec, "sre_rotated", spec.sre_rotated.view(SreProducts))
+    def _counted(self, monkeypatch, spec, uphill_at=None):
+        post_init = ObjectiveSpec.__post_init__
+
+        def counting(built):  # the spec the design builds counts its products
+            post_init(built)
+            object.__setattr__(built, "sigma", built.sigma.view(Grams))
+            if built.sre_rotated is not None:
+                object.__setattr__(built, "sre_rotated", built.sre_rotated.view(SreProducts))
+
+        monkeypatch.setattr(ObjectiveSpec, "__post_init__", counting)
         monkeypatch.setattr(SreProducts, "calls", 0)
         monkeypatch.setattr(Grams, "calls", 0)
         quartics = counted_quartics(monkeypatch, uphill_at)
-        result = _design(spec, self.phi0, self.cfg, **rounds)
+        result = design(spec.psi, spec.lam, self.phi0, sre=spec.sre, cfg=self.cfg)
         assert result.stop_reason == "iteration cap"
         n_rounds = len({p.outer_iter for p in result.trace})
         assert len(quartics) == len(result.trace) - n_rounds + result.n_sd_restarts

@@ -46,6 +46,10 @@ class TestGenSparseCodes:
         with pytest.raises(ValueError):
             gen_sparse_codes(5, 0, 10, 0)
 
+    def test_invalid_count(self):
+        with pytest.raises(ValueError, match="count must be positive, got 0"):
+            gen_sparse_codes(5, 2, 0, 0)
+
     def test_support_frequency_uniform(self):
         l, k, count = 20, 3, 100_000
         theta = gen_sparse_codes(l, k, count, 3)
