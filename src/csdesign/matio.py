@@ -64,13 +64,24 @@ def check_keyvalue(value: object, name: str) -> str:
 
     :func:`read_keyvalues` strips a value and reads an empty one as
     unset, so ``ValueError`` naming `name` unless a set value renders
-    nonempty, with no line break and no leading or trailing whitespace.
+    nonempty, encodable as UTF-8 (the files' encoding; a lone surrogate
+    is not), with no line break and no leading or trailing whitespace.
     """
     text = "" if value is None else render_value(value)
-    if value is not None and (text != text.strip() or not text or "\n" in text or "\r" in text):
+    if value is not None and (text != text.strip() or not text or "\n" in text or "\r" in text
+                              or not _encodes_as_utf8(text)):
         raise ValueError(f"{name}: cannot write {text!r} to a key=value line: a value must be "
-                         "nonempty, with no line break and no leading or trailing whitespace")
+                         "nonempty, UTF-8 encodable, with no line break and no leading or "
+                         "trailing whitespace")
     return text
+
+
+def _encodes_as_utf8(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def check_matrix(a, name: str, rows: int | None = None, cols: int | None = None) -> np.ndarray:

@@ -11,10 +11,15 @@ testing.  The two halves never overlap.
 ``lemma1_check`` verifies, by simulation, the law that justifies the
 training-free regularizer: for Gaussian residuals of variance sigma^2,
 ``||phi @ E||_F^2 / P`` concentrates on ``sigma^2 * ||phi||_F^2`` with
-per-sample variance ``2 sigma^4 ||phi @ phi.T||_F^2``.
+per-sample variance ``2 sigma^4 ||phi @ phi.T||_F^2``.  It draws in the
+measurement space: ``phi @ e ~ N(0, sigma^2 phi @ phi.T)``, so
+``||phi @ e||^2`` has exactly the law of ``sigma^2 sum_i c_i z_i^2``,
+with ``c_i`` the eigenvalues of ``phi @ phi.T`` and ``z_i`` i.i.d.
+standard normal; no N-dimensional residual is ever formed.
 
 All generators draw from named streams (dictionary / codes / noise /
-lemma1), so results are pure functions of their parameters and seed.
+lemma1-measurement), so results are pure functions of their parameters
+and seed.
 """
 
 from __future__ import annotations
@@ -154,26 +159,37 @@ def gen_signals(psi, theta, snr_db: float, seed: int) -> SyntheticDataset:
 def lemma1_check(phi, sigma: float, p: int, seed: int) -> Lemma1Report:
     """Monte-Carlo test of the projected-noise energy law.
 
-    Draws `p` residual vectors ``e ~ N(0, sigma^2 I)``, forms the mean
-    of ``||phi @ e||_2^2`` and its sample variance, and compares both to
-    their predicted values; the z-score is the CLT-normalized deviation
-    of the mean.  The law scales the means by ``sigma^2`` and the
-    variances by ``sigma^4``, and leaves the z-score as it is, so the
-    check runs on unit-variance draws and only the reported means and
-    variances are scaled (by float products, which saturate to inf or 0
-    at an extreme `sigma` rather than raise).
+    Simulates `p` residual vectors ``e ~ N(0, sigma^2 I)``, forms the
+    mean of ``||phi @ e||_2^2`` and its sample variance, and compares
+    both to their predicted values; the z-score is the CLT-normalized
+    deviation of the mean.
+
+    The draw is exact without forming ``e``: in the eigenbasis of
+    ``phi @ phi.T = U diag(c) U.T`` the projection ``U.T @ phi @ e`` has
+    independent entries of variances ``sigma^2 c``, so ``||phi @ e||^2``
+    is ``sigma^2 c @ z**2`` with ``z`` standard normal.  The smaller Gram
+    (``phi.T @ phi`` when M > N) has the same nonzero eigenvalues, so
+    ``z`` has ``min(M, N)`` rows; eigenvalues are clipped at 0, where
+    rounding leaves a rank-deficient Gram's zeros slightly negative.
+
+    The law scales the means by ``sigma^2`` and the variances by
+    ``sigma^4``, and leaves the z-score as it is, so the check runs on
+    unit-variance draws and only the reported means and variances are
+    scaled (by float products, which saturate to inf or 0 at an extreme
+    `sigma` rather than raise).
     """
     phi = check_matrix(phi, "phi")
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if p < 2:
         raise ValueError(f"p must be >= 2 for a sample variance, got {p}")
-    gram_rows = phi @ phi.T
-    predicted_variance = 2.0 * float(np.sum(gram_rows * gram_rows))
+    gram = phi @ phi.T if phi.shape[0] <= phi.shape[1] else phi.T @ phi
+    predicted_variance = 2.0 * float(np.sum(gram * gram))
     if predicted_variance == 0.0:  # the z-score divides by it
         raise ValueError("the predicted variance is 0 (phi all zero, or too small)")
-    energies = np.sum((phi @ stream(seed, "lemma1").standard_normal((phi.shape[1], p))) ** 2,
-                      axis=0)
+    c = np.maximum(np.linalg.eigvalsh(gram), 0.0)
+    z = stream(seed, "lemma1-measurement").standard_normal((c.size, p))
+    energies = c @ np.square(z, out=z)
     mean_estimate = float(energies.mean())
     predicted_mean = float(np.sum(phi * phi))
     z_score = (

@@ -1,8 +1,10 @@
 """Test oracles shared by the test modules.
 
 ``gradient_check`` compares the objective's analytic gradient with
-central finite differences; no pipeline stage calls it, so it lives
-beside the tests that do.
+central finite differences; ``lemma1_energies_signal_space`` simulates
+the projected-noise law directly, by multiplying phi with drawn
+residuals.  No pipeline stage calls either, so they live beside the
+tests that do.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 
 from csdesign.matio import check_matrix
 from csdesign.objective import ObjectiveSpec, objective_value, value_and_gradient
+from csdesign.streams import stream
 
 
 @dataclass(frozen=True)
@@ -65,3 +68,14 @@ def gradient_check(
     return GradientCheckReport(
         max_rel_deviation=max_rel, passed=bool(max_rel <= tol), step=step, tol=tol
     )
+
+
+def lemma1_energies_signal_space(phi, p: int, seed: int) -> np.ndarray:
+    """``||phi @ e||^2`` for `p` residuals ``e ~ N(0, I)`` drawn in the signal space.
+
+    The direct simulation that ``synth.lemma1_check``'s measurement-space
+    draw replaces: N x P standard normals, multiplied by phi.
+    """
+    phi = check_matrix(phi, "phi")
+    residuals = stream(seed, "lemma1").standard_normal((phi.shape[1], p))
+    return np.sum((phi @ residuals) ** 2, axis=0)

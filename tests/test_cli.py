@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import csdesign
 from csdesign.cli import CliError, _parse_grid, main
 from csdesign.coherence import welch_bound
 from csdesign.experiments import (ExperimentParams, run_dimension_sweeps, run_snr_sweep,
@@ -742,8 +749,11 @@ def test_matrix_input_needs_exactly_one_source(tmp_path, capsys, argv):
         (("eval", "--tag", " mt "), "--tag"),
         (("eval", "--tag", ""), "--tag"),
         (("design", "--synth", "20,30", "--m", "4", "--out", "x\ny"), "--out"),
+        # a name that is not UTF-8 (os.fsdecode gives it a lone surrogate)
+        (("design", "--synth", "20,30", "--m", "4", "--out", os.fsdecode(b"run-\xff")),
+         "--out"),
     ],
-    ids=["eval-padded-tag", "eval-empty-tag", "design-out-line-break"],
+    ids=["eval-padded-tag", "eval-empty-tag", "design-out-line-break", "design-out-not-utf8"],
 )
 def test_value_a_manifest_would_not_replay_is_usage_error(tmp_path, capsys, monkeypatch,
                                                            designs, argv, flag):
@@ -762,6 +772,7 @@ def test_value_a_manifest_would_not_replay_is_usage_error(tmp_path, capsys, monk
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"csdesign {argv[0]}: {flag}: cannot write")
+    assert err.count("\n") == 1
     assert sorted(tmp_path.iterdir()) == before
     assert designs == [] and evaluated == []
 
@@ -818,3 +829,28 @@ class TestTopLevel:
 
     def test_version(self, capsys):
         assert run("--version") == 0
+
+
+def test_bytes_do_not_depend_on_blas_threads_at_ci_shape(tmp_path):
+    # reruns are byte-identical for the same seeds, numpy/BLAS build and
+    # BLAS thread count; at CI's shape the thread count must not matter
+    # either, so a change that makes small products thread-dependent shows
+    write_matrix_csv(0.1 * np.random.default_rng(3).standard_normal((40, 200)),
+                     tmp_path / "sre.csv")
+    script = ("import json, sys; from csdesign.cli import main; "
+              "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    src = str(Path(csdesign.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        commands = [
+            ["design", "--synth", "40,60", "--m", "12", "--method", "mt", "--out", f"{out}/mt"],
+            ["design", "--synth", "40,60", "--m", "12", "--method", "lh",
+             "--sre", str(tmp_path / "sre.csv"), "--out", f"{out}/lh"],
+            ["eval", "--phi", f"{out}/mt/phi.csv", "--dict", f"{out}/mt/psi.csv", "--p", "200",
+             "--seed", "3", "--out", f"{out}/eval"],
+        ]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", script, json.dumps(commands)], env=env, check=True)
+    for name in ("mt/phi.csv", "mt/psi.csv", "mt/trace.csv", "lh/phi.csv", "lh/trace.csv",
+                 "eval/records.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

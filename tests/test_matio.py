@@ -188,8 +188,9 @@ class TestKeyValues:
         with pytest.raises(ValueError):
             read_keyvalues(path)
 
-    @pytest.mark.parametrize("value", [" mt ", "mt\t", "", "a\nb", "a\rb"],
-                             ids=["padded", "trailing-tab", "empty", "newline", "return"])
+    @pytest.mark.parametrize("value", [" mt ", "mt\t", "", "a\nb", "a\rb", "run-\udcff"],
+                             ids=["padded", "trailing-tab", "empty", "newline", "return",
+                                  "lone-surrogate"])
     def test_value_that_would_not_read_back_rejected(self, tmp_path, value):
         with pytest.raises(ValueError, match="cannot write"):
             check_keyvalue(value, "tag")

@@ -10,6 +10,8 @@ from csdesign.synth import (
     lemma1_check,
 )
 
+from oracles import lemma1_energies_signal_space
+
 
 class TestGenDictionary:
     def test_unit_columns(self):
@@ -164,6 +166,41 @@ class TestLemma1Check:
 
         ratio = rms(1000) / rms(100_000)
         assert 5.0 <= ratio <= 20.0
+
+    def test_agrees_with_signal_space_oracle(self):
+        # two independent simulations of one law: their estimates differ by
+        # a few standard errors, from the energy's cumulants 2 sum(c^2), 48 sum(c^4)
+        from csdesign.solver import random_projection
+
+        phi = random_projection(20, 60, 13)
+        p = 100_000
+        report = lemma1_check(phi, 1.0, p, 13)
+        energies = lemma1_energies_signal_space(phi, p, 13)
+        c = np.linalg.eigvalsh(phi @ phi.T)
+        k2, k4 = 2.0 * np.sum(c**2), 48.0 * np.sum(c**4)
+        assert abs(report.mean_estimate - energies.mean()) <= 4.0 * math.sqrt(2.0 * k2 / p)
+        assert abs(report.variance_estimate - energies.var(ddof=1)) <= 4.0 * math.sqrt(
+            2.0 * (k4 + 2.0 * k2**2) / p)
+
+    def test_tall_phi_draws_in_the_smaller_gram(self):
+        # M > N: the draw has N rows, in the eigenbasis of phi.T @ phi, which
+        # is also the Gram of phi.T, so phi and phi.T get the same energies
+        phi = np.random.default_rng(2).standard_normal((9, 5))
+        report = lemma1_check(phi, 1.0, 100_000, 4)
+        wide = lemma1_check(phi.T, 1.0, 100_000, 4)
+        assert report.mean_estimate == wide.mean_estimate
+        assert report.variance_estimate == wide.variance_estimate
+        assert report.predicted_mean == float(np.sum(phi * phi))
+        assert abs(report.z_score) <= 4.0
+
+    def test_rank_deficient_phi(self):
+        # a duplicated row gives phi @ phi.T a zero eigenvalue, clipped at 0
+        phi = np.random.default_rng(3).standard_normal((6, 10))
+        phi[5] = phi[0]
+        report = lemma1_check(phi, 1.0, 100_000, 5)
+        assert all(math.isfinite(value) for value in vars(report).values())
+        assert report.predicted_mean == float(np.sum(phi * phi))
+        assert abs(report.z_score) <= 4.0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
