@@ -44,7 +44,6 @@ from .experiments import (
     SWEEP_METHODS,
     ExperimentParams,
     _check_method,
-    _check_shape,
     design_for_method,
     evaluate_system,
     run_dimension_sweeps,
@@ -136,7 +135,7 @@ class Param:
             parser.add_argument(self.flag, dest=self.name, action="store_const", const=True,
                                 help=self.help)
         else:
-            parser.add_argument(self.flag, dest=self.name, type=self.type, help=self.help)
+            parser.add_argument(self.flag, dest=self.name, help=self.help)  # _resolve converts
 
     def convert(self, value):
         if self.type is bool:
@@ -242,7 +241,6 @@ def cmd_design(values: dict) -> int:
     n, l = psi.shape
     params = ExperimentParams(m=m, n=n, l=l, k=1, lam=values["lambda"],  # a design has no K
                               xi=_resolve_xi(values["xi"]), outer_iters=values["iter"])
-    _check_shape(params)
     values["xi"] = params.resolved_xi()
     sre = None if sre_path is None else _read_matrix(values, "sre", rows=n)
 
@@ -281,7 +279,7 @@ def cmd_eval(values: dict) -> int:
     psi = _read_matrix(values, "dict", rows=phi.shape[1])
     snr, p, k, seed = values["snr"], values["p"], values["k"], values["seed"]
     (m, n), l = phi.shape, psi.shape[1]
-    _check_shape(ExperimentParams(m=m, n=n, l=l, k=k, p=p, snr_db=snr))
+    ExperimentParams(m=m, n=n, l=l, k=k, p=p, snr_db=snr)  # checks the shape and each value
 
     theta = gen_sparse_codes(l, k, 2 * p, seed)
     dataset = gen_signals(psi, theta, snr, seed)
@@ -331,10 +329,11 @@ def cmd_sweep(values: dict) -> int:
     xi = _resolve_xi(values["xi"])
     values["xi"] = "welch" if xi is None else xi  # a replay resolves the level per point
     timing = values["timing"]
-    params = ExperimentParams(
-        m=values["m"], n=values["n"], l=values["l"], k=values["k"], p=values["p"],
-        lam=values["lambda"], xi=xi, outer_iters=values["iter"], snr_db=values["snr"],
-    )
+    sizes = {name: values[name] for name in ("m", "n", "l", "k")}
+    if axis in ("m", "k", "l"):  # each point sets its own size; the base's fits iff one can
+        sizes[axis] = {"m": sizes["n"], "k": 1, "l": sizes["n"]}[axis]
+    params = ExperimentParams(**sizes, p=values["p"], lam=values["lambda"], xi=xi,
+                              outer_iters=values["iter"], snr_db=values["snr"])
 
     if axis == "lambda":
         records = run_lambda_sweep(params, grid, seeds, methods=methods, timing=timing)

@@ -98,7 +98,8 @@ PSNR_PEAK = 2.0**8 - 1.0
 
 @dataclass(frozen=True)
 class ExperimentParams:
-    """Fixed parameters of one experiment family; each scalar is checked by its rule when built."""
+    """Fixed parameters of one experiment family; when built, each scalar is checked by its
+    rule and the sizes by ``1 <= K <= M <= N <= L``, the shape a CS system needs."""
 
     m: int = 20
     n: int = 60
@@ -118,6 +119,9 @@ class ExperimentParams:
         check_snr_db(self.snr_db)
         _check_count("p", self.p)
         _check_count("outer_iters", self.outer_iters)
+        k, m, n, l = self.k, self.m, self.n, self.l
+        if not 1 <= k <= m <= n <= l:
+            raise ValueError(f"need 1 <= K <= M <= N <= L, got K={k} M={m} N={n} L={l}")
 
     def resolved_xi(self) -> float:
         return welch_bound(self.m, self.l) if self.xi is None else float(self.xi)
@@ -178,13 +182,6 @@ def make_dataset(
         psi = gen_dictionary(params.n, params.l, seed)
     theta = gen_sparse_codes(params.l, params.k, 2 * params.p, seed)
     return gen_signals(psi, theta, params.snr_db, seed)
-
-
-def _check_shape(params: ExperimentParams) -> None:
-    """Raise ValueError unless 1 <= K <= M <= N <= L, the sizes a CS system needs."""
-    k, m, n, l = params.k, params.m, params.n, params.l
-    if not 1 <= k <= m <= n <= l:
-        raise ValueError(f"need 1 <= K <= M <= N <= L, got K={k} M={m} N={n} L={l}")
 
 
 def _check_method(*methods: str) -> None:
@@ -323,7 +320,6 @@ def run_lambda_sweep(
     One dataset and one starting matrix per seed, shared by every grid
     point, so the lambda axis is the only thing that varies.
     """
-    _check_shape(params)
     _check_method(*methods)
     lambda_grid = [check_lam(lam) for lam in lambda_grid]
     records: list[ExperimentRecord] = []
@@ -381,7 +377,6 @@ def run_snr_sweep(
     drowned by selection noise.  The cap at 1 keeps the weight inside
     the recommended (0, 1] range when the noise is strong.
     """
-    _check_shape(params)
     _check_method(*methods)
     points = [replace(params, snr_db=float(snr)) for snr in snr_grid]  # checks each SNR
     if lambda_grid is not None and len(lambda_grid) == 0:
@@ -439,9 +434,9 @@ def run_dimension_sweeps(
     """Sweep one of the size parameters M, K, or L, holding the rest fixed.
 
     Every grid value must lie within 1e-9 of an integer.  `methods`
-    defaults to ``SWEEP_METHODS[axis]``.  Grid points that break
-    :func:`_check_shape`'s ``1 <= K <= M <= N <= L`` are skipped with a
-    logged reason; a grid with no other point is a ValueError.
+    defaults to ``SWEEP_METHODS[axis]``.  Grid points whose
+    :class:`ExperimentParams` break ``1 <= K <= M <= N <= L`` are skipped
+    with a logged reason; a grid with no other point is a ValueError.
     """
     axis = axis.lower()
     if axis not in ("m", "k", "l"):
@@ -455,10 +450,8 @@ def run_dimension_sweeps(
     _check_method(*methods)
     points = []
     for value in grid:
-        point_params = replace(base_params, **{axis: value})
         try:
-            _check_shape(point_params)
-            points.append((value, point_params))
+            points.append((value, replace(base_params, **{axis: value})))
         except ValueError as exc:
             logger.warning("skipping infeasible point %s=%d: %s", axis, value, exc)
     if not points:

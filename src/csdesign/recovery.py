@@ -24,8 +24,8 @@ times the largest selected atom norm is numerically dependent: this is
 factor.  It flags the signal ``rank_deficient`` and takes a zero step,
 so the residual stays the projection onto the span of the selected
 atoms.  Full-rank fits take their coefficients from one vectorised
-back-substitution on R.  Flagged fits keep ``lstsq``'s minimum-norm
-answer, from one stacked SVD of their subdictionaries per support size.
+back-substitution on R.  Flagged fits are rare; each keeps the
+minimum-norm answer of one ``np.linalg.lstsq`` call on its subdictionary.
 
 :func:`omp` is a batch of one.  A signal's factorisation and residual
 do not depend on the batch around it; its correlations can, in the last
@@ -158,15 +158,10 @@ def _omp_batch(d, y, k: int):
         c[:, i] -= np.einsum("ak,ak->a", r_full[:, i, i + 1:], c[:, i + 1:])
         c[:, i] /= r_full[:, i, i]
     coef[full] = c
-    # flagged fits keep lstsq's minimum-norm answer: one stacked SVD per support size
-    for j in np.unique(n_selected[rank_deficient]):
-        idx = np.flatnonzero(rank_deficient & (n_selected == j))
-        sub = atoms[support[idx, :j]].transpose(0, 2, 1)  # A x M x j
-        u, s, vt = np.linalg.svd(sub, full_matrices=False)
-        keep = s > eps * max(m, j) * s[:, :1]
-        inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-        uty = (u.transpose(0, 2, 1) @ signals[idx][:, :, None])[:, :, 0]
-        coef[idx, :j] = (vt.transpose(0, 2, 1) @ (inv_s * uty)[:, :, None])[:, :, 0]
+    # flagged fits keep lstsq's minimum-norm answer
+    for i in np.flatnonzero(rank_deficient):
+        j = n_selected[i]
+        coef[i, :j] = np.linalg.lstsq(atoms[support[i, :j]].T, signals[i], rcond=None)[0]
 
     codes = np.zeros((l, p))
     used = np.arange(k) < n_selected[:, None]

@@ -13,18 +13,19 @@ target is the identity; an exact round takes its own target beside it.
 ``random_projection`` draws the i.i.d. standard normal baseline.
 
 An exact round (``_exact_round``) works in Psi's singular basis
-``Psi = U S V^T``, with ``R`` the identity or ``U^T E E^T U``.  The Gram
-term reads only the columns of ``Phi U`` on the singular directions
-above an lstsq-style cutoff; the regularizer is minimised out of the
-others, which leaves its Schur complement ``R'`` on the kept ones.  By
-Eckart-Young the optimum keeps the top-M positive eigenpairs
+``Psi = U S V^T``, with ``R = U^T E E^T U``, or ``R = I`` for ``|Phi|^2``.
+The Gram term reads only the columns of ``Phi U`` on the singular
+directions above an lstsq-style cutoff; the regularizer is minimised out
+of the others, which leaves its Schur complement ``R'`` on the kept
+ones.  By Eckart-Young the optimum keeps the top-M positive eigenpairs
 ``(c_i, q_i)`` of ``K = V^T T V - (lam/2) S^-1 R' S^-1``, with rows
 ``sqrt(c_i) q_i^T S^-1`` (for T = I the closed form of Li, Zhu et al.,
 "On projection matrix optimization for compressive sensing systems",
 IEEE TSP 2013).  Every ``Q Phi`` with Q orthogonal is as good, so the
 round returns the one nearest its start (orthogonal Procrustes), which
-no eigenvector sign or singular basis moves.  A tie at the M-th
-eigenvalue leaves the optimum's subspace to LAPACK's order.
+no eigenvector sign or singular basis moves.  At a tie at the M-th
+eigenvalue it takes, of the tied eigenvectors (all optimal), the top
+right singular vectors of the start's coordinates ``Phi U S`` on them.
 
 The CG flavor is Polak-Ribiere+ (beta clamped at zero) with a periodic
 restart and a backtracking Armijo line search.  Along a search direction
@@ -284,19 +285,21 @@ def _exact_round(spec: ObjectiveSpec, target: np.ndarray, phi: np.ndarray) -> np
     sigma, u = spec.sigma, spec.basis
     kept = int(np.count_nonzero(sigma > np.finfo(float).eps * max(n, l) * sigma[0]))
     s, v = sigma[:kept], spec.row_basis[:, :kept]
-    r = spec.sre_rotated
+    r = np.eye(n) if spec.sre_rotated is None else spec.sre_rotated
     # given the kept columns A of phi @ U, the others -A @ other.T minimise the regularizer
-    if r is None:
-        schur, other = np.eye(kept), np.zeros((n - kept, kept))
-    else:
-        other = np.linalg.lstsq(r[kept:, kept:], r[kept:, :kept], rcond=None)[0]
-        schur = r[:kept, :kept] - r[:kept, kept:] @ other
+    other = np.linalg.lstsq(r[kept:, kept:], r[kept:, :kept], rcond=None)[0]
+    schur = r[:kept, :kept] - r[:kept, kept:] @ other
     k = v.T @ target @ v - (0.5 * spec.lam) * schur / np.outer(s, s)
     c, q = np.linalg.eigh((k + k.T) / 2.0)
     m = phi.shape[0]
     top = np.argsort(c)[::-1][:m]
+    vecs, tied = q[:, top], c == c[top[-1]]
+    n_tied = np.count_nonzero(tied[top])  # the last n_tied of top equal the M-th eigenvalue
+    if np.count_nonzero(tied) > n_tied:  # the tie crosses the M-th: take the tied directions
+        zt = np.linalg.svd(((phi @ u)[:, :kept] * s) @ q[:, tied])[2]  # nearest the start
+        vecs[:, top.size - n_tied:] = q[:, tied] @ zt[:n_tied].T
     x = np.zeros((m, kept))
-    x[: top.size] = np.sqrt(np.maximum(c[top], 0.0))[:, None] * q[:, top].T / s
+    x[: top.size] = np.sqrt(np.maximum(c[top], 0.0))[:, None] * vecs.T / s
     x = np.hstack([x, -x @ other.T]) @ u.T
     w, _, zt = np.linalg.svd(phi @ x.T)
     return (w @ zt) @ x

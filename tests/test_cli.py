@@ -438,6 +438,25 @@ class TestSweepCommand:
         assert not out.exists()
         assert designs == []
 
+    @pytest.mark.parametrize(
+        "axis, value, sizes",
+        [("m", 6, dict(m=20, n=12)), ("k", 2, dict(m=3, k=4)), ("l", 30, dict(n=25, l=20))],
+        ids=["m-above-n", "k-above-m", "l-below-n"],
+    )
+    def test_swept_size_outside_the_shape_is_replaced_by_each_point(self, tmp_path, axis, value,
+                                                                    sizes):
+        # the swept size given for the base is never used: a point that
+        # fits runs, as the library runs it from a base that fits
+        sizes = {**dict(m=4, n=20, l=30, k=2), **sizes}
+        flags = [token for name, size in sizes.items() for token in (f"--{name}", str(size))]
+        out, lib = tmp_path / "cli", tmp_path / "lib.csv"
+        assert run("sweep", "--axis", axis, "--grid", str(value), "--methods", "randn,mt",
+                   "--seeds", "1", "--p", "20", *flags, "--out", str(out)) == 0
+        params = ExperimentParams(p=20, **{**sizes, axis: value})
+        write_records_csv(run_dimension_sweeps(params, axis, [value], [1],
+                                               methods=("randn", "mt")), lib)
+        assert (out / "records.csv").read_bytes() == lib.read_bytes()
+
     def test_malformed_grid_usage_error(self, tmp_path, capsys):
         code = run("sweep", "--axis", "snr", "--grid", "5:ten:45",
                    "--out", str(tmp_path / "x"))
@@ -854,3 +873,110 @@ def test_bytes_do_not_depend_on_blas_threads_at_ci_shape(tmp_path):
     for name in ("mt/phi.csv", "mt/psi.csv", "mt/trace.csv", "lh/phi.csv", "lh/trace.csv",
                  "eval/records.csv"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+# --- one boundary test per (command, parameter, bad value), generated from cli.COMMANDS ---
+
+#: a valid small run of each command; the case under test replaces one of its values
+BOUNDARY_BASE = {
+    "design": {"synth": "20,30", "m": "4", "out": "out"},
+    "eval": {"phi": "phi.csv", "dict": "psi.csv", "p": "10", "out": "out"},
+    "sweep": {"axis": "lambda", "grid": "0.5", "m": "4", "n": "20", "l": "30", "k": "2",
+              "p": "10", "out": "out"},
+    "lemma1": {"random": "4,6", "p": "100", "out": "out"},
+}
+#: the base's changes (None drops a value) that make a valid run read a parameter the
+#: base does not: a matrix from a file, not its other source, and the method or axis
+#: that reads the parameter at all
+BOUNDARY_NEEDS = {
+    ("design", "dict"): {"synth": None, "dict": "psi.csv"},
+    ("design", "sre"): {"method": "lh", "sre": "sre.csv"},
+    ("lemma1", "phi"): {"random": None, "phi": "phi.csv"},
+    ("sweep", "lambda_grid"): {"axis": "snr", "grid": "10", "lambda_grid": "0.1,0.3"},
+}
+#: the parameters that name a file or directory
+BOUNDARY_PATHS = {"dict", "phi", "sre", "out"}
+#: the bad values of each type, by name
+BOUNDARY_BAD = {
+    int: {"zero": "0", "negative": "-1", "fraction": "1.5", "nan": "nan", "word": "many"},
+    float: {"nan": "nan", "inf": "inf", "minus-inf": "-inf", "empty": ""},
+    str: {"empty": "", "padded": " padded ", "line-break": "line\nbreak",
+          "lone-surrogate": os.fsdecode(b"\xff")},
+}
+#: the bad value of a path parameter beyond its type's: a path under a regular file
+UNDER_A_FILE = "blocker.txt/x"
+#: values of the type that the library's rule accepts for this parameter
+BOUNDARY_ACCEPTED = {
+    "seed": {"0", "-1"},  # any integer, taken modulo 2**64
+    "snr": {"inf"},  # noiseless
+}
+
+
+def _boundary_cases():
+    from csdesign.cli import COMMANDS
+
+    for command, (_, params, _) in COMMANDS.items():
+        for param in params:
+            bad = {label: value for label, value in BOUNDARY_BAD.get(param.type, {}).items()
+                   if value not in BOUNDARY_ACCEPTED.get(param.name, ())}
+            if param.name in BOUNDARY_PATHS:
+                bad["under-a-file"] = UNDER_A_FILE
+            for label, value in bad.items():
+                yield pytest.param(command, param.name, value, id=f"{command}-{param.name}-{label}")
+
+
+def test_boundary_table_names_real_parameters():
+    from csdesign.cli import COMMANDS
+
+    names = {(command, p.name) for command, (_, params, _) in COMMANDS.items() for p in params}
+    assert set(BOUNDARY_NEEDS) <= names
+    assert {name for _, name in names} >= BOUNDARY_PATHS | set(BOUNDARY_ACCEPTED)
+    assert all(set(base) <= {name for c, name in names if c == command}
+               for command, base in BOUNDARY_BASE.items())
+
+
+def _boundary_argv(tmp_path, monkeypatch, command, values):
+    """The argv of `command` with `values`, run in `tmp_path` beside the files they name."""
+    from csdesign.cli import COMMANDS
+
+    monkeypatch.chdir(tmp_path)
+    write_matrix_csv(gen_dictionary(20, 30, 5), "psi.csv")
+    write_matrix_csv(np.ones((4, 20)), "phi.csv")
+    write_matrix_csv(np.ones((20, 40)), "sre.csv")
+    Path("blocker.txt").write_text("not a directory\n")
+    params = {p.name: p for p in COMMANDS[command][1]}
+    argv = [command]
+    for key, text in values.items():
+        if text is not None:
+            argv += [params[key].flag, text]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "command, needs",
+    [(command, {}) for command in BOUNDARY_BASE]
+    + [(command, needs) for (command, _), needs in BOUNDARY_NEEDS.items()],
+    ids=[*BOUNDARY_BASE, *(f"{command}-{name}" for command, name in BOUNDARY_NEEDS)],
+)
+def test_boundary_base_runs(tmp_path, monkeypatch, command, needs):
+    # each bad-value case below changes one value of a run that succeeds
+    values = {**BOUNDARY_BASE[command], **needs}
+    assert run(*_boundary_argv(tmp_path, monkeypatch, command, values)) == 0
+    assert (tmp_path / "out" / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("command, name, value", list(_boundary_cases()))
+def test_every_bad_value_is_refused_at_the_boundary(tmp_path, capsys, monkeypatch, designs,
+                                                    command, name, value):
+    # each parameter of each command, given a bad value of its type, exits 2
+    # (3 for a path that cannot be read or made) with one stderr line,
+    # before any design runs or any directory is made
+    values = {**BOUNDARY_BASE[command], **BOUNDARY_NEEDS.get((command, name), {}), name: value}
+    argv = _boundary_argv(tmp_path, monkeypatch, command, values)
+    before = sorted(tmp_path.iterdir())
+    code = run(*argv)
+    err = capsys.readouterr().err
+    assert code == (3 if value == UNDER_A_FILE else 2), err
+    assert err.startswith(f"csdesign {command}: ") and err.count("\n") == 1, err
+    assert sorted(tmp_path.iterdir()) == before
+    assert designs == []

@@ -37,6 +37,21 @@ DESIGN_ALIASES = {
 }
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [dict(k=0), dict(k=9), dict(m=21), dict(n=31), dict(k=-1)],
+    ids=["k-zero", "k-above-m", "m-above-n", "n-above-l", "k-negative"],
+)
+def test_params_refuse_a_shape_outside_the_cs_range(sizes):
+    # 1 <= K <= M <= N <= L is a rule of the type: building it and replacing
+    # a field in a valid one both refuse a shape outside it
+    message = "need 1 <= K <= M <= N <= L, got"
+    with pytest.raises(ValueError, match=message):
+        ExperimentParams(**{**dict(m=8, n=20, l=30, k=2), **sizes})
+    with pytest.raises(ValueError, match=message):
+        replace(SMALL, **sizes)
+
+
 class TestDesignForMethod:
     params = replace(SMALL, outer_iters=3)
     dataset = make_dataset(params, 8)

@@ -314,6 +314,27 @@ class TestRefitSemantics:
             np.testing.assert_allclose(codes[:, j], _reference_omp(d, y[:, j], 3),
                                        rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("dictionary", ["duplicate", "rank-below-k"])
+    def test_flagged_fits_are_lstsq_bit_for_bit(self, dictionary):
+        # a flagged fit is one lstsq call on its subdictionary, so its
+        # minimum-norm coefficients are lstsq's to the last bit
+        if dictionary == "duplicate":  # no second-axis component: atoms 0, 1 and 2 in turn
+            d, y = self.DUPLICATE, np.random.default_rng(15).standard_normal((3, 12))
+            y[1] = 0.0
+        else:  # the rank-2 dictionary of test_rank_below_k_every_fit_flagged
+            d = np.array([[1.0, 0.0, 2.0, 0.0, -3.0],
+                          [0.0, 1.0, 0.0, -2.0, 0.0],
+                          [0.0, 0.0, 0.0, 0.0, 0.0],
+                          [0.0, 0.0, 0.0, 0.0, 0.0]])
+            y = np.random.default_rng(16).standard_normal((4, 12))
+        codes, flags = batch_recover(d, y, 3)
+        _, support, n_selected, _, _ = recovery._omp_batch(d, y, 3)
+        assert flags.all() and (n_selected == 3).all()
+        for j in range(y.shape[1]):
+            expected = np.zeros(d.shape[1])
+            expected[support[j]] = np.linalg.lstsq(d[:, support[j]], y[:, j], rcond=None)[0]
+            np.testing.assert_array_equal(codes[:, j], expected)
+
     def test_ill_conditioned_pair_not_flagged(self):
         # atoms 0 and 1 differ by 1e-8: independent, condition number ~1e8
         d = np.array([[1.0, 1.0, 0.0], [0.0, 1e-8, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])

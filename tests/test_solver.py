@@ -534,7 +534,7 @@ class TestCallerStartUntouched:
 
         phi0 = random_projection(3, 6, 14)
         before = phi0.copy()
-        params = ExperimentParams(m=3, n=6, l=9)
+        params = ExperimentParams(m=3, n=6, l=9, k=1)
         result = design_for_method("randn", params, self.psi, phi0, 0.2)
         np.testing.assert_array_equal(result.phi, before)  # the baseline is the start itself
         self._assert_untouched(result, phi0, before)
@@ -697,6 +697,48 @@ class TestClosedFormOracle:
         for _ in range(20):  # and no nearby matrix is lower
             step = 1e-4 * rng.standard_normal(phi.shape)
             assert objective_value(phi + step, at_target) >= f
+
+
+class TestExactRoundGeneralPath:
+    """The training-free round is the SRE round at R = I, and a tie keeps its start."""
+
+    def test_training_free_round_is_the_identity_sre_round(self):
+        # |Phi|^2 is |Phi E|^2 at E = I; psi's zero row leaves a singular
+        # direction, so the regularizer is minimised out of a nonempty block
+        psi = gen_dictionary(8, 12, 41)
+        psi[3] = 0.0
+        phi0 = random_projection(3, 8, 41)
+        mt = design(psi, 0.2, phi0, xi=0.3, outer_iters=4)
+        lh = design(psi, 0.2, phi0, sre=np.eye(8), xi=0.3, outer_iters=4)
+        assert (mt.method, lh.method) == ("mt-etf", "lh-etf")
+        assert np.linalg.norm(mt.phi - lh.phi) <= 1e-12 * np.linalg.norm(lh.phi)
+        for a, b in zip(mt.trace, lh.trace):
+            assert a.f == pytest.approx(b.f, rel=1e-12)
+
+    @staticmethod
+    def _tied(seed):
+        # psi = I and xi = 0 make K = (1 - lam/2) I: every M-subspace is optimal
+        phi0 = random_projection(3, 6, seed)
+        return phi0, design(np.eye(6), 0.2, phi0, xi=0.0, outer_iters=3)
+
+    def test_tied_designs_follow_their_starts(self):
+        (_, a), (_, b) = self._tied(11), self._tied(12)
+        row_space = [np.linalg.pinv(r.phi) @ r.phi for r in (a, b)]
+        assert np.linalg.norm(row_space[0] - row_space[1]) > 0.5
+        assert a.trace[-1].f == pytest.approx(b.trace[-1].f, rel=1e-14)
+        assert a.converged and b.converged
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_tied_design_is_the_optimum_nearest_its_start(self, seed):
+        phi0, result = self._tied(seed)
+        # each optimum is sqrt(0.9) times orthonormal rows; the nearest to
+        # phi0 is sqrt(0.9) times its polar factor
+        u, _, vt = np.linalg.svd(phi0, full_matrices=False)
+        np.testing.assert_allclose(result.phi, np.sqrt(0.9) * u @ vt, rtol=0, atol=1e-14)
+        # LAPACK's eigenvector order picked the optimum on e4..e6, Procrustes-aligned
+        lapack = np.sqrt(0.9) * np.eye(6)[3:]
+        w, _, zt = np.linalg.svd(phi0 @ lapack.T)
+        assert np.linalg.norm(result.phi - phi0) <= np.linalg.norm(w @ zt @ lapack - phi0)
 
 
 class TestWarmFactorisation:
