@@ -10,23 +10,21 @@ manifest reads it back as given, and the ``wall_time_ms`` column stays
 at zero unless ``--timing`` is given.
 
 Each command declares its parameters once, as a table of :class:`Param`
-records; the table alone drives the flags, the config keys, the
-defaults, the typed conversion, the required-parameter check and the
-manifest.
+records; the table alone drives the flags (read by :func:`_parse`), the
+help, the config keys, the defaults, the typed conversion, the
+required-parameter check and the manifest.
 
-Exit codes: 0 success, 2 usage error (including any value the library
-rejects with ``ValueError``; it creates no directory), 3 I/O error (an
-``--out`` whose nearest existing ancestor is not a directory is one,
-found before any work), 4 design did not converge (artifacts are still
-written).  Every matrix read from a CSV is held to
+Exit codes: 0 success, 2 usage error (one stderr line, and no directory
+made; a value the library rejects with ``ValueError`` is one), 3 I/O
+error (an ``--out`` whose nearest existing ancestor is not a directory
+is one, found before any work), 4 design did not converge (artifacts
+are still written).  Every matrix read from a CSV is held to
 :func:`~csdesign.matio.check_matrix` as it is read.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
-import re
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -96,10 +94,10 @@ def _parse_grid(text: str, name: str = "grid") -> list[float]:
         if b < a:
             raise CliError(EXIT_USAGE, f"grid end precedes start in {text!r}")
         raw = (b - a) / step
-        count = int(math.floor(raw + 1e-6 * max(1.0, abs(raw))))
-        if abs(a + count * step - b) <= 1e-9 * max(1.0, abs(b)):
+        count = round(raw)
+        if abs(a + count * step - b) <= 1e-9 * max(1.0, abs(b)):  # b is a grid point
             return list(np.linspace(a, b, count + 1)) if count > 0 else [a]
-        return [a + i * step for i in range(count + 1)]
+        return [a + i * step for i in range(math.floor(raw) + 1)]
     return [number(token) for token in text.split(",")]
 
 
@@ -117,7 +115,8 @@ class Param:
     `name` is both the config-file key and the manifest key; the flag is
     ``--name`` with underscores written as dashes.  `type` is ``str``,
     ``int``, ``float``, or ``bool`` (a flag that takes no value; in a
-    config file ``1``, ``true`` or ``yes`` turn it on).
+    config file ``1``, ``true`` or ``yes`` turn it on and ``0``, ``false``
+    or ``no`` off, in any case).
     """
 
     name: str
@@ -130,16 +129,12 @@ class Param:
     def flag(self) -> str:
         return "--" + self.name.replace("_", "-")
 
-    def add_to(self, parser: argparse.ArgumentParser) -> None:
-        if self.type is bool:
-            parser.add_argument(self.flag, dest=self.name, action="store_const", const=True,
-                                help=self.help)
-        else:
-            parser.add_argument(self.flag, dest=self.name, help=self.help)  # _resolve converts
-
     def convert(self, value):
         if self.type is bool:
-            return str(value).lower() in ("1", "true", "yes")
+            text = str(value).lower()
+            if text not in ("1", "true", "yes", "0", "false", "no"):
+                raise CliError(EXIT_USAGE, f"{self.name} expects true or false, got {value!r}")
+            return text in ("1", "true", "yes")
         try:
             return self.type(value)
         except ValueError:
@@ -147,26 +142,21 @@ class Param:
             raise CliError(EXIT_USAGE, f"{self.name} expects {expects}, got {value!r}") from None
 
 
-def _resolve(args: argparse.Namespace, params: tuple[Param, ...]) -> dict:
-    """Resolve each parameter: explicit flag, then config file, then default."""
+def _resolve(command: str, given: dict, params: tuple[Param, ...]) -> dict:
+    """Resolve each parameter: flag given, then config file, then default."""
     config = {}
-    if args.config:
+    if given.get("config"):
         try:
-            config = read_keyvalues(args.config)
+            config = read_keyvalues(given["config"])
         except ValueError as exc:
             raise CliError(EXIT_IO, str(exc))
-        if config.get("command", args.command) != args.command:
-            raise CliError(
-                EXIT_USAGE,
-                f"config was written by command {config['command']!r}, not {args.command!r}",
-            )
+        if config.get("command", command) != command:
+            raise CliError(EXIT_USAGE, f"config was written by command "
+                                       f"{config['command']!r}, not {command!r}")
     values = {}
     for param in params:
-        value = getattr(args, param.name)
-        if value is None and config.get(param.name, "") != "":  # empty values mean "not set"
-            value = config[param.name]
-        if value is None:
-            value = param.default
+        # a flag given, even empty, wins; an empty config value means "not set"
+        value = given.get(param.name, config.get(param.name) or param.default)
         if value is None and param.required:
             raise CliError(EXIT_USAGE, f"missing required parameter {param.flag}")
         values[param.name] = None if value is None else param.convert(value)
@@ -186,9 +176,7 @@ def _matrix_input(values: dict, path: str, shape: str, draw, dims: str) -> np.nd
 
 def _resolve_xi(value: str) -> float | None:
     """The number, or ``None`` for 'welch': the library resolves the Welch bound per M x L."""
-    if value.strip().lower() == "welch":
-        return None
-    return Param("xi", float).convert(value)
+    return None if value.strip().lower() == "welch" else Param("xi", float).convert(value)
 
 
 def _manifest(command: str, values: dict, **extra) -> dict:
@@ -215,6 +203,9 @@ def _write_outputs(values: dict, command: str, artifacts, **extra) -> Path:
 _DEFAULTS = ExperimentParams()
 _SEED = Param("seed", int, 0, "root seed")
 _OUT = Param("out", help="output directory", required=True)
+#: the flag every command takes beside its table, and the one flag of the bare ``csdesign``
+_CONFIG = Param("config", help="key=value config file (flags override)")
+_VERSION = Param("version", bool, help="print the version and exit")
 
 DESIGN_PARAMS = (
     Param("dict", help="dictionary matrix CSV"),
@@ -297,14 +288,14 @@ SWEEP_PARAMS = (
     Param("grid", help="grid: a:step:b or comma list", required=True),
     Param("methods", help="comma list of methods"),
     Param("seeds", default="0", help="comma list of seeds"),
-    Param("m", int, _DEFAULTS.m),
-    Param("n", int, _DEFAULTS.n),
-    Param("l", int, _DEFAULTS.l),
-    Param("k", int, _DEFAULTS.k),
-    Param("p", int, _DEFAULTS.p),
-    Param("lambda", float, _DEFAULTS.lam),
+    Param("m", int, _DEFAULTS.m, "number of measurement rows"),
+    Param("n", int, _DEFAULTS.n, "signal dimension"),
+    Param("l", int, _DEFAULTS.l, "number of dictionary atoms"),
+    Param("k", int, _DEFAULTS.k, "sparsity level"),
+    Param("p", int, _DEFAULTS.p, "signals per train/test half"),
+    Param("lambda", float, _DEFAULTS.lam, "regularizer weight"),
     Param("xi", default="welch", help="'welch' (each point's M x L) or a float"),
-    Param("iter", int, _DEFAULTS.outer_iters),
+    Param("iter", int, _DEFAULTS.outer_iters, "alternating rounds for *-etf methods"),
     Param("snr", float, _DEFAULTS.snr_db, "fixed SNR for non-snr sweeps"),
     Param("lambda_grid", help="candidate lambdas searched per method (snr axis only)"),
     _OUT,
@@ -341,9 +332,8 @@ def cmd_sweep(values: dict) -> int:
         lambda_grid = None
         if values["lambda_grid"] is not None:
             lambda_grid = _parse_grid(values["lambda_grid"], "lambda_grid")
-        records = run_snr_sweep(
-            params, grid, methods, seeds, lambda_grid=lambda_grid, timing=timing
-        )
+        records = run_snr_sweep(params, grid, methods, seeds, lambda_grid=lambda_grid,
+                                timing=timing)
     else:
         records = run_dimension_sweeps(params, axis, grid, seeds, methods=methods, timing=timing)
 
@@ -385,53 +375,62 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="csdesign",
-        description="Design robust compressive-sensing projection matrices and "
-        "reproduce the synthetic evaluation pipeline.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, params, _) in COMMANDS.items():
-        command_parser = sub.add_parser(command, help=help_text)
-        command_parser.add_argument("--config", help="key=value config file (flags override)")
-        for param in params:
-            param.add_to(command_parser)
-    return parser
+def _parse(command: str | None, tokens: list[str]) -> dict:
+    """The text of each flag in `tokens` by parameter name (``True`` for a bool flag).
 
-
-#: a value argparse would take for a flag: '-' then a digit, '.', 'inf' or 'nan'
-_NEGATIVE_VALUE = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)
-
-
-def _glue_negative_values(argv: list[str]) -> list[str]:
-    """`argv` with each negative number or grid glued to the value-taking flag before it.
-
-    argparse reads a '-'-prefixed token that is not a bare number, such
-    as ``-5,0,5``, ``-5:5:15``, ``-1e-3`` or ``-inf``, as a flag; glued
-    (``--grid=-5,0,5``) it is read as the flag's value.
+    `tokens` follow `command`, or stand alone when it is ``None`` (the one
+    flag then is ``--version``).  See the README for the grammar: a name
+    must match exactly, a value may begin with one dash, the last of a
+    repeated flag wins, and ``-h``/``--help`` gives ``{"help": True}``.
     """
-    takes_value = {"--config"} | {param.flag for _, params, _ in COMMANDS.values()
-                                  for param in params if param.type is not bool}
-    glued = []
-    for token in argv:
-        if glued and glued[-1] in takes_value and _NEGATIVE_VALUE.match(token):
-            glued[-1] += "=" + token
-        else:
-            glued.append(token)
-    return glued
+    if command is None and not (tokens and tokens[0].startswith("-")):
+        got = repr(tokens[0]) if tokens else "none"
+        raise CliError(EXIT_USAGE, f"expected a command ({', '.join(COMMANDS)}), got {got}")
+    flags = {p.flag: p for p in ((_CONFIG, *COMMANDS[command][1]) if command else (_VERSION,))}
+    given, tokens = {}, list(tokens)
+    while tokens:
+        token = tokens.pop(0)
+        if token in ("-h", "--help"):
+            return {"help": True}
+        flag, equals, value = token.partition("=")
+        param = flags.get(flag)
+        if param is None:
+            raise CliError(EXIT_USAGE, f"unknown argument {token!r}")
+        if param.type is bool and equals:
+            raise CliError(EXIT_USAGE, f"{flag} takes no value, got {token!r}")
+        if param.type is not bool and not equals:
+            if not tokens or tokens[0].startswith("--"):
+                raise CliError(EXIT_USAGE, f"{flag} expects a value")
+            value = tokens.pop(0)
+        given[param.name] = True if param.type is bool else value
+    return given
+
+
+def _help(command: str | None) -> str:
+    """The help of `command`, or of the bare ``csdesign``, from the same tables."""
+    if command is None:
+        head = "usage: csdesign <command> [--flag value ...]; <command> --help lists its flags"
+        rows = [*((name, text) for name, (text, _, _) in COMMANDS.items()),
+                (_VERSION.flag, _VERSION.help)]
+    else:
+        text, params, _ = COMMANDS[command]
+        head = f"usage: csdesign {command} [--flag value ...]: {text}"
+        rows = [(p.flag + ("" if p.type is bool else " VALUE"),
+                 (p.help or "") + (" (required)" if p.required else ""))
+                for p in (_CONFIG, *params)]
+    return "\n".join([head, *(f"  {name:<22} {text}" for name, text in rows)])
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
-        return int(exc.code or 0)
-    _, params, handler = COMMANDS[args.command]
-    try:
-        values = _resolve(args, params)
+        given = _parse(command, argv[1:] if command else argv)
+        if "help" in given or "version" in given:
+            print(_help(command) if "help" in given else f"csdesign {__version__}")
+            return EXIT_OK
+        _, params, handler = COMMANDS[command]
+        values = _resolve(command, given, params)
         for param in params:  # before any work: will the manifest replay each value as given?
             check_keyvalue(values[param.name], param.flag)
         if values["out"] is not None:  # before any work: can --out be made where it points?
@@ -440,12 +439,10 @@ def main(argv=None) -> int:
             if not ancestor.is_dir():
                 raise CliError(EXIT_IO, f"cannot make --out {out}: {ancestor} is not a directory")
         return handler(values)
-    except (CliError, ValueError) as exc:  # a ValueError is a value the library rejects
-        print(f"csdesign {args.command}: {exc}", file=sys.stderr)
-        return getattr(exc, "code", EXIT_USAGE)
-    except OSError as exc:  # the message names the path
-        print(f"csdesign {args.command}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    # a ValueError is a value the library rejects; an OSError's message names the path
+    except (CliError, ValueError, OSError) as exc:
+        print(f"csdesign{'' if command is None else ' ' + command}: {exc}", file=sys.stderr)
+        return getattr(exc, "code", EXIT_IO if isinstance(exc, OSError) else EXIT_USAGE)
 
 
 if __name__ == "__main__":

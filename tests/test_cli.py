@@ -39,6 +39,18 @@ class TestGridParsing:
     def test_uneven_range_excludes_end(self):
         assert _parse_grid("0:1:4.5") == [0.0, 1.0, 2.0, 3.0, 4.0]
 
+    @pytest.mark.parametrize("text, end, count", [("0:1:1000000.5", 1000000.5, 1000001),
+                                                   ("0:1:0.9999999", 0.9999999, 1)])
+    def test_no_point_past_the_end(self, text, end, count):
+        # a step count within rounding of the next integer must not add a
+        # point beyond the end when the end is not itself a grid point
+        grid = _parse_grid(text)
+        assert len(grid) == count and grid[-1] <= end
+
+    def test_evenly_dividing_grids_keep_their_values(self):
+        assert _parse_grid("0:0.05:1") == list(np.linspace(0, 1, 21))
+        assert _parse_grid("-5:5:15") == [-5.0, 0.0, 5.0, 10.0, 15.0]
+
     def test_malformed_token_named(self):
         with pytest.raises(CliError) as err:
             _parse_grid("0,abc,1")
@@ -308,7 +320,7 @@ class TestEvalCommand:
         assert not out.exists()
 
     def test_negative_infinite_snr_as_a_separate_token(self, tmp_path, capsys):
-        # argparse alone would read "-inf" as a flag and report "expected one argument"
+        # the token after a value-taking flag is its value, even when it begins with '-'
         psi_path = tmp_path / "psi.csv"
         write_matrix_csv(gen_dictionary(20, 30, 5), psi_path)
         phi_path = tmp_path / "phi.csv"
@@ -590,6 +602,11 @@ timestamp=2026-10-17T22:40:23+00:00
 """
 
 
+#: a sweep that takes well under a second
+TINY_SWEEP = ("sweep", "--axis", "lambda", "--grid", "0.5", "--methods", "randn", "--m", "4",
+              "--n", "20", "--l", "30", "--k", "2", "--p", "10")
+
+
 class TestConfigFile:
     @pytest.mark.parametrize(
         "argv, key, bad",
@@ -614,6 +631,25 @@ class TestConfigFile:
         config.write_text(f"{key}={bad}\n")
         assert run(*argv, "--config", str(config), "--out", str(tmp_path / "x")) == 2
         assert f"{key} expects" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, on", [("1", True), ("TRUE", True), ("Yes", True),
+                                          ("0", False), ("False", False), ("no", False)])
+    def test_bool_value_in_any_case(self, tmp_path, text, on):
+        config = tmp_path / "config.txt"
+        config.write_text(f"timing={text}\n")
+        out = tmp_path / "x"
+        assert run(*TINY_SWEEP, "--config", str(config), "--out", str(out)) == 0
+        assert read_keyvalues(out / "manifest.txt")["timing"] == ("true" if on else "false")
+
+    def test_bool_value_that_is_not_true_or_false_is_usage_error(self, tmp_path, capsys):
+        # the boundary test below refuses more such texts; this one checks the message
+        config = tmp_path / "config.txt"
+        config.write_text("timing=maybe\n")
+        out = tmp_path / "x"
+        assert run(*TINY_SWEEP, "--config", str(config), "--out", str(out)) == 2
+        assert capsys.readouterr().err == ("csdesign sweep: timing expects true or false, "
+                                           "got 'maybe'\n")
+        assert not out.exists()
 
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         missing = tmp_path / "absent-config.txt"
@@ -848,6 +884,88 @@ class TestTopLevel:
 
     def test_version(self, capsys):
         assert run("--version") == 0
+        assert capsys.readouterr().out == f"csdesign {csdesign.__version__}\n"
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_lists_every_command(self, capsys, flag):
+        from csdesign.cli import COMMANDS
+
+        assert run(flag) == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in COMMANDS) and "--version" in out
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", ["design", "eval", "sweep", "lemma1"])
+    def test_command_help_lists_every_flag(self, tmp_path, capsys, command, flag):
+        from csdesign.cli import COMMANDS
+
+        # help in flag position wins over the flags around it, and runs nothing
+        assert run(command, "--out", str(tmp_path / "x"), flag, "--bogus") == 0
+        lines = capsys.readouterr().out.splitlines()
+        for param in COMMANDS[command][1]:
+            line = next(line for line in lines if line.split()[:1] == [param.flag])
+            assert param.help in line
+        assert any(line.split()[:1] == ["--config"] for line in lines)
+        assert not (tmp_path / "x").exists()
+
+
+#: a design that runs in milliseconds, and the flags each grammar case adds to it
+DESIGN = ("design", "--synth", "20,30", "--m", "4", "--method", "randn", "--out", "out")
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        ((), "csdesign: "),
+        (("desing", "--m", "4"), "csdesign: "),
+        ((*DESIGN, "--bogus", "1"), "csdesign design: "),
+        (("design", "--bogus", "1"), "csdesign design: "),
+        ((*DESIGN, "stray"), "csdesign design: "),
+        ((*TINY_SWEEP, "--out", "out", "--timing=1"), "csdesign sweep: "),
+        ((*TINY_SWEEP, "--out", "out", "--seed", "3"), "csdesign sweep: "),
+        ((*DESIGN, "--lam", "0.3"), "csdesign design: "),
+        (("design", "--synth", "20,30", "--m", "--out", "out"), "csdesign design: "),
+        (("design", "--synth", "20,30", "--out", "out", "--m"), "csdesign design: "),
+        (("--version", "design"), "csdesign: "),
+    ],
+    ids=["no-command", "unknown-command", "unknown-flag", "unknown-flag-alone", "positional",
+         "bool-flag-with-value", "prefix-of-seeds", "prefix-of-lambda", "value-is-a-flag",
+         "value-missing-at-the-end", "command-after-version"],
+)
+def test_grammar_error_is_one_line(tmp_path, capsys, monkeypatch, designs, argv, prefix):
+    # a flag name must match exactly, a value-taking flag needs its value,
+    # a bool flag takes none, and nothing else may stand among the flags:
+    # each breach exits 2 with one stderr line and creates nothing
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+    assert designs == []
+
+
+def test_flag_equals_value_reads_as_flag_then_value(tmp_path, monkeypatch):
+    # --flag=value and --flag value are one grammar, a value beginning with
+    # '-' included, so both spellings write the same files
+    flags = {"--axis": "snr", "--grid": "-5:5:5", "--methods": "randn,mt", "--seeds": "1,2",
+             "--m": "4", "--n": "20", "--l": "30", "--k": "2", "--p": "10", "--xi": "0.5",
+             "--lambda": "0.1", "--out": "out"}
+    for form, argv in [("split", [token for pair in flags.items() for token in pair]),
+                       ("joined", [f"{flag}={value}" for flag, value in flags.items()])]:
+        (tmp_path / form).mkdir()
+        monkeypatch.chdir(tmp_path / form)
+        assert run("sweep", *argv) == 0
+    for name in ("records.csv", "manifest.txt"):
+        split, joined = ((tmp_path / form / "out" / name).read_text().splitlines()
+                         for form in ("split", "joined"))
+        assert [line for line in split if not line.startswith("timestamp=")] == \
+            [line for line in joined if not line.startswith("timestamp=")]
+
+
+def test_repeated_flag_keeps_its_last_value(capsys):
+    assert run("lemma1", "--random", "4,6", "--p", "100", "--seed", "1", "--p", "200") == 0
+    report = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert report["p"] == report["trials"] == "200"
 
 
 def test_bytes_do_not_depend_on_blas_threads_at_ci_shape(tmp_path):
@@ -902,7 +1020,10 @@ BOUNDARY_BAD = {
     float: {"nan": "nan", "inf": "inf", "minus-inf": "-inf", "empty": ""},
     str: {"empty": "", "padded": " padded ", "line-break": "line\nbreak",
           "lone-surrogate": os.fsdecode(b"\xff")},
+    bool: {"word": "maybe", "number": "2", "on": "on"},  # a bool's text comes from a config
 }
+#: the value of a flag given as the last token, with no value after it
+MISSING = object()
 #: the bad value of a path parameter beyond its type's: a path under a regular file
 UNDER_A_FILE = "blocker.txt/x"
 #: values of the type that the library's rule accepts for this parameter
@@ -921,6 +1042,8 @@ def _boundary_cases():
                    if value not in BOUNDARY_ACCEPTED.get(param.name, ())}
             if param.name in BOUNDARY_PATHS:
                 bad["under-a-file"] = UNDER_A_FILE
+            if param.type is not bool:
+                bad["missing-value"] = MISSING
             for label, value in bad.items():
                 yield pytest.param(command, param.name, value, id=f"{command}-{param.name}-{label}")
 
@@ -947,9 +1070,12 @@ def _boundary_argv(tmp_path, monkeypatch, command, values):
     params = {p.name: p for p in COMMANDS[command][1]}
     argv = [command]
     for key, text in values.items():
-        if text is not None:
+        if params[key].type is bool:  # a bool flag takes no value: give its text by config
+            Path("config.txt").write_text(f"{key}={text}\n")
+            argv += ["--config", "config.txt"]
+        elif text is not None and text is not MISSING:
             argv += [params[key].flag, text]
-    return argv
+    return argv + [params[key].flag for key, text in values.items() if text is MISSING]
 
 
 @pytest.mark.parametrize(
@@ -968,9 +1094,9 @@ def test_boundary_base_runs(tmp_path, monkeypatch, command, needs):
 @pytest.mark.parametrize("command, name, value", list(_boundary_cases()))
 def test_every_bad_value_is_refused_at_the_boundary(tmp_path, capsys, monkeypatch, designs,
                                                     command, name, value):
-    # each parameter of each command, given a bad value of its type, exits 2
-    # (3 for a path that cannot be read or made) with one stderr line,
-    # before any design runs or any directory is made
+    # each parameter of each command, given a bad value of its type or no
+    # value at all, exits 2 (3 for a path that cannot be read or made) with
+    # one stderr line, before any design runs or any directory is made
     values = {**BOUNDARY_BASE[command], **BOUNDARY_NEEDS.get((command, name), {}), name: value}
     argv = _boundary_argv(tmp_path, monkeypatch, command, values)
     before = sorted(tmp_path.iterdir())

@@ -346,15 +346,14 @@ class TestRunSnrSweep:
 
     def test_each_seed_dictionary_is_factored_once(self, monkeypatch):
         # a seed's designs run back to back, so the one cached factorisation
-        # serves all of them; OMP's stacked SVDs of rank-deficient refits are
-        # 3-D and not counted
+        # serves all of them; nothing else in an mt/lh sweep calls the SVD
+        # (OMP solves a rank-deficient refit with lstsq)
         from csdesign import objective
 
         svd, shapes = np.linalg.svd, []
 
         def counting_svd(a, *args, **kwargs):
-            if np.ndim(a) == 2:
-                shapes.append(np.shape(a))
+            shapes.append(np.shape(a))
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(objective, "_factors", None)
