@@ -6,8 +6,8 @@ alongside its artifacts, and derives all randomness from one ``--seed``
 expanded into named sub-streams.  Replaying a manifest with
 ``--config <manifest>`` reproduces the artifacts byte for byte: every
 value is first held to :func:`~csdesign.matio.check_keyvalue`, so the
-manifest reads it back as given, and the ``wall_time_ms`` column stays
-at zero unless ``--timing`` is given.
+manifest reads it back as given, and the records writer fills the
+``wall_time_ms`` column only when ``--timing`` is given.
 
 Each command declares its parameters once, as a table of :class:`Param`
 records; the table alone drives the flags (read by :func:`_parse`), the
@@ -28,6 +28,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,8 @@ def _parse_grid(text: str, name: str = "grid") -> list[float]:
         if b < a:
             raise CliError(EXIT_USAGE, f"grid end precedes start in {text!r}")
         raw = (b - a) / step
+        if not math.isfinite(raw):
+            raise CliError(EXIT_USAGE, f"grid {text!r} has too many points")
         count = round(raw)
         if abs(a + count * step - b) <= 1e-9 * max(1.0, abs(b)):  # b is a grid point
             return list(np.linspace(a, b, count + 1)) if count > 0 else [a]
@@ -153,6 +156,9 @@ def _resolve(command: str, given: dict, params: tuple[Param, ...]) -> dict:
         if config.get("command", command) != command:
             raise CliError(EXIT_USAGE, f"config was written by command "
                                        f"{config['command']!r}, not {command!r}")
+        unknown = sorted(config.keys() - {param.name for param in params} - set(_MANIFEST_KEYS))
+        if unknown:  # a misspelled key would otherwise leave its parameter at its default
+            raise CliError(EXIT_USAGE, f"config key {unknown[0]!r} names no {command} parameter")
     values = {}
     for param in params:
         # a flag given, even empty, wins; an empty config value means "not set"
@@ -206,6 +212,9 @@ _OUT = Param("out", help="output directory", required=True)
 #: the flag every command takes beside its table, and the one flag of the bare ``csdesign``
 _CONFIG = Param("config", help="key=value config file (flags override)")
 _VERSION = Param("version", bool, help="print the version and exit")
+#: the keys a manifest writes beside its command's parameters: the only others a config may hold
+_MANIFEST_KEYS = ("command", "version", "timestamp", "converged", "stop_reason", "n_f_evals",
+                  "n_sd_restarts", "achieved_snr_db")
 
 DESIGN_PARAMS = (
     Param("dict", help="dictionary matrix CSV"),
@@ -319,7 +328,6 @@ def cmd_sweep(values: dict) -> int:
     values["seeds"] = ",".join(str(s) for s in seeds)
     xi = _resolve_xi(values["xi"])
     values["xi"] = "welch" if xi is None else xi  # a replay resolves the level per point
-    timing = values["timing"]
     sizes = {name: values[name] for name in ("m", "n", "l", "k")}
     if axis in ("m", "k", "l"):  # each point sets its own size; the base's fits iff one can
         sizes[axis] = {"m": sizes["n"], "k": 1, "l": sizes["n"]}[axis]
@@ -327,17 +335,17 @@ def cmd_sweep(values: dict) -> int:
                               outer_iters=values["iter"], snr_db=values["snr"])
 
     if axis == "lambda":
-        records = run_lambda_sweep(params, grid, seeds, methods=methods, timing=timing)
+        records = run_lambda_sweep(params, grid, seeds, methods=methods)
     elif axis == "snr":
         lambda_grid = None
         if values["lambda_grid"] is not None:
             lambda_grid = _parse_grid(values["lambda_grid"], "lambda_grid")
-        records = run_snr_sweep(params, grid, methods, seeds, lambda_grid=lambda_grid,
-                                timing=timing)
+        records = run_snr_sweep(params, grid, methods, seeds, lambda_grid=lambda_grid)
     else:
-        records = run_dimension_sweeps(params, axis, grid, seeds, methods=methods, timing=timing)
+        records = run_dimension_sweeps(params, axis, grid, seeds, methods=methods)
 
-    _write_outputs(values, "sweep", [(write_records_csv, records, "records.csv")])
+    write = partial(write_records_csv, timing=values["timing"])
+    _write_outputs(values, "sweep", [(write, records, "records.csv")])
     return EXIT_OK
 
 

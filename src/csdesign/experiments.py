@@ -3,8 +3,8 @@
 Each harness runs the full pipeline on synthetic data and emits flat
 :class:`ExperimentRecord` rows with a fixed CSV schema, so sweeps are
 comparable across runs and reruns with the same plan and seeds are
-byte-identical.  Wall-clock timing is off by default for exactly that
-reason; pass ``timing=True`` to fill the ``wall_time_ms`` column.
+byte-identical.  Each sweep record holds its design's time, which record
+equality ignores and :func:`write_records_csv` writes only on request.
 
 Within one sweep point all methods share the same dataset and the same
 random starting matrix, which is also the matrix evaluated as the
@@ -18,7 +18,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
@@ -59,7 +59,6 @@ __all__ = [
     "SWEEP_METHODS",
     "PSNR_PEAK",
     "RECORDS_HEADER",
-    "LAMBDA_SEARCH_GRID",
     "ExperimentParams",
     "ExperimentRecord",
     "rho_mse",
@@ -141,7 +140,7 @@ class ExperimentRecord:
     mu_av: float
     phi_energy: float
     proj_noise_energy: float
-    wall_time_ms: float = 0.0
+    wall_time_ms: float = field(default=0.0, compare=False)  # a measurement, not a result
 
 
 #: the records CSV header: the record's field names, in declaration order
@@ -269,15 +268,16 @@ def _seed_list(seed) -> tuple[int, ...]:
     return seeds
 
 
-def _design_and_score(method, params, dataset, phi0, lam, param_name, param_value, seed, timing):
+def _design_and_score(method, params, dataset, phi0, lam, param_name, param_value, seed):
     """Design `method` on the training half of `dataset`, score it on the test half.
 
-    A design that stopped unconverged is still scored, with a logged warning.
+    The record holds the design's wall-clock time.  A design that stopped
+    unconverged is still scored, with a logged warning.
     """
     sre = dataset.train_sre()
-    start = time.perf_counter() if timing else 0.0
+    start = time.perf_counter()
     result = design_for_method(method, params, dataset.psi, phi0, lam, sre=sre)
-    elapsed_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
+    elapsed_ms = (time.perf_counter() - start) * 1e3
     if not result.converged:
         logger.warning("design %s at %s=%s seed %d did not converge (%s); scoring it anyway",
                        method, param_name, param_value, seed, result.stop_reason)
@@ -313,7 +313,6 @@ def run_lambda_sweep(
     lambda_grid: Sequence[float],
     seed,
     methods: Sequence[str] = SWEEP_METHODS["lambda"],
-    timing: bool = False,
 ) -> list[ExperimentRecord]:
     """Reconstruction error of the training-free designs across lambdas.
 
@@ -327,15 +326,11 @@ def run_lambda_sweep(
         dataset = make_dataset(params, s)
         phi0 = random_projection(params.m, params.n, derive_seed(s, "phi0"))
         records.extend(
-            _design_and_score(method, params, dataset, phi0, lam, "lambda", lam, s, timing)
+            _design_and_score(method, params, dataset, phi0, lam, "lambda", lam, s)
             for lam in lambda_grid
             for method in methods
         )
     return records
-
-
-#: default candidates for the per-setting trade-off search, log-spaced in (0, 1]
-LAMBDA_SEARCH_GRID = (0.003, 0.01, 0.03, 0.1, 0.3, 1.0)
 
 
 def run_snr_sweep(
@@ -343,8 +338,7 @@ def run_snr_sweep(
     snr_grid: Sequence[float],
     methods: Sequence[str],
     seed,
-    lambda_grid: Sequence[float] | None = LAMBDA_SEARCH_GRID,
-    timing: bool = False,
+    lambda_grid: Sequence[float] | None = None,
     pair_lambdas: bool = False,
 ) -> list[ExperimentRecord]:
     """Reconstruction error of several CS systems across noise levels.
@@ -358,36 +352,31 @@ def run_snr_sweep(
     start, and the SRE-regularized designs see only the training half
     of the noise.
 
-    Each designed method picks its trade-off weight from `lambda_grid`
-    (values on the method's own scale), keeping the candidate whose
-    seed-averaged test error is lowest at that condition: one weight
-    per (method, condition), not per seed.  The choice is made after
-    every seed has run, from the records kept by grid, method and
-    candidate position.  Pass ``lambda_grid=None`` to skip the search
-    and use ``params.lam`` everywhere.
+    Every method runs at ``params.lam`` unless `lambda_grid` names
+    candidates: then each designed method keeps, per condition, the
+    records of the candidate (on the method's own scale) with the
+    lowest seed-averaged test error, the first one on a tie, chosen
+    once every seed has run.
 
-    With ``pair_lambdas=True`` no search happens at all: at each
-    condition both families run at one matched effective strength
-    ``w = min(1, params.lam * sigma^2 * P)``, with the SRE designs at
-    the native weight ``w / (sigma^2 * P)`` and the training-free
-    designs at ``w`` itself, which the projected-noise law makes
-    equivalent in expectation.  Matched strength is the sharpest way to compare the
-    families: the paired designs differ only by the sampling
+    ``pair_lambdas=True``, which takes no `lambda_grid`, runs both
+    families at each condition at one matched effective strength
+    ``w = min(1, params.lam * sigma^2 * P)``: the SRE designs at the
+    native weight ``w / (sigma^2 * P)``, the training-free ones at
+    ``w``, which the projected-noise law makes equivalent in
+    expectation.  The paired designs then differ only by the sampling
     fluctuation of the training residuals, so their error ratio is not
-    drowned by selection noise.  The cap at 1 keeps the weight inside
+    drowned by selection noise; the cap at 1 keeps the weight inside
     the recommended (0, 1] range when the noise is strong.
     """
     _check_method(*methods)
     points = [replace(params, snr_db=float(snr)) for snr in snr_grid]  # checks each SNR
+    if lambda_grid is not None and pair_lambdas:
+        raise ValueError("pair_lambdas sets every weight itself; it takes no lambda_grid")
     if lambda_grid is not None and len(lambda_grid) == 0:
         raise ValueError("lambda_grid must not be empty; pass None to skip the search")
-    lambda_grid = None if lambda_grid is None else tuple(check_lam(lam) for lam in lambda_grid)
+    weights = (params.lam,) if lambda_grid is None else [check_lam(lam) for lam in lambda_grid]
     seeds = _seed_list(seed)
-    candidates = [
-        (params.lam,) if method == "randn" or pair_lambdas or lambda_grid is None
-        else lambda_grid
-        for method in methods
-    ]
+    candidates = [(params.lam,) if method == "randn" else weights for method in methods]
     # (grid index, method index, candidate index) -> one record per seed, in seed order
     rows: dict[tuple[int, int, int], list[ExperimentRecord]] = {}
     for s in seeds:
@@ -400,16 +389,13 @@ def run_snr_sweep(
             for j, method in enumerate(methods):
                 for c, lam in enumerate(candidates[j]):
                     run_lam = float(lam)
-                    if pair_lambdas and method != "randn" and scale > 0:
+                    if pair_lambdas and scale > 0:
                         # at scale 0 (noiseless) the SRE is zero, so its weight changes nothing
                         run_lam = min(1.0, run_lam * scale)
                         if method in SRE_METHODS:
                             run_lam /= scale
-                    rows.setdefault((i, j, c), []).append(
-                        _design_and_score(
-                            method, point_params, dataset, phi0, run_lam, "snr", snr, s, timing
-                        )
-                    )
+                    rows.setdefault((i, j, c), []).append(_design_and_score(
+                        method, point_params, dataset, phi0, run_lam, "snr", snr, s))
             del dataset  # freed before the next point's is drawn
     records: list[ExperimentRecord] = []
     for i, snr in enumerate(snr_grid):
@@ -429,7 +415,6 @@ def run_dimension_sweeps(
     grid: Sequence[float],
     seed,
     methods: Sequence[str] | None = None,
-    timing: bool = False,
 ) -> list[ExperimentRecord]:
     """Sweep one of the size parameters M, K, or L, holding the rest fixed.
 
@@ -464,17 +449,24 @@ def run_dimension_sweeps(
             phi0 = random_projection(point_params.m, point_params.n,
                                      derive_seed(point_seed, "phi0"))
             records.extend(
-                _design_and_score(
-                    method, point_params, dataset, phi0, point_params.lam, axis, value, s, timing
-                )
+                _design_and_score(method, point_params, dataset, phi0, point_params.lam, axis,
+                                  value, s)
                 for method in methods
             )
     return records
 
 
-def write_records_csv(records: Iterable[ExperimentRecord], path: str | os.PathLike) -> None:
-    """Write experiment records under the fixed schema header."""
+def write_records_csv(
+    records: Iterable[ExperimentRecord], path: str | os.PathLike, timing: bool = False
+) -> None:
+    """Write experiment records under the fixed schema header.
+
+    ``wall_time_ms`` is written as 0 unless `timing`, so reruns with the
+    same plan and seeds write the same bytes.
+    """
     header = RECORDS_HEADER.split(",")
+    if not timing:
+        records = (replace(record, wall_time_ms=0.0) for record in records)
     write_csv(path, header, ([getattr(record, name) for name in header] for record in records))
 
 

@@ -10,8 +10,8 @@ import pytest
 import csdesign
 from csdesign.cli import CliError, _parse_grid, main
 from csdesign.coherence import welch_bound
-from csdesign.experiments import (ExperimentParams, run_dimension_sweeps, run_snr_sweep,
-                                  write_records_csv)
+from csdesign.experiments import (SWEEP_METHODS, ExperimentParams, run_dimension_sweeps,
+                                  run_lambda_sweep, run_snr_sweep, write_records_csv)
 from csdesign.matio import read_keyvalues, read_matrix_csv, write_matrix_csv
 from csdesign.synth import gen_dictionary
 
@@ -534,6 +534,42 @@ class TestSweepCommand:
         assert run("sweep", "--config", str(out / "manifest.txt"), "--out", str(replay)) == 0
         assert (replay / "records.csv").read_bytes() == lib.read_bytes()
 
+    @pytest.mark.parametrize("axis, grid", [("lambda", [0.1, 0.5]), ("snr", [10.0, 30.0]),
+                                            ("m", [4, 8])])
+    def test_sweep_is_the_library_harness_with_the_same_inputs(self, tmp_path, axis, grid):
+        # the CLI and the library share one rule on every axis, defaults
+        # included: the snr axis runs every method at --lambda, as the harness does
+        params, seeds = ExperimentParams(m=8, n=20, l=30, k=2, p=30), [1, 2]
+        harness = {
+            "lambda": lambda: run_lambda_sweep(params, grid, seeds),
+            "snr": lambda: run_snr_sweep(params, grid, SWEEP_METHODS["snr"], seeds),
+            "m": lambda: run_dimension_sweeps(params, "m", grid, seeds),
+        }[axis]
+        out, lib = tmp_path / "cli", tmp_path / "lib.csv"
+        assert run("sweep", "--axis", axis, "--grid", ",".join(map(str, grid)), "--seeds", "1,2",
+                   "--m", "8", "--n", "20", "--l", "30", "--k", "2", "--p", "30",
+                   "--out", str(out)) == 0
+        write_records_csv(harness(), lib)
+        assert (out / "records.csv").read_bytes() == lib.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--axis", "lambda", "--grid", "0:1e-300:1e300"),
+            ("--axis", "lambda", "--grid", "-1e308:1:1e308"),
+            ("--axis", "snr", "--grid", "5", "--lambda-grid", "0:1e-300:1e300"),
+        ],
+        ids=["tiny-step", "huge-span", "lambda-grid"],
+    )
+    def test_grid_whose_step_count_is_not_finite_usage_error(self, tmp_path, capsys, designs,
+                                                             flags):
+        out = tmp_path / "x"
+        assert run("sweep", *flags, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"csdesign sweep: grid {flags[-1]!r} has too many points\n"
+        assert not out.exists()
+        assert designs == []
+
     def test_snr_sweep_lambda_grid_matches_library(self, tmp_path):
         out, lib = tmp_path / "cli", tmp_path / "lib.csv"
         assert run("sweep", "--axis", "snr", "--grid", "10,20", "--methods", "randn,mt",
@@ -650,6 +686,28 @@ class TestConfigFile:
         assert capsys.readouterr().err == ("csdesign sweep: timing expects true or false, "
                                            "got 'maybe'\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (TINY_SWEEP, "lamda"),
+            (TINY_SWEEP, "config"),
+            (("design", "--synth", "20,30", "--m", "4", "--method", "randn"), "lam"),
+            (("lemma1", "--random", "4,6", "--p", "100"), "sigm"),
+        ],
+        ids=["sweep-misspelled", "sweep-config", "design-prefix", "lemma1-misspelled"],
+    )
+    def test_key_that_names_no_parameter_is_usage_error(self, tmp_path, capsys, designs,
+                                                        argv, key):
+        # a misspelled key would leave the parameter it meant at its default
+        config = tmp_path / "config.txt"
+        config.write_text(f"{key}=0.9\n")
+        out = tmp_path / "x"
+        assert run(*argv, "--config", str(config), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (f"csdesign {argv[0]}: config key {key!r} names no "
+                                           f"{argv[0]} parameter\n")
+        assert not out.exists()
+        assert designs == []
 
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         missing = tmp_path / "absent-config.txt"

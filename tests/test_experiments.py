@@ -118,9 +118,12 @@ def test_every_harness_rejects_an_empty_seed_list(harness):
         (lambda: run_lambda_sweep(SMALL, [0.3], 1, methods=("mt", "qr")), "unknown method 'qr'"),
         (lambda: run_dimension_sweeps(SMALL, "m", [6], 1, methods=("mt", "qr")),
          "unknown method 'qr'"),
+        (lambda: run_snr_sweep(SMALL, [10.0], ("mt",), 1, lambda_grid=(0.1,), pair_lambdas=True),
+         "pair_lambdas sets every weight itself; it takes no lambda_grid"),
     ],
     ids=["lambda-k-above-m", "snr-nan-point", "lambda-negative-point",
-         "snr-nan-candidate", "lambda-unknown-method", "dimension-unknown-method"],
+         "snr-nan-candidate", "lambda-unknown-method", "dimension-unknown-method",
+         "snr-paired-with-grid"],
 )
 def test_every_harness_checks_its_inputs_before_the_first_design(designs, harness, message):
     with pytest.raises(ValueError, match=message):
@@ -420,6 +423,30 @@ class TestRunSnrSweep:
         paired = run_snr_sweep(SMALL, [math.inf], ("mt", "lh"), [1], pair_lambdas=True)
         assert paired == run_snr_sweep(SMALL, [math.inf], ("mt", "lh"), [1], lambda_grid=None)
 
+    def test_search_keeps_the_candidate_with_the_lowest_mean_error(self, tmp_path):
+        # each (method, SNR) keeps the records of its candidate with the
+        # lowest seed-averaged rho_mse, the first one on a tie: the records
+        # that a run at that one candidate gives
+        snrs, methods, seeds, grid = [10.0, 30.0], ("randn", "mt", "lh"), [1, 2], (0.03, 0.3)
+        cells = {}
+        for lam in grid:
+            for rec in run_snr_sweep(SMALL, snrs, methods, seeds, lambda_grid=(lam,)):
+                cells.setdefault((rec.param_value, rec.method), {}).setdefault(lam, []).append(rec)
+        expected, winners = [], set()
+        for by_lam in cells.values():  # in sweep order: SNR, then method
+            means = [np.mean([rec.rho_mse for rec in by_lam[lam]]) for lam in grid]
+            winner = grid[means.index(min(means))]
+            winners.add(winner)
+            expected += by_lam[winner]
+        assert winners == set(grid)  # both candidates win somewhere, so the choice is tested
+        paths = [tmp_path / f"{name}.csv" for name in ("searched", "again", "expected")]
+        for path in paths[:2]:
+            searched = run_snr_sweep(SMALL, snrs, methods, seeds, lambda_grid=grid)
+            assert searched == expected
+            write_records_csv(searched, path)
+        write_records_csv(expected, paths[2])
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
     def test_noiseless_control_exact_recovery_regime(self):
         # with k inside the coherence bound and essentially no noise, the
         # designed system reconstructs to numerical precision
@@ -500,6 +527,16 @@ class TestRecordsCsv:
             "phi_energy,proj_noise_energy,wall_time_ms"
         )
 
-    def test_timing_column_populated_on_request(self):
-        recs = run_lambda_sweep(SMALL, [0.3], 6, methods=("mt",), timing=True)
+    def test_timing_column_populated_on_request(self, tmp_path):
+        recs = run_lambda_sweep(SMALL, [0.3], 6, methods=("mt",))
+        write_records_csv(recs, tmp_path / "records.csv", timing=True)
+        assert float((tmp_path / "records.csv").read_text().splitlines()[1].split(",")[-1]) > 0.0
+
+    def test_design_time_is_a_measurement_not_a_result(self, tmp_path):
+        # each record holds its design time, which equality ignores and the
+        # writer leaves at 0 unless asked, so equal runs write equal bytes
+        recs = run_lambda_sweep(SMALL, [0.3], 6, methods=("mt",))
         assert recs[0].wall_time_ms > 0.0
+        assert recs == [replace(recs[0], wall_time_ms=0.0)]
+        write_records_csv(recs, tmp_path / "records.csv")
+        assert (tmp_path / "records.csv").read_text().splitlines()[1].endswith(",0")
