@@ -14,11 +14,12 @@ records; the table alone drives the flags (read by :func:`_parse`), the
 help, the config keys, the defaults, the typed conversion, the
 required-parameter check and the manifest.
 
-Exit codes: 0 success, 2 usage error (one stderr line, and no directory
-made; a value the library rejects with ``ValueError`` is one), 3 I/O
-error (an ``--out`` whose nearest existing ancestor is not a directory
-is one, found before any work), 4 design did not converge (artifacts
-are still written).  Every matrix read from a CSV is held to
+Exit codes: 0 success, 2 usage error (any ``ValueError``, here or in the
+library: one stderr line, and no directory made), 3 I/O error (any
+``OSError``; an ``--out`` under a file is one, found before any work),
+4 design did not converge (artifacts are still written).  A colon grid
+of :data:`MAX_GRID_POINTS` steps or more is refused before it is made.
+Every matrix read from a CSV is held to
 :func:`~csdesign.matio.check_matrix` as it is read.
 """
 
@@ -34,8 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-# welch_bound is not called here; it stays bound in this namespace
-# because perfbench's traced run wraps it by name
+# welch_bound, gen_sparse_codes and gen_signals are not called here; they stay
+# bound in this namespace because perfbench's traced run wraps them by name
 from .coherence import welch_bound
 from .experiments import (
     METHODS,
@@ -45,6 +46,7 @@ from .experiments import (
     _check_method,
     design_for_method,
     evaluate_system,
+    make_dataset,
     run_dimension_sweeps,
     run_lambda_sweep,
     run_snr_sweep,
@@ -61,14 +63,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NOT_CONVERGED = 4
-
-
-class CliError(Exception):
-    """Error with a CLI exit code and a one-line diagnostic."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+#: a colon grid's step count must be below this, checked before any point is made
+MAX_GRID_POINTS = 2_000_000
 
 
 def _read_matrix(values: dict, key: str, **shape) -> np.ndarray:
@@ -76,7 +72,7 @@ def _read_matrix(values: dict, key: str, **shape) -> np.ndarray:
     try:
         matrix = read_matrix_csv(values[key])
     except ValueError as exc:
-        raise CliError(EXIT_IO, str(exc)) from exc
+        raise OSError(str(exc)) from exc
     return check_matrix(matrix, f"--{key}", **shape)
 
 
@@ -86,20 +82,20 @@ def _parse_grid(text: str, name: str = "grid") -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise CliError(EXIT_USAGE, f"malformed grid {text!r}: expected a:step:b")
+            raise ValueError(f"malformed grid {text!r}: expected a:step:b")
         a, step, b = (number(p) for p in parts)
         if not all(math.isfinite(v) for v in (a, step, b)):
-            raise CliError(EXIT_USAGE, f"grid start, step and end must be finite in {text!r}")
+            raise ValueError(f"grid start, step and end must be finite in {text!r}")
         if step <= 0:
-            raise CliError(EXIT_USAGE, f"grid step must be positive in {text!r}")
+            raise ValueError(f"grid step must be positive in {text!r}")
         if b < a:
-            raise CliError(EXIT_USAGE, f"grid end precedes start in {text!r}")
-        raw = (b - a) / step
-        if not math.isfinite(raw):
-            raise CliError(EXIT_USAGE, f"grid {text!r} has too many points")
+            raise ValueError(f"grid end precedes start in {text!r}")
+        raw = (b - a) / step  # the step count; inf when b - a overflows
+        if not raw < MAX_GRID_POINTS:  # before any point is made
+            raise ValueError(f"grid {text!r} has too many points")
         count = round(raw)
         if abs(a + count * step - b) <= 1e-9 * max(1.0, abs(b)):  # b is a grid point
-            return list(np.linspace(a, b, count + 1)) if count > 0 else [a]
+            return list(np.linspace(a, b, count + 1))
         return [a + i * step for i in range(math.floor(raw) + 1)]
     return [number(token) for token in text.split(",")]
 
@@ -107,7 +103,7 @@ def _parse_grid(text: str, name: str = "grid") -> list[float]:
 def _parse_int_pair(text: str, name: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise CliError(EXIT_USAGE, f"--{name} expects two comma-separated integers, got {text!r}")
+        raise ValueError(f"--{name} expects two comma-separated integers, got {text!r}")
     return tuple(Param(name, int).convert(part) for part in parts)
 
 
@@ -136,13 +132,13 @@ class Param:
         if self.type is bool:
             text = str(value).lower()
             if text not in ("1", "true", "yes", "0", "false", "no"):
-                raise CliError(EXIT_USAGE, f"{self.name} expects true or false, got {value!r}")
+                raise ValueError(f"{self.name} expects true or false, got {value!r}")
             return text in ("1", "true", "yes")
         try:
             return self.type(value)
         except ValueError:
             expects = "an integer" if self.type is int else "a number"
-            raise CliError(EXIT_USAGE, f"{self.name} expects {expects}, got {value!r}") from None
+            raise ValueError(f"{self.name} expects {expects}, got {value!r}") from None
 
 
 def _resolve(command: str, given: dict, params: tuple[Param, ...]) -> dict:
@@ -152,19 +148,19 @@ def _resolve(command: str, given: dict, params: tuple[Param, ...]) -> dict:
         try:
             config = read_keyvalues(given["config"])
         except ValueError as exc:
-            raise CliError(EXIT_IO, str(exc))
+            raise OSError(str(exc)) from exc
         if config.get("command", command) != command:
-            raise CliError(EXIT_USAGE, f"config was written by command "
-                                       f"{config['command']!r}, not {command!r}")
+            raise ValueError(f"config was written by command {config['command']!r}, "
+                             f"not {command!r}")
         unknown = sorted(config.keys() - {param.name for param in params} - set(_MANIFEST_KEYS))
         if unknown:  # a misspelled key would otherwise leave its parameter at its default
-            raise CliError(EXIT_USAGE, f"config key {unknown[0]!r} names no {command} parameter")
+            raise ValueError(f"config key {unknown[0]!r} names no {command} parameter")
     values = {}
     for param in params:
         # a flag given, even empty, wins; an empty config value means "not set"
         value = given.get(param.name, config.get(param.name) or param.default)
         if value is None and param.required:
-            raise CliError(EXIT_USAGE, f"missing required parameter {param.flag}")
+            raise ValueError(f"missing required parameter {param.flag}")
         values[param.name] = None if value is None else param.convert(value)
     return values
 
@@ -172,11 +168,11 @@ def _resolve(command: str, given: dict, params: tuple[Param, ...]) -> dict:
 def _matrix_input(values: dict, path: str, shape: str, draw, dims: str) -> np.ndarray:
     """The matrix read from the CSV at ``--<path>``, or drawn by `draw` from ``--<shape>``."""
     if values[path] is not None and values[shape] is not None:
-        raise CliError(EXIT_USAGE, f"give either --{path} or --{shape}, not both")
+        raise ValueError(f"give either --{path} or --{shape}, not both")
     if values[path] is not None:
         return _read_matrix(values, path)
     if values[shape] is None:
-        raise CliError(EXIT_USAGE, f"a matrix is required: --{path} <path> or --{shape} {dims}")
+        raise ValueError(f"a matrix is required: --{path} <path> or --{shape} {dims}")
     return draw(*_parse_int_pair(values[shape], shape), values["seed"])
 
 
@@ -235,8 +231,8 @@ def cmd_design(values: dict) -> int:
     _check_method(method)
     sre_path = values["sre"]
     if (sre_path is None) == (method in SRE_METHODS):  # lh methods need it; no other reads it
-        raise CliError(EXIT_USAGE, f"method {method!r} requires --sre <path>" if sre_path is None
-                       else f"--sre applies to {', '.join(SRE_METHODS)} only, not {method!r}")
+        raise ValueError(f"method {method!r} requires --sre <path>" if sre_path is None
+                         else f"--sre applies to {', '.join(SRE_METHODS)} only, not {method!r}")
     psi = _matrix_input(values, "dict", "synth", gen_dictionary, "N,L")
     n, l = psi.shape
     params = ExperimentParams(m=m, n=n, l=l, k=1, lam=values["lambda"],  # a design has no K
@@ -279,10 +275,9 @@ def cmd_eval(values: dict) -> int:
     psi = _read_matrix(values, "dict", rows=phi.shape[1])
     snr, p, k, seed = values["snr"], values["p"], values["k"], values["seed"]
     (m, n), l = phi.shape, psi.shape[1]
-    ExperimentParams(m=m, n=n, l=l, k=k, p=p, snr_db=snr)  # checks the shape and each value
+    params = ExperimentParams(m=m, n=n, l=l, k=k, p=p, snr_db=snr)  # checks shape and values
 
-    theta = gen_sparse_codes(l, k, 2 * p, seed)
-    dataset = gen_signals(psi, theta, snr, seed)
+    dataset = make_dataset(params, seed, psi=psi)
     record = evaluate_system(
         phi, dataset, k, method=values["tag"], param_name="snr", param_value=snr, seed=seed
     )
@@ -315,9 +310,9 @@ SWEEP_PARAMS = (
 def cmd_sweep(values: dict) -> int:
     axis = values["axis"] = values["axis"].lower()
     if axis not in SWEEP_METHODS:
-        raise CliError(EXIT_USAGE, f"unknown sweep axis {axis!r}")
+        raise ValueError(f"unknown sweep axis {axis!r}")
     if values["lambda_grid"] is not None and axis != "snr":
-        raise CliError(EXIT_USAGE, f"--lambda-grid applies to the snr axis only, not {axis!r}")
+        raise ValueError(f"--lambda-grid applies to the snr axis only, not {axis!r}")
     grid = _parse_grid(values["grid"])
     seeds = [Param("seeds", int).convert(tok) for tok in values["seeds"].split(",")]
     if values["methods"] is None:
@@ -393,7 +388,7 @@ def _parse(command: str | None, tokens: list[str]) -> dict:
     """
     if command is None and not (tokens and tokens[0].startswith("-")):
         got = repr(tokens[0]) if tokens else "none"
-        raise CliError(EXIT_USAGE, f"expected a command ({', '.join(COMMANDS)}), got {got}")
+        raise ValueError(f"expected a command ({', '.join(COMMANDS)}), got {got}")
     flags = {p.flag: p for p in ((_CONFIG, *COMMANDS[command][1]) if command else (_VERSION,))}
     given, tokens = {}, list(tokens)
     while tokens:
@@ -403,12 +398,12 @@ def _parse(command: str | None, tokens: list[str]) -> dict:
         flag, equals, value = token.partition("=")
         param = flags.get(flag)
         if param is None:
-            raise CliError(EXIT_USAGE, f"unknown argument {token!r}")
+            raise ValueError(f"unknown argument {token!r}")
         if param.type is bool and equals:
-            raise CliError(EXIT_USAGE, f"{flag} takes no value, got {token!r}")
+            raise ValueError(f"{flag} takes no value, got {token!r}")
         if param.type is not bool and not equals:
             if not tokens or tokens[0].startswith("--"):
-                raise CliError(EXIT_USAGE, f"{flag} expects a value")
+                raise ValueError(f"{flag} expects a value")
             value = tokens.pop(0)
         given[param.name] = True if param.type is bool else value
     return given
@@ -445,12 +440,13 @@ def main(argv=None) -> int:
             out = Path(values["out"]).absolute()
             ancestor = next(path for path in (out, *out.parents) if path.exists())
             if not ancestor.is_dir():
-                raise CliError(EXIT_IO, f"cannot make --out {out}: {ancestor} is not a directory")
+                raise OSError(f"cannot make --out {out}: {ancestor} is not a directory")
         return handler(values)
-    # a ValueError is a value the library rejects; an OSError's message names the path
-    except (CliError, ValueError, OSError) as exc:
+    # the exit code follows the type: a ValueError is a value refused, here or by the
+    # library (usage); an OSError is a file that cannot be read, parsed or made (I/O)
+    except (ValueError, OSError) as exc:
         print(f"csdesign{'' if command is None else ' ' + command}: {exc}", file=sys.stderr)
-        return getattr(exc, "code", EXIT_IO if isinstance(exc, OSError) else EXIT_USAGE)
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -143,7 +143,9 @@ class DesignResult:
 
     ``stop_reason`` is ``converged`` when the design met the gradient
     tolerance: its CG solve, or every exact round of an ``-etf`` design
-    at that round's target.  Otherwise it says why not: for the CG solve
+    at that round's own target: it does not say that the alternation
+    reached its fixed point (a 50th round can still lower f by 1e-3
+    relative).  Otherwise it says why not: for the CG solve
     ``line-search stall`` (no step passed the line search) or
     ``iteration cap`` (``max_cg_iterations`` ran out); for an exact round
     ``rounding`` (the exact minimiser, as computed, leaves a larger

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import csdesign
-from csdesign.cli import CliError, _parse_grid, main
+from csdesign.cli import MAX_GRID_POINTS, _parse_grid, main
 from csdesign.coherence import welch_bound
 from csdesign.experiments import (SWEEP_METHODS, ExperimentParams, run_dimension_sweeps,
                                   run_lambda_sweep, run_snr_sweep, write_records_csv)
@@ -51,23 +52,25 @@ class TestGridParsing:
         assert _parse_grid("0:0.05:1") == list(np.linspace(0, 1, 21))
         assert _parse_grid("-5:5:15") == [-5.0, 0.0, 5.0, 10.0, 15.0]
 
-    def test_malformed_token_named(self):
-        with pytest.raises(CliError) as err:
+    @staticmethod
+    def assert_usage_error(err, text, capsys, tmp_path):
+        # a ValueError, not an OSError, so main exits 2 on the same grid
+        assert isinstance(err.value, ValueError) and not isinstance(err.value, OSError)
+        assert run("sweep", "--axis", "lambda", "--grid", text,
+                   "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == f"csdesign sweep: {err.value}\n"
+
+    def test_malformed_token_named(self, capsys, tmp_path):
+        with pytest.raises(ValueError) as err:
             _parse_grid("0,abc,1")
         assert "abc" in str(err.value)
-        assert err.value.code == 2
+        self.assert_usage_error(err, "0,abc,1", capsys, tmp_path)
 
-    def test_malformed_range(self):
-        with pytest.raises(CliError):
-            _parse_grid("0:0.1")
-        with pytest.raises(CliError):
-            _parse_grid("1:0:2")
-        with pytest.raises(CliError):
-            _parse_grid("2:0.1:1")
-        for text in ("0:nan:1", "0:0.1:inf"):
-            with pytest.raises(CliError) as err:
+    def test_malformed_range(self, capsys, tmp_path):
+        for text in ("0:0.1", "1:0:2", "2:0.1:1", "0:nan:1", "0:0.1:inf"):
+            with pytest.raises(ValueError) as err:
                 _parse_grid(text)
-            assert err.value.code == 2
+            self.assert_usage_error(err, text, capsys, tmp_path)
             assert text in str(err.value)
 
 
@@ -308,7 +311,7 @@ class TestEvalCommand:
         def must_not_run(*args, **kwargs):
             raise AssertionError("a dataset was drawn before the values were checked")
 
-        monkeypatch.setattr(cli_mod, "gen_sparse_codes", must_not_run)
+        monkeypatch.setattr(cli_mod, "make_dataset", must_not_run)
         psi_path = tmp_path / "psi.csv"
         write_matrix_csv(gen_dictionary(20, 30, 5), psi_path)
         phi_path = tmp_path / "phi.csv"
@@ -558,13 +561,20 @@ class TestSweepCommand:
             ("--axis", "lambda", "--grid", "0:1e-300:1e300"),
             ("--axis", "lambda", "--grid", "-1e308:1:1e308"),
             ("--axis", "snr", "--grid", "5", "--lambda-grid", "0:1e-300:1e300"),
+            # finite step counts: 1e9 points would take 8 GB, were they made
+            ("--axis", "lambda", "--grid", "0:1e-9:1"),
+            ("--axis", "lambda", "--grid", "0:1e-300:1"),
+            ("--axis", "lambda", "--grid", "0:3e-300:1"),
+            ("--axis", "lambda", "--grid", f"0:1:{MAX_GRID_POINTS}"),
         ],
-        ids=["tiny-step", "huge-span", "lambda-grid"],
+        ids=["tiny-step", "huge-span", "lambda-grid", "1e9-steps", "1e300-steps",
+             "3e299-steps", "at-the-bound"],
     )
-    def test_grid_whose_step_count_is_not_finite_usage_error(self, tmp_path, capsys, designs,
-                                                             flags):
+    def test_grid_with_too_many_points_usage_error(self, tmp_path, capsys, designs, flags):
         out = tmp_path / "x"
+        start = time.perf_counter()
         assert run("sweep", *flags, "--out", str(out)) == 2
+        assert time.perf_counter() - start < 1.0  # refused before any point is made
         err = capsys.readouterr().err
         assert err == f"csdesign sweep: grid {flags[-1]!r} has too many points\n"
         assert not out.exists()
