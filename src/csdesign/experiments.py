@@ -3,13 +3,14 @@
 Each harness runs the full pipeline on synthetic data and emits flat
 :class:`ExperimentRecord` rows with a fixed CSV schema, so sweeps are
 comparable across runs and reruns with the same plan and seeds are
-byte-identical.  Each sweep record holds its design's time, which record
-equality ignores and :func:`write_records_csv` writes only on request.
+byte-identical.  Each sweep record holds the time spent getting its
+design, which record equality ignores and :func:`write_records_csv`
+writes only on request.
 
-Within one sweep point all methods share the same dataset and the same
-random starting matrix, which is also the matrix evaluated as the
+All methods at one sweep point share its dataset and random start, the
 ``randn`` baseline.  SRE-regularized designs see only the training half
-of the noise; scoring uses only the test half.
+of the noise; scoring uses only the test half.  A training-free design
+reads no data, so an SNR sweep makes it once per seed and weight.
 """
 
 from __future__ import annotations
@@ -268,15 +269,21 @@ def _seed_list(seed) -> tuple[int, ...]:
     return seeds
 
 
-def _design_and_score(method, params, dataset, phi0, lam, param_name, param_value, seed):
+def _design_and_score(method, params, dataset, phi0, lam, param_name, param_value, seed,
+                      designs=None):
     """Design `method` on the training half of `dataset`, score it on the test half.
 
-    The record holds the design's wall-clock time.  A design that stopped
-    unconverged is still scored, with a logged warning.
+    `designs`, when given, keeps each training-free design by ``(method,
+    lam)`` for later points that differ only in the SNR, which it never
+    reads.  The record holds the time spent getting its design, a lookup
+    for a kept one.  An unconverged design is still scored, with a warning.
     """
-    sre = dataset.train_sre()
     start = time.perf_counter()
-    result = design_for_method(method, params, dataset.psi, phi0, lam, sre=sre)
+    result = None if designs is None else designs.get((method, lam))
+    if result is None:
+        result = design_for_method(method, params, dataset.psi, phi0, lam, sre=dataset.train_sre())
+        if designs is not None and method not in SRE_METHODS:
+            designs[method, lam] = result
     elapsed_ms = (time.perf_counter() - start) * 1e3
     if not result.converged:
         logger.warning("design %s at %s=%s seed %d did not converge (%s); scoring it anyway",
@@ -348,9 +355,10 @@ def run_snr_sweep(
     matrix are drawn once per seed, so a seed's designs share one
     factorisation of the dictionary; every (snr, seed) condition
     redraws the codes and the noise, and only one dataset is held at a
-    time.  All methods at one condition share the dataset and the
-    start, and the SRE-regularized designs see only the training half
-    of the noise.
+    time.  A training-free design reads no data, so it is made once per
+    seed and weight and scored at every condition; its later records'
+    ``wall_time_ms`` is the lookup.  The SRE-regularized designs, made
+    at each condition, see only its training half of the noise.
 
     Every method runs at ``params.lam`` unless `lambda_grid` names
     candidates: then each designed method keeps, per condition, the
@@ -382,6 +390,7 @@ def run_snr_sweep(
     for s in seeds:
         psi = gen_dictionary(params.n, params.l, s)
         phi0 = random_projection(params.m, params.n, derive_seed(s, "phi0"))
+        designs: dict[tuple[str, float], DesignResult] = {}  # the seed's training-free designs
         for i, (snr, point_params) in enumerate(zip(snr_grid, points)):
             point_seed = derive_seed(s, f"snr={render_value(float(snr))}")
             dataset = make_dataset(point_params, point_seed, psi=psi)
@@ -395,7 +404,7 @@ def run_snr_sweep(
                         if method in SRE_METHODS:
                             run_lam /= scale
                     rows.setdefault((i, j, c), []).append(_design_and_score(
-                        method, point_params, dataset, phi0, run_lam, "snr", snr, s))
+                        method, point_params, dataset, phi0, run_lam, "snr", snr, s, designs))
             del dataset  # freed before the next point's is drawn
     records: list[ExperimentRecord] = []
     for i, snr in enumerate(snr_grid):

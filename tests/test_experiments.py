@@ -457,6 +457,86 @@ class TestRunSnrSweep:
         assert recs[0].rho_mse <= 1e-6
 
 
+class TestSnrSweepReusesTrainingFreeDesigns:
+    """A training-free design reads no data, so an SNR sweep makes it once
+    per seed and weight and scores it at every SNR of that seed."""
+
+    PARAMS = replace(SMALL, outer_iters=3)
+    SNRS = [5.0, 15.0, 25.0]
+    METHODS = ("randn", "mt", "mt-etf", "lh")
+
+    @staticmethod
+    def _point(params, snr, seed):
+        """The dictionary, start and dataset that the sweep uses at (snr, seed)."""
+        from csdesign.matio import render_value
+        from csdesign.streams import derive_seed
+        from csdesign.synth import gen_dictionary
+
+        psi = gen_dictionary(params.n, params.l, seed)
+        phi0 = random_projection(params.m, params.n, derive_seed(seed, "phi0"))
+        point_seed = derive_seed(seed, f"snr={render_value(snr)}")
+        return psi, phi0, make_dataset(replace(params, snr_db=snr), point_seed, psi=psi)
+
+    def test_each_training_free_design_is_made_once_per_seed(self, designs):
+        run_snr_sweep(self.PARAMS, self.SNRS, self.METHODS, [1, 2])
+        assert collections.Counter(designs) == {"randn": 2, "mt": 2, "mt-etf": 2, "lh": 6}
+
+    def test_records_match_a_fresh_design_at_each_point(self, tmp_path):
+        # as test_lh_uses_training_half_only builds one: design at the
+        # record's own point from scratch, then score it there
+        recs = run_snr_sweep(self.PARAMS, self.SNRS, self.METHODS, [1, 2])
+        fresh = []
+        for rec in recs:
+            point_params = replace(self.PARAMS, snr_db=rec.param_value)
+            psi, phi0, ds = self._point(self.PARAMS, rec.param_value, rec.seed)
+            result = design_for_method(rec.method, point_params, psi, phi0, self.PARAMS.lam,
+                                       sre=ds.train_sre())
+            fresh.append(evaluate_system(result.phi, ds, self.PARAMS.k, rec.method, "snr",
+                                         rec.param_value, rec.seed))
+        assert {rec.method for rec in recs} == set(self.METHODS)
+        assert recs == fresh
+        write_records_csv(recs, tmp_path / "sweep.csv")
+        write_records_csv(fresh, tmp_path / "fresh.csv")
+        assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+    def test_paired_weights_share_a_design_only_when_equal(self, designs):
+        # at -10 and -5 dB the paired weight is capped at 1, so those two
+        # points share one mt design; 10 and 20 dB each have their own
+        snrs, seeds = [-10.0, -5.0, 10.0, 20.0], [1, 2]
+        recs = run_snr_sweep(SMALL, snrs, ("mt",), seeds, pair_lambdas=True)
+        distinct = 0
+        for s in seeds:
+            scales = [ds.sigma**2 * ds.p for _, _, ds in (self._point(SMALL, snr, s)
+                                                        for snr in snrs)]
+            distinct += len({min(1.0, SMALL.lam * scale) for scale in scales})
+        assert distinct == 2 * 3
+        assert designs.count("mt") == distinct
+        one_at_a_time = [rec for snr in snrs
+                         for rec in run_snr_sweep(SMALL, [snr], ("mt",), seeds, pair_lambdas=True)]
+        assert recs == one_at_a_time
+
+    def test_each_lambda_candidate_is_designed_once_per_seed(self, designs):
+        grid, seeds = (0.03, 0.3, 1.0), [1, 2]
+        recs = run_snr_sweep(SMALL, self.SNRS, ("mt",), seeds, lambda_grid=grid)
+        assert designs.count("mt") == len(seeds) * len(grid)
+        # a sweep of one SNR reuses nothing, and each SNR's choice is its own
+        one_at_a_time = [rec for snr in self.SNRS
+                         for rec in run_snr_sweep(SMALL, [snr], ("mt",), seeds, lambda_grid=grid)]
+        assert recs == one_at_a_time
+
+    def test_a_reused_design_is_timed_as_its_lookup(self):
+        recs = run_snr_sweep(self.PARAMS, self.SNRS, self.METHODS, [1, 2])
+        assert all(rec.wall_time_ms > 0.0 for rec in recs)
+        # the solver's designs take milliseconds, so a lookup is always
+        # faster; randn's copy takes microseconds, too close to compare
+        for method in ("mt", "mt-etf"):
+            for s in (1, 2):
+                first, *reused = [rec.wall_time_ms for rec in recs
+                                  if rec.method == method and rec.seed == s]
+                assert len(reused) == 2
+                assert all(ms < first for ms in reused)
+
+
 class TestRunDimensionSweeps:
     def test_psnr_improves_with_m(self):
         base = ExperimentParams(m=10, n=20, l=30, k=2, p=100, lam=0.3, snr_db=25.0)
