@@ -73,10 +73,7 @@ def normalize_columns(d) -> tuple[np.ndarray, np.ndarray, list[int]]:
     d = check_matrix(d, "d")
     scales = np.linalg.norm(d, axis=0)
     degenerate = [int(j) for j in np.nonzero(scales < DEGENERATE_COL_TOL)[0]]
-    safe = np.where(scales < DEGENERATE_COL_TOL, 1.0, scales)
-    normalized = d / safe
-    if degenerate:
-        normalized[:, degenerate] = 0.0
+    normalized = np.divide(d, scales, out=np.zeros_like(d), where=scales >= DEGENERATE_COL_TOL)
     return normalized, scales, degenerate
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -120,8 +121,11 @@ class ExperimentParams:
         _check_count("p", self.p)
         _check_count("outer_iters", self.outer_iters)
         k, m, n, l = self.k, self.m, self.n, self.l
+        got = f"got K={k} M={m} N={n} L={l}"
+        if not all(hasattr(type(v), "__index__") for v in (k, m, n, l)):
+            raise ValueError(f"K, M, N and L must be integers, {got}")
         if not 1 <= k <= m <= n <= l:
-            raise ValueError(f"need 1 <= K <= M <= N <= L, got K={k} M={m} N={n} L={l}")
+            raise ValueError(f"need 1 <= K <= M <= N <= L, {got}")
 
     def resolved_xi(self) -> float:
         return welch_bound(self.m, self.l) if self.xi is None else float(self.xi)
@@ -261,12 +265,14 @@ def evaluate_system(
 
 
 def _seed_list(seed) -> tuple[int, ...]:
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    seeds = tuple(int(s) for s in seed)
+    """The seeds `seed` names, one integer or an iterable of integers, as ints."""
+    seeds = tuple(seed) if isinstance(seed, Iterable) and not isinstance(seed, str) else (seed,)
     if not seeds:
         raise ValueError("seed must name at least one seed")
-    return seeds
+    for s in seeds:
+        if not hasattr(type(s), "__index__"):
+            raise ValueError(f"a seed must be an integer, got {s!r}")
+    return tuple(operator.index(s) for s in seeds)
 
 
 def _design_and_score(method, params, dataset, phi0, lam, param_name, param_value, seed,

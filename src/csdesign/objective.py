@@ -28,9 +28,9 @@ one evaluation, ``_evaluate``; the objective is a quartic in the step
 along any direction, and ``_step_polynomial`` gives its coefficients
 from ``_evaluate``'s products, so a line search tries steps without
 evaluating the objective again.  After a CG solve's first iterate,
-``_evaluate`` is handed the residual and the SRE factor that the
-accepted step's quartic products give.  These private functions trust
-their caller for `phi`, which the public functions check by
+``_evaluate`` is handed the residual and the SRE factor that
+``_step_polynomial``'s step function gives.  These private functions
+trust their caller for `phi`, which the public functions check by
 :func:`~csdesign.matio.check_matrix`.  No matrix is ever inverted here;
 learned dictionaries can be ill-conditioned enough to make inversion of
 ``Psi @ Psi.T`` unsafe.
@@ -196,10 +196,8 @@ def _gradient(spec: ObjectiveSpec, d, r, reg) -> np.ndarray:
     return g
 
 
-def _step_polynomial(
-    spec: ObjectiveSpec, d, r, reg, direction: np.ndarray
-) -> tuple[tuple[float, float, float, float], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Coefficients of the objective's change along `direction`, and the products behind them.
+def _step_polynomial(spec: ObjectiveSpec, d, r, reg, direction: np.ndarray):
+    """Coefficients of the objective's change along `direction`, and what a step does.
 
     At the point whose :func:`_evaluate` products are ``(d, r, reg)``,
     ``f(phi + t * direction) - f(phi)`` is exactly
@@ -213,10 +211,10 @@ def _step_polynomial(
     * ``a3 = 4<p, q>``
     * ``a4 = |q|^2``
 
-    ``a1`` is the directional derivative.  Returns
-    ``((a1, a2, a3, a4), (p, q, dir_reg))`` with ``dir_reg = direction @ S``,
-    so the regularizer's factor at step t is ``reg + t*dir_reg``; for
-    ``S`` the identity, `dir_reg` is `direction` itself.
+    ``a1`` is the directional derivative.  Returns ``((a1, a2, a3, a4),
+    step)``: ``step(t)`` gives the residual and the regularizer's factor
+    at step t, ``reg + t * direction @ S``, the factor None for ``S``
+    the identity, where it is the stepped `phi` itself.
     """
     b = direction[:, : spec.sigma.size] * spec.sigma
     p = d @ b.T
@@ -227,7 +225,8 @@ def _step_polynomial(
     a2 = (2.0 * vdot(p, p) + 2.0 * vdot(p, p.T) - 2.0 * vdot(r, q)
           + lam * vdot(direction, dir_reg))
     poly = float(a1), float(a2), float(4.0 * vdot(p, q)), float(vdot(q, q))
-    return poly, (p, q, dir_reg)
+    return poly, lambda t: (r - t * (p + p.T) - (t * t) * q,
+                            None if spec.sre_rotated is None else reg + t * dir_reg)
 
 
 def _value_and_gradient(phi: np.ndarray, spec: ObjectiveSpec,

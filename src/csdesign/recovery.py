@@ -23,8 +23,8 @@ times the largest selected atom norm is numerically dependent: this is
 ``np.linalg.lstsq``'s ``rcond=None`` cutoff, read on the triangular
 factor.  It flags the signal ``rank_deficient`` and takes a zero step,
 so the residual stays the projection onto the span of the selected
-atoms.  Full-rank fits take their coefficients from one vectorised
-back-substitution on R.  Flagged fits are rare; each keeps the
+atoms.  Every fit takes its coefficients from one vectorised
+back-substitution on R; a flagged fit, which is rare, then takes the
 minimum-norm answer of one ``np.linalg.lstsq`` call on its subdictionary.
 
 :func:`omp` is a batch of one.  A signal's factorisation and residual
@@ -150,15 +150,12 @@ def _omp_batch(d, y, k: int):
         residual_norm = np.linalg.norm(residual, axis=1)
         running = residual_norm > EARLY_STOP_RESIDUAL
 
-    # full-rank fits: back-substitute R c = Q y; unused steps have R_ii = 1, (Q y)_i = 0
-    coef = np.zeros((p, k))
-    full = ~rank_deficient
-    r_full, c = r[full], qty[full]
+    # back-substitute R c = Q y in place for every signal: a zero step has
+    # R_ii = 1 and (Q y)_i = 0; flagged fits then take lstsq's minimum-norm answer
+    coef = qty
     for i in range(k - 1, -1, -1):
-        c[:, i] -= np.einsum("ak,ak->a", r_full[:, i, i + 1:], c[:, i + 1:])
-        c[:, i] /= r_full[:, i, i]
-    coef[full] = c
-    # flagged fits keep lstsq's minimum-norm answer
+        coef[:, i] -= np.einsum("ak,ak->a", r[:, i, i + 1:], coef[:, i + 1:])
+        coef[:, i] /= r[:, i, i]
     for i in np.flatnonzero(rank_deficient):
         j = n_selected[i]
         coef[i, :j] = np.linalg.lstsq(atoms[support[i, :j]].T, signals[i], rcond=None)[0]

@@ -35,8 +35,8 @@ from the products of the one objective evaluation at the current
 iterate, and the line search tests its trial steps on the quartic.  The
 quartic only evaluates trial steps; it does not choose them.  The
 solve evaluates its first iterate from scratch; every later iterate
-takes its M x M residual and its SRE factor from the accepted step's
-quartic products, so its trace value and gradient carry the rounding of
+takes its M x M residual and its SRE factor from ``_step_polynomial``'s
+step function, so its trace value and gradient carry the rounding of
 the steps.  The solve works on ``phi @ U`` and rotates back.  An
 iterate also takes two dot reductions: ``|g|^2`` and the Polak-Ribiere
 numerator ``|g_new|^2 - <g_new, g>``.  The first direction, and every
@@ -206,32 +206,27 @@ def _armijo(poly) -> tuple[float, float] | None:
     """
     a1, a2, a3, a4 = poly
 
-    def delta(t: float) -> float:
-        return t * (a1 + t * (a2 + t * (a3 + t * a4)))
+    def armijo_change(t: float) -> float | None:
+        """``delta(t)`` if step t passes the Armijo test, else None."""
+        change = t * (a1 + t * (a2 + t * (a3 + t * a4)))
+        passes = math.isfinite(change) and change <= LS_SUFFICIENT_DECREASE * t * a1
+        return change if passes else None
 
     t = LS_INITIAL_STEP
-    accepted = None
     for _ in range(LS_MAX_BACKTRACKS + 1):
-        change = delta(t)
-        if math.isfinite(change) and change <= LS_SUFFICIENT_DECREASE * t * a1:
-            accepted = (t, change)
+        change = armijo_change(t)
+        if change is not None:
             break
         t *= LS_SHRINK
-    if accepted is None:
+    else:
         return None
-    t_acc, change_acc = accepted
-    denom = 2.0 * (change_acc - a1 * t_acc)
+    denom = 2.0 * (change - a1 * t)
     if denom > 0.0:
-        t_ref = -a1 * t_acc * t_acc / denom
-        t_ref = min(max(t_ref, 0.1 * t_acc), 10.0 * t_acc)
-        change_ref = delta(t_ref)
-        if (
-            math.isfinite(change_ref)
-            and change_ref <= LS_SUFFICIENT_DECREASE * t_ref * a1
-            and change_ref < change_acc
-        ):
+        t_ref = min(max(-a1 * t * t / denom, 0.1 * t), 10.0 * t)
+        change_ref = armijo_change(t_ref)
+        if change_ref is not None and change_ref < change:
             return t_ref, change_ref
-    return accepted
+    return t, change
 
 
 def _cg_solve(
@@ -247,22 +242,17 @@ def _cg_solve(
     restarts, carried = 0, ()
     for it in range(cfg.max_cg_iterations + 1):
         if it:
-            poly, (p, q, dir_reg) = _step_polynomial(spec, *products, d)
+            poly, step = _step_polynomial(spec, *products, d)
             if poly[0] >= 0.0:  # not a descent direction: fall back to steepest descent
                 d = -g
-                poly, (p, q, dir_reg) = _step_polynomial(spec, *products, d)
+                poly, step = _step_polynomial(spec, *products, d)
                 restarts += 1
             accepted = _armijo(poly)
             if accepted is None:
                 return phi, "line-search stall", restarts  # below line-search resolution
             t = accepted[0]
             phi += t * d
-            # the step's products give the new iterate's: the residual moves by a
-            # quadratic in t, an SRE factor linearly (mt's factor is phi itself,
-            # which the step has moved)
-            _, r, reg = products
-            carried = (r - t * (p + p.T) - (t * t) * q,
-                       None if spec.sre_rotated is None else reg + t * dir_reg)
+            carried = step(t)  # the new iterate's residual and SRE factor
         f, phi_sq, *products = _evaluate(phi, spec, *carried)
         g_new = _gradient(spec, *products)
         g_dot_new = float(np.vdot(g_new, g_new))

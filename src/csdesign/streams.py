@@ -11,6 +11,7 @@ pairs always reproduce the same stream, on any platform.
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -35,7 +36,7 @@ def stream(seed: int, label: str) -> np.random.Generator:
         Name of the stream, e.g. ``"noise"`` or ``"phi0"``.
     """
     return np.random.Generator(
-        np.random.Philox(key=[int(seed) & _MASK64, _label_key(label)])
+        np.random.Philox(key=[operator.index(seed) & _MASK64, _label_key(label)])
     )
 
 
@@ -45,6 +46,6 @@ def derive_seed(seed: int, label: str) -> int:
     Used by sweep harnesses to give every grid point its own root seed;
     the child is itself expanded into named streams.
     """
-    payload = (int(seed) & _MASK64).to_bytes(8, "little") + label.encode("utf-8")
+    payload = (operator.index(seed) & _MASK64).to_bytes(8, "little") + label.encode("utf-8")
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "little")

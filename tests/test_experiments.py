@@ -37,19 +37,32 @@ DESIGN_ALIASES = {
 }
 
 
+SHAPE_RULE = "need 1 <= K <= M <= N <= L, got"
+INTEGER_RULE = "K, M, N and L must be integers, got"
+
+
 @pytest.mark.parametrize(
-    "sizes",
-    [dict(k=0), dict(k=9), dict(m=21), dict(n=31), dict(k=-1)],
-    ids=["k-zero", "k-above-m", "m-above-n", "n-above-l", "k-negative"],
+    "sizes, message",
+    [(dict(k=0), SHAPE_RULE), (dict(k=9), SHAPE_RULE), (dict(m=21), SHAPE_RULE),
+     (dict(n=31), SHAPE_RULE), (dict(k=-1), SHAPE_RULE),
+     (dict(m=8.5), INTEGER_RULE + r" K=2 M=8\.5 N=20 L=30"), (dict(k=2.5), INTEGER_RULE),
+     (dict(n=20.0), INTEGER_RULE), (dict(l=np.float64(30)), INTEGER_RULE)],
+    ids=["k-zero", "k-above-m", "m-above-n", "n-above-l", "k-negative",
+         "m-fraction", "k-fraction", "n-float", "l-numpy-float"],
 )
-def test_params_refuse_a_shape_outside_the_cs_range(sizes):
-    # 1 <= K <= M <= N <= L is a rule of the type: building it and replacing
-    # a field in a valid one both refuse a shape outside it
-    message = "need 1 <= K <= M <= N <= L, got"
+def test_params_refuse_a_shape_outside_the_cs_range(sizes, message):
+    # 1 <= K <= M <= N <= L over integer sizes is a rule of the type: building
+    # it and replacing a field in a valid one both refuse a shape outside it
     with pytest.raises(ValueError, match=message):
         ExperimentParams(**{**dict(m=8, n=20, l=30, k=2), **sizes})
     with pytest.raises(ValueError, match=message):
         replace(SMALL, **sizes)
+
+
+def test_params_take_numpy_integer_sizes():
+    sizes = dict(m=np.int64(8), n=np.int32(20), l=np.int64(30), k=np.int16(2))
+    ExperimentParams(**sizes)
+    assert replace(SMALL, **sizes) == SMALL
 
 
 class TestDesignForMethod:
@@ -120,10 +133,17 @@ def test_every_harness_rejects_an_empty_seed_list(harness):
          "unknown method 'qr'"),
         (lambda: run_snr_sweep(SMALL, [10.0], ("mt",), 1, lambda_grid=(0.1,), pair_lambdas=True),
          "pair_lambdas sets every weight itself; it takes no lambda_grid"),
+        (lambda: run_lambda_sweep(SMALL, [0.1], [1, 1.7]), "a seed must be an integer, got 1.7"),
+        (lambda: run_lambda_sweep(SMALL, [0.1], 1.7), "a seed must be an integer, got 1.7"),
+        (lambda: run_snr_sweep(SMALL, [10.0], ("mt",), "12"),
+         "a seed must be an integer, got '12'"),
+        (lambda: run_dimension_sweeps(SMALL, "m", [4], [1, 2.0]),
+         r"a seed must be an integer, got 2\.0"),
     ],
     ids=["lambda-k-above-m", "snr-nan-point", "lambda-negative-point",
          "snr-nan-candidate", "lambda-unknown-method", "dimension-unknown-method",
-         "snr-paired-with-grid"],
+         "snr-paired-with-grid", "lambda-fractional-seed-in-list", "lambda-fractional-seed",
+         "snr-string-seed", "dimension-float-seed"],
 )
 def test_every_harness_checks_its_inputs_before_the_first_design(designs, harness, message):
     with pytest.raises(ValueError, match=message):

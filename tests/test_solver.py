@@ -13,6 +13,7 @@ from csdesign.solver import (
     random_projection,
     write_trace_csv,
 )
+from csdesign.streams import derive_seed
 from csdesign.synth import gen_dictionary
 
 # Global minimum of the M=2, N=3, L=4 instance below (psi seed 42, lam 0.3),
@@ -381,6 +382,17 @@ class TestRandomProjection:
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
             random_projection(0, 3, 0)
+
+    def test_seed_must_be_an_integer(self):
+        # a float or a string seed would otherwise be truncated or parsed
+        for seed in (1.7, 1.0, "1"):
+            with pytest.raises(TypeError):
+                random_projection(2, 3, seed)
+            with pytest.raises(TypeError):
+                derive_seed(seed, "phi0")
+        np.testing.assert_array_equal(random_projection(2, 3, np.int64(1)),
+                                      random_projection(2, 3, 1))
+        assert derive_seed(np.int64(-1), "phi0") == derive_seed(2**64 - 1, "phi0")
 
 
 class TestTraceSerialization:
